@@ -1,7 +1,10 @@
 #include "memsim/memory_domain.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 namespace m3rma::memsim {
 
@@ -18,9 +21,14 @@ MemoryDomain::MemoryDomain(DomainConfig cfg) : cfg_(cfg) {
     M3RMA_REQUIRE(cfg_.size <= (std::uint64_t{1} << cfg_.addr_bits),
                   "domain size exceeds the node's address space");
   }
-  arena_.assign(cfg_.size, std::byte{0});
   free_blocks_.emplace(kNullGuard, cfg_.size - kNullGuard);
+  void* m = mmap(nullptr, cfg_.size, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (m == MAP_FAILED) throw std::bad_alloc();
+  arena_ = static_cast<std::byte*>(m);
 }
+
+MemoryDomain::~MemoryDomain() { munmap(arena_, cfg_.size); }
 
 std::uint64_t MemoryDomain::alloc(std::size_t bytes, std::size_t align) {
   M3RMA_REQUIRE(bytes > 0, "alloc of zero bytes");
@@ -72,16 +80,16 @@ void MemoryDomain::dealloc(std::uint64_t addr) {
 
 std::byte* MemoryDomain::raw(std::uint64_t addr) {
   check_range(addr, 1);
-  return arena_.data() + addr;
+  return arena_ + addr;
 }
 
 const std::byte* MemoryDomain::raw(std::uint64_t addr) const {
   check_range(addr, 1);
-  return arena_.data() + addr;
+  return arena_ + addr;
 }
 
 bool MemoryDomain::contains(std::uint64_t addr, std::size_t len) const {
-  return addr < arena_.size() && len <= arena_.size() - addr;
+  return addr < cfg_.size && len <= cfg_.size - addr;
 }
 
 void MemoryDomain::check_range(std::uint64_t addr, std::size_t len) const {
@@ -92,7 +100,7 @@ void MemoryDomain::cpu_write(std::uint64_t addr,
                              std::span<const std::byte> data) {
   check_range(addr, data.size());
   // Write-through: memory is always updated.
-  std::memcpy(arena_.data() + addr, data.data(), data.size());
+  std::memcpy(arena_ + addr, data.data(), data.size());
   if (!noncoherent()) return;
   // Keep this CPU's cached copies consistent with its own writes.
   const std::uint64_t line_sz = cfg_.cache_line;
@@ -113,7 +121,7 @@ void MemoryDomain::cpu_write(std::uint64_t addr,
 void MemoryDomain::cpu_read(std::uint64_t addr, std::span<std::byte> out) {
   check_range(addr, out.size());
   if (!noncoherent()) {
-    std::memcpy(out.data(), arena_.data() + addr, out.size());
+    std::memcpy(out.data(), arena_ + addr, out.size());
     return;
   }
   // Scalar path: serve each overlapping line from the cache, loading missing
@@ -126,9 +134,9 @@ void MemoryDomain::cpu_read(std::uint64_t addr, std::span<std::byte> out) {
     auto it = cache_.find(ln);
     if (it == cache_.end()) {
       const std::size_t avail =
-          std::min<std::uint64_t>(line_sz, arena_.size() - line_base);
+          std::min<std::uint64_t>(line_sz, cfg_.size - line_base);
       std::vector<std::byte> copy(avail);
-      std::memcpy(copy.data(), arena_.data() + line_base, avail);
+      std::memcpy(copy.data(), arena_ + line_base, avail);
       it = cache_.emplace(ln, std::move(copy)).first;
     }
     const std::uint64_t lo = std::max<std::uint64_t>(line_base, addr);
@@ -145,7 +153,7 @@ void MemoryDomain::cpu_read(std::uint64_t addr, std::span<std::byte> out) {
 void MemoryDomain::cpu_read_uncached(std::uint64_t addr,
                                      std::span<std::byte> out) const {
   check_range(addr, out.size());
-  std::memcpy(out.data(), arena_.data() + addr, out.size());
+  std::memcpy(out.data(), arena_ + addr, out.size());
 }
 
 sim::Time MemoryDomain::fence() {
@@ -161,13 +169,13 @@ void MemoryDomain::nic_write(std::uint64_t addr,
   ++nic_writes_;
   // Remote writes land in memory without invalidating the scalar cache —
   // the essence of the non-coherent challenge in §III-B2.
-  std::memcpy(arena_.data() + addr, data.data(), data.size());
+  std::memcpy(arena_ + addr, data.data(), data.size());
 }
 
 void MemoryDomain::nic_read(std::uint64_t addr,
                             std::span<std::byte> out) const {
   check_range(addr, out.size());
-  std::memcpy(out.data(), arena_.data() + addr, out.size());
+  std::memcpy(out.data(), arena_ + addr, out.size());
 }
 
 }  // namespace m3rma::memsim

@@ -15,7 +15,9 @@
 //
 // The domain also provides the node's RMA-addressable arena. Addresses are
 // 64-bit offsets into the arena; raw() exposes a host pointer so local code
-// can use natural C++ buffers on coherent nodes.
+// can use natural C++ buffers on coherent nodes. The arena is one anonymous
+// mapping: it reads as zeros, and a page costs host memory only once it is
+// first touched.
 #pragma once
 
 #include <cstddef>
@@ -54,6 +56,7 @@ struct DomainConfig {
 class MemoryDomain {
  public:
   explicit MemoryDomain(DomainConfig cfg);
+  ~MemoryDomain();
   MemoryDomain(const MemoryDomain&) = delete;
   MemoryDomain& operator=(const MemoryDomain&) = delete;
 
@@ -105,7 +108,7 @@ class MemoryDomain {
   }
 
   DomainConfig cfg_;
-  std::vector<std::byte> arena_;
+  std::byte* arena_ = nullptr;  // cfg_.size bytes, lazily zeroed pages
   // Scalar cache: line index -> copy of the line at the time it was loaded
   // or last written by this CPU.
   std::unordered_map<std::uint64_t, std::vector<std::byte>> cache_;

@@ -162,18 +162,24 @@ void Portals::charge_inject(sim::Context& ctx, std::uint64_t op) {
   }
 }
 
-void Portals::post_send_event(const Event& ev, EventQueue* eq,
+void Portals::post_send_event(const Event& ev, MdHandle md,
                               std::uint64_t bytes) {
   // Local (SEND) completion models the DMA out of the source buffer: it
   // arrives local_completion_ns plus serialization time after injection.
   const auto& costs = nic_->fabric().costs();
   const auto serial = static_cast<sim::Time>(
       static_cast<double>(bytes) / costs.bytes_per_ns);
-  nic_->fabric().engine().schedule_in(costs.local_completion_ns + serial,
-                                      [this, eq, ev] {
-                                        trace_eq("send", ev);
-                                        eq->post(ev);
-                                      });
+  // Resolve the MD when the event fires: its owner may have released it
+  // (and freed the EQ) in the meantime. Unlike a stale ack or reply, a SEND
+  // event has no remote producer waiting on it, so it is not counted as
+  // dropped.
+  nic_->fabric().engine().schedule_in(
+      costs.local_completion_ns + serial, [this, md, ev] {
+        auto it = mds_.find(md);
+        if (it == mds_.end() || it->second.eq == nullptr) return;
+        trace_eq("send", ev);
+        it->second.eq->post(ev);
+      });
 }
 
 void Portals::send_to(int target, const WireHdr& hdr,
@@ -219,7 +225,7 @@ void Portals::put(sim::Context& ctx, MdHandle md, std::uint64_t local_off,
   if (m.eq != nullptr) {
     post_send_event(Event{EventType::send, node(), match, remote_off,
                           length, user_ptr},
-                    m.eq, length);
+                    md, length);
   }
 }
 
@@ -280,7 +286,7 @@ void Portals::atomic(sim::Context& ctx, AccOp op, NumType nt, MdHandle md,
   if (m.eq != nullptr) {
     post_send_event(Event{EventType::send, node(), match, remote_off,
                           length, user_ptr},
-                    m.eq, length);
+                    md, length);
   }
 }
 

@@ -214,7 +214,9 @@ class Portals {
   /// Pay the NIC injection overhead; when `op` is a tracked attribution tag
   /// the interval is reported as the op's inject segment.
   void charge_inject(sim::Context& ctx, std::uint64_t op = 0);
-  void post_send_event(const Event& ev, EventQueue* eq, std::uint64_t bytes);
+  /// Post `ev` to `md`'s EQ once the DMA of `bytes` out of it completes;
+  /// skipped if the MD is released before then.
+  void post_send_event(const Event& ev, MdHandle md, std::uint64_t bytes);
   /// Tracing: record an EQ post of `type` on this node's rank track.
   void trace_eq(const char* type, const Event& ev);
   /// `op` is the attribution tag stamped on the packet (0 = untagged).

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "simtime/fiber.hpp"
 #include "trace/recorder.hpp"
 
 namespace m3rma::sim {
@@ -76,7 +77,6 @@ int Engine::spawn(std::string name, std::function<void(Context&)> fn,
   ps->daemon = daemon;
   if (!daemon) ++live_nondaemon_;
   procs_.push_back(std::move(ps));
-  procs_.back()->thread = std::thread(&Engine::process_main, this, pid);
   wake(pid);  // first dispatch at the current instant (time 0 before run())
   return pid;
 }
@@ -137,17 +137,7 @@ void Engine::run() {
 
 void Engine::process_main(int pid) {
   ProcessState& ps = *procs_[static_cast<std::size_t>(pid)];
-  {
-    std::unique_lock<std::mutex> l(mu_);
-    ps.cv.wait(l, [&] { return running_pid_ == pid || shutdown_; });
-    if (shutdown_) {
-      ps.finished = true;
-      return;
-    }
-    ps.started = true;
-  }
   Context ctx(this, pid);
-  std::exception_ptr err;
   try {
     ps.fn(ctx);
   } catch (const ShutdownSignal&) {
@@ -156,16 +146,10 @@ void Engine::process_main(int pid) {
     // Fail-stop death (Engine::kill): the body unwound mid-simulation and
     // the rest of the world keeps running.
   } catch (...) {
-    err = std::current_exception();
+    if (!failure_) failure_ = std::current_exception();
   }
-  {
-    std::unique_lock<std::mutex> l(mu_);
-    if (err && !failure_) failure_ = err;
-    ps.finished = true;
-    if (!ps.daemon) --live_nondaemon_;
-    running_pid_ = -1;
-    sched_cv_.notify_one();
-  }
+  ps.finished = true;
+  if (!ps.daemon) --live_nondaemon_;
 }
 
 void Engine::dispatch(int pid) {
@@ -176,19 +160,26 @@ void Engine::dispatch(int pid) {
     tracer_->span_end(ps.blocked_span);
     ps.blocked_span = 0;
   }
-  std::unique_lock<std::mutex> l(mu_);
   ++context_switches_;
+  resume(ps, pid);
+}
+
+void Engine::resume(ProcessState& ps, int pid) {
+  if (!ps.fiber) {
+    ps.fiber = std::make_unique<Fiber>([this, pid] { process_main(pid); });
+  }
   running_pid_ = pid;
-  ps.cv.notify_one();
-  sched_cv_.wait(l, [&] { return running_pid_ == -1; });
+  ps.fiber->resume();
+  running_pid_ = -1;
+  if (ps.fiber->done()) ps.fiber.reset();
 }
 
 void Engine::block_current(int pid) {
+  if (shutdown_) throw ShutdownSignal{};
+  M3RMA_ENSURE(running_pid_ == pid,
+               "blocking call outside the calling process");
   ProcessState& ps = *procs_[static_cast<std::size_t>(pid)];
-  std::unique_lock<std::mutex> l(mu_);
-  running_pid_ = -1;
-  sched_cv_.notify_one();
-  ps.cv.wait(l, [&] { return running_pid_ == pid || shutdown_; });
+  ps.fiber->suspend();
   if (shutdown_) throw ShutdownSignal{};
   if (ps.killed) throw KillSignal{};
 }
@@ -209,9 +200,8 @@ void Engine::kill(int pid) {
                 "kill of an unknown process");
   ProcessState& ps = *procs_[static_cast<std::size_t>(pid)];
   if (ps.finished || ps.killed) return;
-  // The flag is only read while the process (or the scheduler) holds the
-  // baton, so the baton handoff already orders this write; the wake makes a
-  // blocked victim re-examine it at the current instant.
+  // The wake makes a blocked victim re-examine the flag at the current
+  // instant.
   ps.killed = true;
   wake(pid);
 }
@@ -223,13 +213,16 @@ bool Engine::kill_requested(int pid) const {
 }
 
 void Engine::shutdown_all() {
-  {
-    std::unique_lock<std::mutex> l(mu_);
-    shutdown_ = true;
-    for (auto& p : procs_) p->cv.notify_all();
-  }
-  for (auto& p : procs_) {
-    if (p->thread.joinable()) p->thread.join();
+  shutdown_ = true;
+  // spawn() refuses to run during shutdown, so procs_ cannot grow here.
+  for (std::size_t pid = 0; pid < procs_.size(); ++pid) {
+    ProcessState& ps = *procs_[pid];
+    if (ps.finished) continue;
+    if (ps.fiber) {
+      resume(ps, static_cast<int>(pid));
+    } else {
+      ps.finished = true;
+    }
   }
 }
 

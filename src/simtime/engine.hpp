@@ -1,12 +1,14 @@
 // Cooperative discrete-event simulation engine.
 //
 // m3rma runs every "MPI rank", communication thread, and NIC event of the
-// simulated machine under this engine. Simulated processes are real
-// std::threads, but a baton protocol guarantees exactly one runs at a time,
-// so the simulation is sequential, deterministic, and race-free by
-// construction. Virtual time (nanoseconds) advances only through the event
-// queue; a process that computes without calling delay() takes zero virtual
-// time, which is the standard DES convention.
+// simulated machine under this engine. Simulated processes are stackful
+// fibers (see fiber.hpp) that all run on the thread calling run(): the
+// scheduler switches into a process when its wake event fires, and the
+// process switches back when it blocks. Exactly one process runs at a time
+// by construction, so the simulation is sequential, deterministic, and
+// race-free without locks. Virtual time (nanoseconds) advances only through
+// the event queue; a process that computes without calling delay() takes
+// zero virtual time, which is the standard DES convention.
 //
 // Blocking primitives available to a process:
 //   * Context::delay(ns)  — advance this process's view of time
@@ -15,17 +17,16 @@
 //
 // Event callbacks (message deliveries, timers) run in the scheduler's
 // context, also exclusively, so they may touch shared simulation state
-// freely and may notify conditions / schedule further events.
+// freely and may notify conditions / schedule further events. They must
+// not call blocking primitives.
 #pragma once
 
 #include <cstdint>
-#include <condition_variable>
+#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/diagnostics.hpp"
@@ -42,6 +43,7 @@ using Time = std::uint64_t;
 
 class Engine;
 class Condition;
+class Fiber;
 
 /// Handle a simulated process uses to interact with the engine. Each process
 /// body receives a reference to its own Context; it must not be shared with
@@ -170,9 +172,9 @@ class Engine {
   struct ProcessState {
     std::string name;
     std::function<void(Context&)> fn;
-    std::thread thread;
-    std::condition_variable cv;
-    bool started = false;
+    /// Created at the first dispatch, freed as soon as the body returns:
+    /// non-null exactly while the process is started and unfinished.
+    std::unique_ptr<Fiber> fiber;
     bool finished = false;
     bool daemon = false;
     bool wake_pending = false;
@@ -193,27 +195,34 @@ class Engine {
     }
   };
 
+  /// Body of every process fiber: runs the process function and records how
+  /// it ended.
   void process_main(int pid);
-  /// Give the baton to `pid` and wait until it blocks, finishes or throws.
+  /// Wake event: switch into `pid` until it blocks or finishes.
   void dispatch(int pid);
-  /// Called by the running process to give the baton back; returns when the
-  /// process is dispatched again. Throws ShutdownSignal during teardown.
+  /// Switch from the scheduler into `ps`, starting its fiber on first use;
+  /// frees the fiber once the body has returned.
+  void resume(ProcessState& ps, int pid);
+  /// Called by the running process to switch back to the scheduler; returns
+  /// when the process is dispatched again. Throws ShutdownSignal during
+  /// teardown (at once, without switching, once shutdown has begun) and
+  /// KillSignal when the process was killed while blocked.
   void block_current(int pid);
   /// Schedule `pid` to be dispatched at the current instant (idempotent per
   /// blocking period).
   void wake(int pid);
   /// Entry guard of every blocking primitive: a killed process dies at the
-  /// point it would next give up the baton (covers blocking calls made while
-  /// its destructors unwind, too).
+  /// point it would next switch out (covers blocking calls made while its
+  /// destructors unwind, too).
   void check_killed(int pid);
+  /// Teardown: resume every started, unfinished process so ShutdownSignal
+  /// unwinds it on its own stack; processes never started just finish.
   void shutdown_all();
   /// Tracing: snapshot the process's last trace site and open its blocked
-  /// span. Called by the process itself right before it gives up the baton.
+  /// span. Called by the process itself right before it switches out.
   void note_block(int pid, const char* why);
 
-  std::mutex mu_;
-  std::condition_variable sched_cv_;
-  int running_pid_ = -1;  // -1: scheduler owns the baton
+  int running_pid_ = -1;  // -1: the scheduler is running
   bool shutdown_ = false;
 
   std::vector<std::unique_ptr<ProcessState>> procs_;

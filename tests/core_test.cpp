@@ -983,5 +983,38 @@ TEST(CoreDeterminism, IdenticalRunsIdenticalTiming) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+TEST(CoreScale, ThousandRankRingPutSmoke) {
+  // 1,024 ranks, each with its own RmaEngine, memory domain and process
+  // stack: every rank ships its window handle to its left neighbour, puts
+  // 8 B into its right neighbour's window, completes and joins a barrier.
+  constexpr int kRanks = 1024;
+  constexpr std::int64_t kTag = 77;
+  World w(cfg_with(kRanks));
+  std::vector<std::uint64_t> got(kRanks, 0);
+  w.run([&](Rank& r) {
+    RmaEngine eng(r, r.comm_world());
+    const int right = (r.id() + 1) % kRanks;
+    const int left = (r.id() + kRanks - 1) % kRanks;
+    auto win = r.alloc(8);
+    const auto blob = eng.attach(win).serialize();
+    r.comm_world().send(left, kTag, blob);
+    const TargetMem right_mem =
+        TargetMem::deserialize(r.comm_world().recv(right, kTag).data);
+    auto src = r.alloc(8);
+    store<std::uint64_t>(r, src.addr, {1000u + static_cast<unsigned>(r.id())});
+    eng.put_bytes(src.addr, right_mem, 0, 8, right);
+    eng.complete();
+    r.comm_world().barrier();
+    got[static_cast<std::size_t>(r.id())] =
+        load<std::uint64_t>(r, win.addr, 1)[0];
+  });
+  for (int i = 0; i < kRanks; ++i) {
+    const int left = (i + kRanks - 1) % kRanks;
+    EXPECT_EQ(got[static_cast<std::size_t>(i)],
+              1000u + static_cast<unsigned>(left))
+        << "rank " << i;
+  }
+}
+
 }  // namespace
 }  // namespace m3rma::core

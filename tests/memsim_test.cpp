@@ -175,6 +175,21 @@ TEST(CoherentDomain, RawPointerAliasesArena) {
   EXPECT_EQ(std::memcmp(d.raw(addr), data.data(), 8), 0);
 }
 
+TEST(CoherentDomain, FreshArenaReadsZeroToItsLastByte) {
+  // The arena is zero-filled on first touch, also for a domain far larger
+  // than anything the run will use; its last byte is in bounds.
+  DomainConfig c;
+  c.size = std::size_t{1} << 30;
+  MemoryDomain d(c);
+  for (std::uint64_t addr : {std::uint64_t{0}, c.size / 2, c.size - 8}) {
+    std::vector<std::byte> out(8, std::byte{0xff});
+    d.nic_read(addr, out);
+    EXPECT_EQ(out, std::vector<std::byte>(8));
+  }
+  EXPECT_TRUE(d.contains(c.size - 1, 1));
+  EXPECT_FALSE(d.contains(c.size, 1));
+}
+
 TEST(CoherentDomain, OutOfBoundsAccessRejected) {
   MemoryDomain d(coherent_cfg());
   std::vector<std::byte> buf(16);

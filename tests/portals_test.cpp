@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "fabric/fabric.hpp"
@@ -254,6 +255,32 @@ TEST_F(PortalsTest, StaleAckPostsDroppedEvent) {
   EXPECT_EQ(ev->initiator, 1);  // the acking target
   EXPECT_EQ(ev->user_ptr, 13u);
   EXPECT_EQ(p0->dropped_messages(), 1u);
+}
+
+TEST_F(PortalsTest, SendEventSkippedAfterMdRelease) {
+  // The SEND event fires local_completion_ns after injection. An owner that
+  // releases the MD and frees its EQ before then must not get a post into
+  // the freed queue: the event is skipped, and, since nobody remote waits on
+  // it, not counted as dropped either.
+  build();
+  const auto src = mem0->alloc(8);
+  const auto dst = mem1->alloc(8);
+  EventQueue drop_eq(eng);
+  p0->set_drop_eq(&drop_eq);
+  p1->me_append(kPt, kMatch, 0, dst, 8, nullptr);
+  std::optional<EventQueue> eq(std::in_place, eng);
+  eng.spawn("origin", [&](sim::Context& ctx) {
+    const auto md = p0->md_bind(src, 8, &*eq);
+    p0->put(ctx, md, 0, 8, 1, kPt, kMatch, 0, 21, /*want_ack=*/false);
+    p0->md_release(md);  // SEND event still pending
+    eq.reset();
+    // Same storage, new queue: a post through a stale pointer lands here.
+    eq.emplace(eng);
+  });
+  eng.run();
+  EXPECT_FALSE(eq->poll().has_value());
+  EXPECT_FALSE(drop_eq.poll().has_value());
+  EXPECT_EQ(p0->dropped_messages(), 0u);
 }
 
 TEST_F(PortalsTest, StaleNotifyAckPostsDroppedEvent) {

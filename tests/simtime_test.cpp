@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -311,6 +314,154 @@ TEST(Engine, KillIsIdempotentAndImmediateOnNextBlock) {
   });
   e.run();
   EXPECT_EQ(steps, 1);
+}
+
+TEST(Engine, BlockedDaemonUnwindsOnItsOwnStackAtShutdown) {
+  // Teardown resumes the blocked daemon so its destructors run; a blocking
+  // call made while unwinding throws at once instead of switching away.
+  Engine e;
+  Condition never(e);
+  int unwound = 0;
+  bool delay_threw = false;
+  e.spawn(
+      "daemon",
+      [&](Context& ctx) {
+        struct Guard {
+          Context* ctx;
+          int* unwound;
+          bool* threw;
+          ~Guard() {
+            ++*unwound;
+            try {
+              ctx->delay(1);
+            } catch (...) {
+              *threw = true;
+            }
+          }
+        } g{&ctx, &unwound, &delay_threw};
+        ctx.await(never);
+      },
+      /*daemon=*/true);
+  e.spawn("worker", [&](Context& ctx) { ctx.delay(10); });
+  e.run();
+  EXPECT_EQ(unwound, 1);
+  EXPECT_TRUE(delay_threw);
+}
+
+TEST(Engine, RethrowInsideHandlerIsPerProcess) {
+  // Both processes park inside their own catch handler, with the handlers
+  // interleaved (A catches, B catches, A resumes, B resumes). A bare
+  // `throw;` must rethrow the process's own exception, not whichever was
+  // caught last on the thread that runs the simulation.
+  Engine e;
+  std::vector<int> rethrown(2, 0);
+  for (int p = 0; p < 2; ++p) {
+    e.spawn("p" + std::to_string(p), [&, p](Context& ctx) {
+      ctx.delay(static_cast<Time>(10 * p));
+      try {
+        throw p + 1;
+      } catch (int) {
+        ctx.delay(100);
+        try {
+          throw;
+        } catch (int v) {
+          rethrown[static_cast<std::size_t>(p)] = v;
+        }
+      }
+    });
+  }
+  e.run();
+  EXPECT_EQ(rethrown, (std::vector<int>{1, 2}));
+}
+
+TEST(Engine, UncaughtExceptionCountIsPerProcess) {
+  // A process that blocks in a destructor while an exception unwinds it
+  // must not make other processes see that exception as in flight.
+  Engine e;
+  int during_unwind = -1;
+  int other_sees = -1;
+  e.spawn("unwinder", [&](Context& ctx) {
+    struct Parks {
+      Context* ctx;
+      int* seen;
+      ~Parks() {
+        *seen = std::uncaught_exceptions();
+        ctx->delay(50);
+      }
+    };
+    try {
+      Parks g{&ctx, &during_unwind};
+      throw 1;
+    } catch (int) {
+    }
+  });
+  e.spawn("observer", [&](Context& ctx) {
+    ctx.delay(10);
+    other_sees = std::uncaught_exceptions();
+  });
+  e.run();
+  EXPECT_EQ(during_unwind, 1);
+  EXPECT_EQ(other_sees, 0);
+}
+
+TEST(Engine, SpawnCascadeDuringRunRunsEveryProcessOnce) {
+  // Processes spawn more processes from inside the running simulation: a
+  // binary tree of 1023 processes, each spawning its children between
+  // blocking calls while hundreds of others are parked mid-body.
+  constexpr int kProcs = 1023;
+  Engine e(17);
+  std::vector<int> runs(kProcs, 0);
+  std::function<void(Context&, int)> body = [&](Context& ctx, int id) {
+    ++runs[static_cast<std::size_t>(id)];
+    ctx.delay(1 + ctx.engine().rng().next_below(20));
+    for (int child : {2 * id + 1, 2 * id + 2}) {
+      if (child >= kProcs) continue;
+      ctx.engine().spawn("p" + std::to_string(child),
+                         [&body, child](Context& c) { body(c, child); });
+      ctx.yield();
+    }
+    ctx.delay(1 + ctx.engine().rng().next_below(20));
+  };
+  e.spawn("p0", [&](Context& ctx) { body(ctx, 0); });
+  e.run();
+  EXPECT_EQ(runs, std::vector<int>(kProcs, 1));
+  EXPECT_EQ(e.live_process_count(), 0);
+}
+
+TEST(Engine, KilledProcessUnwindsItsStackOnce) {
+  // The victim is killed while parked several frames deep: every frame's
+  // destructor runs exactly once, at the kill, and what its stack owned is
+  // released then, not at engine teardown.
+  Engine e;
+  int destructed = 0;
+  auto resource = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = resource;
+  struct Guard {
+    int* n;
+    ~Guard() { ++*n; }
+  };
+  std::function<void(Context&, int)> nest = [&](Context& ctx, int depth) {
+    Guard g{&destructed};
+    if (depth > 0) {
+      nest(ctx, depth - 1);
+      return;
+    }
+    const std::shared_ptr<int> held = std::move(resource);
+    ctx.delay(10'000);
+  };
+  const int victim = e.spawn("victim", [&](Context& ctx) { nest(ctx, 3); });
+  bool released_at_kill = false;
+  e.spawn("killer", [&](Context& ctx) {
+    ctx.delay(1'000);
+    ctx.engine().kill(victim);
+    ctx.yield();
+    released_at_kill = watch.expired() && destructed == 4;
+    ctx.delay(20'000);
+  });
+  e.run();
+  EXPECT_TRUE(released_at_kill);
+  EXPECT_EQ(destructed, 4);
+  EXPECT_FALSE(e.kill_requested(victim));
 }
 
 // ---------------------------------------------------------------- Channel
