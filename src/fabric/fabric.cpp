@@ -509,9 +509,11 @@ ReliabilityStats Fabric::reliability_totals() const {
     const ReliabilityStats& s = rel->stats();
     total.data_packets += s.data_packets;
     total.retransmits += s.retransmits;
+    total.fast_retransmits += s.fast_retransmits;
     total.acks_sent += s.acks_sent;
     total.acks_piggybacked += s.acks_piggybacked;
     total.ack_arms += s.ack_arms;
+    total.gap_acks += s.gap_acks;
     total.duplicates_suppressed += s.duplicates_suppressed;
     total.out_of_order_buffered += s.out_of_order_buffered;
     total.links_failed += s.links_failed;

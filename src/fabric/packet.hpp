@@ -31,6 +31,10 @@ inline constexpr std::size_t kReliabilityFramingBytes = 20;
 /// Packet::rel_flags bits.
 inline constexpr std::uint8_t kRelFlagData = 0x1;  ///< rel_seq is valid
 inline constexpr std::uint8_t kRelFlagAck = 0x2;   ///< rel_ack is valid
+/// Ack-only packet sent the moment the receiver buffers an out-of-order
+/// packet: the data packet numbered rel_ack + 1 is missing (ordered
+/// fabrics only).
+inline constexpr std::uint8_t kRelFlagGap = 0x4;
 
 struct Packet {
   int src = -1;

@@ -38,7 +38,9 @@ std::string LinkFailure::describe() const {
 }
 
 LinkReliability::LinkReliability(Nic& nic)
-    : nic_(&nic), cfg_(nic.fabric().costs().reliability) {
+    : nic_(&nic),
+      cfg_(nic.fabric().costs().reliability),
+      gap_acks_(nic.fabric().caps().ordered_delivery) {
   M3RMA_REQUIRE(cfg_.retransmit_timeout_ns > 0,
                 "retransmit timeout must be positive");
   M3RMA_REQUIRE(cfg_.backoff_factor >= 1.0,
@@ -118,29 +120,9 @@ void LinkReliability::on_retransmit_timer(std::uint64_t key,
   // of the window was lost, so it re-injects every unacked one; the
   // receiver's dedup/reorder machinery absorbs the redundant copies.
   const std::uint64_t rev_ack = rx_[key].delivered;
-  auto* tr = trace::want(nic_->fabric().engine().tracer(),
-                         trace::Category::reliability);
-  auto* tl = trace::timeline(nic_->fabric().engine().tracer());
   for (const PendingPkt& pp : tx.pending) {
-    Packet copy = pp.pkt;
-    copy.rel_ack = rev_ack;  // refresh the piggybacked ack
-    ++stats_.retransmits;
-    if (tl != nullptr && tl->tracks(copy.op)) {
-      // The whole stretch from the packet's first send to this re-injection
-      // is recovery delay chargeable to the reliability sublayer. Repeat
-      // rounds extend the same interval; the timeline merges the overlap.
-      tl->add(copy.op, trace::Segment::retransmit, pp.first_sent,
-              nic_->fabric().engine().now());
-    }
-    if (tr != nullptr) {
-      tr->instant(tr->track(rel_track(nic_->node(), peer)),
-                  trace::Category::reliability, "retransmit",
-                  "seq=" + std::to_string(copy.rel_seq) +
-                      " round=" + std::to_string(tx.retries + 1));
-      tr->add_counter(trace::Category::reliability,
-                      rel_counter(nic_->node(), peer, "retransmits"));
-    }
-    nic_->raw_send(std::move(copy));
+    reinject(peer, pp, rev_ack, "retransmit",
+             " round=" + std::to_string(tx.retries + 1));
   }
   tx.retries += 1;
   const auto backed = static_cast<sim::Time>(
@@ -148,6 +130,46 @@ void LinkReliability::on_retransmit_timer(std::uint64_t key,
   tx.rto = std::min(std::max(backed, tx.rto), cfg_.max_retransmit_timeout_ns);
   ++tx.timer_gen;
   arm_retransmit(key, tx);
+}
+
+void LinkReliability::fast_retransmit(int peer, int protocol,
+                                      std::uint64_t ackno) {
+  const std::uint64_t key = stream_key(peer, protocol);
+  auto it = tx_.find(key);
+  if (it == tx_.end() || it->second.pending.empty()) return;
+  // Only the oldest packet can be the hole the gap ack names (a stale gap
+  // ack names one already acked), and only once: a lost fast copy, or a
+  // rare reorder after a crash re-route, falls back to the timer.
+  PendingPkt& oldest = it->second.pending.front();
+  if (oldest.fast_sent || oldest.pkt.rel_seq != ackno + 1) return;
+  oldest.fast_sent = true;
+  ++stats_.fast_retransmits;
+  reinject(peer, oldest, rx_[key].delivered, "fast_retransmit", "");
+}
+
+void LinkReliability::reinject(int peer, const PendingPkt& pp,
+                               std::uint64_t rev_ack, const char* what,
+                               const std::string& detail) {
+  Packet copy = pp.pkt;
+  copy.rel_ack = rev_ack;  // refresh the piggybacked ack
+  ++stats_.retransmits;
+  if (auto* tl = trace::timeline(nic_->fabric().engine().tracer());
+      tl != nullptr && tl->tracks(copy.op)) {
+    // The whole stretch from the packet's first send to this re-injection
+    // is recovery delay chargeable to the reliability sublayer. Repeat
+    // rounds extend the same interval; the timeline merges the overlap.
+    tl->add(copy.op, trace::Segment::retransmit, pp.first_sent,
+            nic_->fabric().engine().now());
+  }
+  if (auto* tr = trace::want(nic_->fabric().engine().tracer(),
+                             trace::Category::reliability)) {
+    tr->instant(tr->track(rel_track(nic_->node(), peer)),
+                trace::Category::reliability, what,
+                "seq=" + std::to_string(copy.rel_seq) + detail);
+    tr->add_counter(trace::Category::reliability,
+                    rel_counter(nic_->node(), peer, "retransmits"));
+  }
+  nic_->raw_send(std::move(copy));
 }
 
 void LinkReliability::on_budget_exhausted(int peer, int protocol,
@@ -261,6 +283,9 @@ void LinkReliability::process_ack(int peer, int protocol,
 void LinkReliability::on_receive(Packet&& p) {
   if ((p.rel_flags & kRelFlagAck) != 0) {
     process_ack(p.src, p.protocol, p.rel_ack);
+    if ((p.rel_flags & kRelFlagGap) != 0) {
+      fast_retransmit(p.src, p.protocol, p.rel_ack);
+    }
   }
   if ((p.rel_flags & kRelFlagData) == 0) return;  // ack-only: consumed
 
@@ -300,6 +325,13 @@ void LinkReliability::on_receive(Packet&& p) {
     const std::uint64_t seq = p.rel_seq;
     if (rx.ooo.emplace(seq, std::move(p)).second) {
       ++stats_.out_of_order_buffered;
+      // On a FIFO fabric a packet overtaking its predecessor means the
+      // predecessor was lost: tell the sender now rather than after its
+      // timeout. The delayed ack below stays armed, so ack conservation
+      // (ack_arms = acks_sent + acks_piggybacked) is untouched.
+      if (gap_acks_ && !peer_quarantined(src)) {
+        send_ack(src, protocol, rx.delivered, /*gap=*/true);
+      }
     } else {
       ++stats_.duplicates_suppressed;  // already buffered
       if (auto* tr = trace::want(nic_->fabric().engine().tracer(),
@@ -331,20 +363,26 @@ void LinkReliability::on_ack_timer(int peer, int protocol,
   RxStream& rx = rx_[stream_key(peer, protocol)];
   if (!rx.ack_pending || gen != rx.ack_gen) return;  // piggybacked meanwhile
   rx.ack_pending = false;
+  send_ack(peer, protocol, rx.delivered, /*gap=*/false);
+}
+
+void LinkReliability::send_ack(int peer, int protocol, std::uint64_t cum,
+                               bool gap) {
   Packet ack;
   ack.src = nic_->node();
   ack.dst = peer;
   ack.protocol = protocol;
-  ack.rel_flags = kRelFlagAck;
-  ack.rel_ack = rx.delivered;
-  ++stats_.acks_sent;
+  ack.rel_flags = gap ? (kRelFlagAck | kRelFlagGap) : kRelFlagAck;
+  ack.rel_ack = cum;
+  ++(gap ? stats_.gap_acks : stats_.acks_sent);
   if (auto* tr = trace::want(nic_->fabric().engine().tracer(),
                              trace::Category::reliability)) {
     tr->instant(tr->track(rel_track(nic_->node(), peer)),
-                trace::Category::reliability, "ack",
-                "cum=" + std::to_string(ack.rel_ack));
+                trace::Category::reliability, gap ? "gap_ack" : "ack",
+                "cum=" + std::to_string(cum));
     tr->add_counter(trace::Category::reliability,
-                    rel_counter(nic_->node(), peer, "acks_sent"));
+                    rel_counter(nic_->node(), peer,
+                                gap ? "gap_acks" : "acks_sent"));
   }
   nic_->raw_send(std::move(ack));
 }

@@ -10,9 +10,15 @@
 //   * cumulative acknowledgements, piggybacked on reverse-direction data
 //     where possible and sent as standalone ack-only packets after a short
 //     delayed-ack window otherwise;
+//   * fast retransmit on ordered fabrics: the receiver acks at once, with
+//     kRelFlagGap, when it buffers a new out-of-order packet — on a FIFO
+//     network that gap proves a loss — and the sender re-injects its
+//     oldest unacked packet, at most once per packet (reordering is normal
+//     on an unordered fabric, so there the gap ack is never sent);
 //   * retransmission on timeout with exponential backoff (go-back-all on
 //     the unacked window; the receiver's reorder buffer absorbs the
-//     duplicates) and a bounded retry budget;
+//     duplicates) and a bounded retry budget — the backstop when the last
+//     packet of a burst, a gap ack or a fast copy is lost;
 //   * duplicate suppression and in-order delivery, so handlers observe
 //     exactly-once, in-order streams even though the wire may drop,
 //     duplicate, or (after a retransmission) reorder packets.
@@ -73,12 +79,16 @@ struct ReliabilityConfig {
 
 struct ReliabilityStats {
   std::uint64_t data_packets = 0;    ///< first transmissions tracked
-  std::uint64_t retransmits = 0;     ///< data packets re-injected on timeout
+  std::uint64_t retransmits = 0;     ///< data packets re-injected (timeout
+                                     ///< or fast)
+  std::uint64_t fast_retransmits = 0;  ///< of which on a gap ack
   std::uint64_t acks_sent = 0;       ///< standalone ack-only packets
   std::uint64_t acks_piggybacked = 0;  ///< pending acks absorbed by data
   std::uint64_t ack_arms = 0;        ///< delayed-ack windows opened; each is
                                      ///< resolved by exactly one standalone
                                      ///< or piggybacked ack (conservation)
+  std::uint64_t gap_acks = 0;        ///< immediate out-of-order acks; not
+                                     ///< in acks_sent, outside conservation
   std::uint64_t duplicates_suppressed = 0;  ///< re-deliveries dropped
   std::uint64_t out_of_order_buffered = 0;  ///< held for resequencing
   std::uint64_t links_failed = 0;     ///< peers quarantined at this endpoint
@@ -140,6 +150,7 @@ class LinkReliability {
   struct PendingPkt {
     Packet pkt;            // retransmission copy
     sim::Time first_sent;  // for the degradation report
+    bool fast_sent = false;  // already fast-retransmitted once
   };
   struct TxStream {
     std::uint64_t next_seq = 1;
@@ -166,8 +177,18 @@ class LinkReliability {
   void arm_retransmit(std::uint64_t key, TxStream& tx);
   void on_retransmit_timer(std::uint64_t key, std::uint64_t gen);
   void process_ack(int peer, int protocol, std::uint64_t ackno);
+  /// Gap ack: the peer is missing rel_seq ackno + 1; re-inject it once if it
+  /// is still the oldest unacked packet of the stream.
+  void fast_retransmit(int peer, int protocol, std::uint64_t ackno);
+  /// Inject a copy of `pp` carrying the reverse stream's current ack, and
+  /// count/trace it as a retransmission (`what` names the trace instant).
+  void reinject(int peer, const PendingPkt& pp, std::uint64_t rev_ack,
+                const char* what, const std::string& detail);
   void arm_delayed_ack(int peer, int protocol, RxStream& rx);
   void on_ack_timer(int peer, int protocol, std::uint64_t gen);
+  /// Ack-only packet carrying cumulative ack `cum`; `gap` flags it
+  /// kRelFlagGap (counted in gap_acks instead of acks_sent).
+  void send_ack(int peer, int protocol, std::uint64_t cum, bool gap);
   /// Budget exhaustion: snapshot a LinkFailure, offer it to the fabric's
   /// failure policy; quarantine the peer if accepted, throw TransportError
   /// if not. May destroy the TxStream it was called about — callers return
@@ -177,6 +198,7 @@ class LinkReliability {
 
   Nic* nic_;
   ReliabilityConfig cfg_;
+  bool gap_acks_ = false;  // ordered fabric: a gap proves a loss
   ReliabilityStats stats_;
   std::unordered_map<std::uint64_t, TxStream> tx_;
   std::unordered_map<std::uint64_t, RxStream> rx_;

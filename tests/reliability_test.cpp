@@ -1,6 +1,7 @@
 // Reliable transport sublayer (fabric/reliability.hpp): ack/retransmit with
-// exponential backoff, duplicate suppression, in-order delivery, and
-// bounded-retry degradation to TransportError.
+// exponential backoff, gap-triggered fast retransmit on ordered fabrics,
+// duplicate suppression, in-order delivery, and bounded-retry degradation
+// to TransportError.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -282,19 +283,140 @@ TEST(Reliability, TotalsAccessorAggregatesEndpointsAndMatchesTrace) {
   const auto& rx = f.nic(1).reliability()->stats();
   EXPECT_EQ(totals.data_packets, tx.data_packets + rx.data_packets);
   EXPECT_EQ(totals.retransmits, tx.retransmits + rx.retransmits);
+  EXPECT_EQ(totals.fast_retransmits,
+            tx.fast_retransmits + rx.fast_retransmits);
   EXPECT_EQ(totals.acks_sent, tx.acks_sent + rx.acks_sent);
+  EXPECT_EQ(totals.gap_acks, tx.gap_acks + rx.gap_acks);
   EXPECT_EQ(totals.duplicates_suppressed,
             tx.duplicates_suppressed + rx.duplicates_suppressed);
   EXPECT_GT(totals.data_packets, 0u);
   EXPECT_GT(totals.retransmits, 0u);
+  EXPECT_GT(totals.fast_retransmits, 0u);
+  EXPECT_GT(totals.gap_acks, 0u);
+  EXPECT_LE(totals.fast_retransmits, totals.retransmits);
 
   // Only nic 0 sends data, only nic 1 acks: the per-link trace counters
   // mirror the per-endpoint statistics exactly.
   EXPECT_EQ(rec.counter("rel.link.0->1.data_packets"), tx.data_packets);
   EXPECT_EQ(rec.counter("rel.link.0->1.retransmits"), tx.retransmits);
   EXPECT_EQ(rec.counter("rel.link.1->0.acks_sent"), rx.acks_sent);
+  EXPECT_EQ(rec.counter("rel.link.1->0.gap_acks"), rx.gap_acks);
   EXPECT_EQ(rec.counter("rel.link.0->1.duplicates_suppressed"),
             rx.duplicates_suppressed);
+  // Fast copies share the retransmits counter but get their own instant.
+  const std::string js = rec.chrome_json();
+  std::uint64_t fast_instants = 0;
+  for (std::size_t at = js.find("\"name\":\"fast_retransmit\"");
+       at != std::string::npos;
+       at = js.find("\"name\":\"fast_retransmit\"", at + 1)) {
+    ++fast_instants;
+  }
+  EXPECT_EQ(fast_instants, tx.fast_retransmits);
+}
+
+// A paced 200-packet stream over an ordered 2-node fabric with 5% loss and
+// a 1 ms RTO. Checks exactly-once, in-order delivery and returns each
+// packet's first-send-to-delivery latency (in packet order) with the
+// endpoints' counters.
+struct PacedStream {
+  std::vector<sim::Time> latency;
+  std::uint64_t drops = 0;
+  ReliabilityStats tx, rx;
+};
+
+constexpr sim::Time kSlowRto = 1'000'000;
+
+PacedStream run_paced_stream(std::uint64_t seed) {
+  constexpr int kPackets = 200;
+  sim::Engine eng(seed);
+  Capabilities caps;
+  caps.ordered_delivery = true;
+  Fabric f(eng, 2, caps, reliable_costs(0.05, 10, kSlowRto));
+  std::vector<sim::Time> sent(kPackets);
+  PacedStream out;
+  std::vector<int> got;
+  f.nic(1).register_protocol(1, [&](Packet&& p) {
+    const int id = get_header<TestHdr>(p).id;
+    got.push_back(id);
+    out.latency.push_back(eng.now() - sent[static_cast<std::size_t>(id)]);
+  });
+  eng.spawn("s", [&](sim::Context& ctx) {
+    for (int i = 0; i < kPackets; ++i) {
+      sent[static_cast<std::size_t>(i)] = ctx.now();
+      f.nic(0).send(1, make_packet(1, i));
+      ctx.delay(2000);
+    }
+  });
+  eng.run();
+  EXPECT_EQ(got.size(), static_cast<std::size_t>(kPackets))
+      << "every packet must be delivered exactly once";
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], static_cast<int>(i)) << "in order";
+  }
+  out.drops = f.dropped_packets();
+  out.tx = f.nic(0).reliability()->stats();
+  out.rx = f.nic(1).reliability()->stats();
+  return out;
+}
+
+TEST(Reliability, FastRetransmitBeatsTheTimeout) {
+  // On an ordered fabric the packet after a lost one exposes the hole, so
+  // recovery costs one gap ack plus one re-injection instead of a 1 ms
+  // timeout. Only the stream's last packet has no successor to expose its
+  // loss; every other packet must arrive well inside one RTO. On this seed
+  // every retransmission is a fast copy (no timer round re-sends anything),
+  // so no fast copy was lost; LostFastCopyFallsBackToTheTimer covers that.
+  const PacedStream s = run_paced_stream(1);
+  EXPECT_GT(s.drops, 0u);
+  EXPECT_GT(s.tx.fast_retransmits, 0u);
+  EXPECT_GT(s.rx.gap_acks, 0u);
+  EXPECT_EQ(s.tx.retransmits, s.tx.fast_retransmits);
+  for (std::size_t i = 0; i + 1 < s.latency.size(); ++i) {
+    EXPECT_LT(s.latency[i], kSlowRto) << "packet " << i;
+  }
+}
+
+TEST(Reliability, LostFastCopyFallsBackToTheTimer) {
+  // Each packet is fast-retransmitted at most once. On this seed one fast
+  // copy is lost too, so the stream stalls behind it until the timer's
+  // go-back-all round repairs it: those packets take at least one RTO, and
+  // delivery stays exactly-once and in order.
+  const PacedStream s = run_paced_stream(4242);
+  EXPECT_GT(s.tx.fast_retransmits, 0u);
+  EXPECT_GT(s.tx.retransmits, s.tx.fast_retransmits) << "timer round ran";
+  const auto late = std::count_if(s.latency.begin(), s.latency.end(),
+                                  [](sim::Time t) { return t >= kSlowRto; });
+  EXPECT_GT(late, 0);
+}
+
+TEST(Reliability, NoGapAcksOnUnorderedFabric) {
+  // Adaptive routing reorders packets routinely, so a gap proves nothing:
+  // the receiver must resequence silently and the sender must never
+  // re-inject on a lossless link.
+  sim::Engine eng(21);
+  Capabilities caps;
+  caps.ordered_delivery = false;
+  CostModel costs = reliable_costs(0.0);
+  costs.jitter_ns = 5000;
+  Fabric f(eng, 2, caps, costs);
+  std::vector<int> got;
+  f.nic(1).register_protocol(1, [&](Packet&& p) {
+    got.push_back(get_header<TestHdr>(p).id);
+  });
+  eng.spawn("s", [&](sim::Context& ctx) {
+    for (int i = 0; i < 100; ++i) {
+      f.nic(0).send(1, make_packet(1, i));
+      ctx.delay(500);
+    }
+  });
+  eng.run();
+  ASSERT_EQ(got.size(), 100u);
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+  const ReliabilityStats totals = f.reliability_totals();
+  EXPECT_GT(totals.out_of_order_buffered, 0u) << "jitter must reorder";
+  EXPECT_EQ(totals.gap_acks, 0u);
+  EXPECT_EQ(totals.fast_retransmits, 0u);
+  EXPECT_EQ(totals.retransmits, 0u);
 }
 
 TEST(Reliability, DeterministicPerSeed) {
