@@ -10,62 +10,6 @@
 
 namespace m3rma::core {
 
-// ----------------------------------------------------------- wire formats
-
-struct RmaEngine::AmHdr {
-  enum class Kind : std::uint8_t {
-    data_op,      // put/get/accumulate routed through software (serializer)
-    op_ack,       // software remote-completion ack for a data_op put/acc
-    get_reply,    // data for a software get
-    rmw_op,       // software read-modify-write
-    rmw_reply,    // previous value for a software RMW
-    count_query,  // "how many of my data ops have landed?"
-    count_reply,
-    lock_req,     // coarse-grain process-level lock protocol
-    lock_grant,
-    lock_release,
-    rmi_op,       // remote method invocation (§V optype expansion)
-    rmi_reply,
-    repl_create,      // owner -> backup: register a replica region
-    repl_ready,       // backup -> owner: replica registered (or refused)
-    repl_mirror,      // origin -> backup: mirrored put/accumulate block
-    repl_mirror_rmw,  // origin -> backup: mirrored RMW (semantic replay)
-    repl_mirror_ack,  // backup -> origin: cumulative applied mirror seq
-    repl_adopt,       // acting primary -> fresh backup: adopt a replica
-                      // (snapshot burst follows on the same mirror stream)
-    repl_sync_done,   // acting primary -> fresh backup: snapshot complete
-    repl_probe,       // origin -> candidate: is your copy complete + live?
-    repl_probe_ack,   // candidate -> origin: value_a 1 = ready, 0 = lost,
-                      // 2 = copy still materializing (retry, not a verdict)
-    repl_region_fwd,  // origin -> serving copy: re-publish [offset,
-                      // offset+length) from your authoritative memory to
-                      // your current backup. Repairs committed RMWs and
-                      // accumulates whose mirror lost its destination: a
-                      // client-side semantic replay double-applies when
-                      // the fresh backup's snapshot has the effect
-    repl_region_fwd_done,  // serving copy -> origin: the requested region
-                           // is on the wire to the backup (or was dropped);
-                           // releases mirrors the origin held for ordering
-    bye,              // teardown handshake: sender has entered quiesce
-    notify_fire,      // origin -> surviving copy: re-arm the notification
-                      // of a rescued notified op (mem_id = window, offset =
-                      // disp, length = bytes, value_a = tag)
-  };
-
-  Kind kind = Kind::data_op;
-  RmaOptype op = RmaOptype::put;
-  portals::AccOp acc = portals::AccOp::replace;
-  portals::RmwOp rmw = portals::RmwOp::fetch_add;
-  portals::NumType nt = portals::NumType::i64;
-  std::uint64_t mem_id = 0;
-  std::uint64_t offset = 0;  // byte offset within the attached region;
-                             // get_reply: destination offset at the origin
-  std::uint64_t length = 0;
-  std::uint64_t req_id = 0;
-  std::uint64_t value_a = 0;  // rmw operand / reply offset / count value
-  std::uint64_t value_b = 0;  // rmw second operand (compare_swap desired)
-};
-
 // ---------------------------------------------------------- request state
 
 struct Request::State {
@@ -142,6 +86,30 @@ namespace {
 
 /// Count-query flush retries before declaring the ops lost.
 constexpr std::uint32_t kMaxFlushRetries = 10000;
+/// Per-op handler cost of the serializer (comm thread or progress engine).
+constexpr sim::Time kApplyNs = 600;
+/// Lock-manager service time per lock transition (delivery context).
+constexpr sim::Time kLockServiceNs = 300;
+/// Software-flush retry backoff on ack-less networks.
+constexpr sim::Time kFlushRetryNs = 2000;
+/// Local copy engine speed for pack/unpack staging (bytes per ns).
+constexpr double kCopyBytesPerNs = 8.0;
+
+/// `r`'s trace track ("rank<id>").
+int rank_track(trace::Recorder* tr, const runtime::Rank& r) {
+  return tr->track("rank" + std::to_string(r.id()));
+}
+
+/// Instant event on `r`'s trace track, then an optional counter bump.
+/// `args()` builds the argument string only when `cat` is traced.
+template <class Args>
+void note(runtime::Rank& r, trace::Category cat, const char* name,
+          Args&& args, const char* counter = nullptr) {
+  trace::Recorder* tr = trace::want(r.world().engine().tracer(), cat);
+  if (tr == nullptr) return;
+  tr->instant(rank_track(tr, r), cat, name, args());
+  if (counter != nullptr) tr->add_counter(cat, counter);
+}
 
 portals::NumType to_num_type(dt::LeafKind k) {
   using dt::LeafKind;
@@ -205,20 +173,20 @@ std::uint64_t u64_from_endian_bytes(const std::byte* in8, Endian e) {
   return v;
 }
 
-/// Scoped set/restore of the engine's attribution parent tag, so the locked
-/// issue paths stay exception- and early-return-safe.
-class TagScope {
+/// Scoped set/restore of an engine slot (the attribution parent tag, the
+/// pending notify tag), so the issue paths stay exception- and
+/// early-return-safe and a tag never leaks into the next op.
+template <class T>
+class ScopedSet {
  public:
-  TagScope(std::uint64_t& slot, std::uint64_t v) : slot_(slot), prev_(slot) {
-    slot_ = v;
-  }
-  ~TagScope() { slot_ = prev_; }
-  TagScope(const TagScope&) = delete;
-  TagScope& operator=(const TagScope&) = delete;
+  ScopedSet(T& slot, T v) : slot_(slot), prev_(slot) { slot_ = std::move(v); }
+  ~ScopedSet() { slot_ = std::move(prev_); }
+  ScopedSet(const ScopedSet&) = delete;
+  ScopedSet& operator=(const ScopedSet&) = delete;
 
  private:
-  std::uint64_t& slot_;
-  std::uint64_t prev_;
+  T& slot_;
+  T prev_;
 };
 
 }  // namespace
@@ -248,43 +216,16 @@ RmaEngine::RmaEngine(runtime::Rank& rank, runtime::Comm& comm,
   if (cfg_.serializer == SerializerKind::comm_thread) {
     // The dedicated communication thread: the cheap serializer of §V-A.
     am_chan_ = std::make_shared<sim::Channel<AmMsg>>(rank.world().engine());
-    comm_alive_ = std::make_shared<bool>(true);
-    auto chan = am_chan_;
-    auto alive = comm_alive_;
-    RmaEngine* self = this;
-    const sim::Time cost = cfg_.comm_thread_dispatch_ns;
     rank.world().engine().spawn(
         "commthread" + std::to_string(rank.id()),
-        [chan, alive, self, cost](sim::Context& ctx) {
+        [chan = am_chan_, alive = alive_, self = this](sim::Context& ctx) {
           while (true) {
             AmMsg m = chan->recv(ctx);
             // `alive` clears in dispose(): a message still queued when the
             // engine went away (a killed rank unwinding mid-service) must
             // not execute — `self` no longer exists.
             if (m.src == -2 || !*alive) return;
-            auto* tr = trace::want(ctx.engine().tracer(),
-                                   trace::Category::serializer);
-            const trace::SpanHandle h =
-                tr == nullptr
-                    ? 0
-                    : tr->span_begin(tr->track(ctx.name()),
-                                     trace::Category::serializer, "serialize",
-                                     "from=" + std::to_string(m.src));
-            auto* tl = trace::timeline(ctx.engine().tracer());
-            const std::uint64_t op = m.op;
-            const sim::Time pickup = ctx.now();
-            if (tl != nullptr && tl->tracks(op)) {
-              tl->add(op, trace::Segment::serialize_wait, m.arrived, pickup);
-            }
-            ctx.delay(cost);
-            // The engine can be disposed during the dispatch delay (its rank
-            // killed mid-service): re-check before touching `self`.
-            if (!*alive) return;
-            self->execute_am(std::move(m), 0);
-            if (tl != nullptr && tl->tracks(op)) {
-              tl->add(op, trace::Segment::apply, pickup, ctx.now());
-            }
-            if (h != 0) ctx.engine().tracer()->span_end(h);
+            if (!self->serve(ctx, std::move(m))) return;
           }
         },
         /*daemon=*/true);
@@ -316,7 +257,7 @@ void RmaEngine::dispose() {
     rank_->world().fabric().remove_death_listener(death_listener_);
     death_listener_ = -1;
   }
-  if (comm_alive_) *comm_alive_ = false;
+  *alive_ = false;
   if (am_chan_) am_chan_->push(AmMsg{-2, {}, {}});
   auto& nic = rank_->world().fabric().nic(rank_->id());
   if (nic.protocol_registered(kAmProtocolId)) {
@@ -382,17 +323,8 @@ void RmaEngine::quiesce() {
       if (target_failed_[static_cast<std::size_t>(m)] != 0) continue;
       send_am(m, h, {});
     }
-    progress_until([&] {
-      if (!drained()) return false;  // serving may refill a forward ledger
-      for (const int m : comm_->members()) {
-        if (m == rank_->id()) continue;
-        if (bye_seen_[static_cast<std::size_t>(m)] == 0 &&
-            target_failed_[static_cast<std::size_t>(m)] == 0) {
-          return false;
-        }
-      }
-      return true;
-    });
+    // (drained first: serving may refill a forward ledger)
+    progress_until([&] { return drained() && peers_quiesced(); });
   } else {
     comm_->barrier();
   }
@@ -451,13 +383,8 @@ TargetMem RmaEngine::attach(std::uint64_t addr, std::uint64_t length) {
       // the backup's repl_ready — a mirror can never race its replica's
       // creation. If the backup dies mid-wait, the pending request is
       // drained with an error and the window is created unreplicated.
-      auto st = std::make_shared<Request::State>();
-      st->id = next_req_++;
-      st->world_target = backup;
-      st->pending = 1;
-      st->counts_send = false;
-      reqs_.emplace(st->id, st);
-      rank_->ctx().delay(rank_->world().config().costs.inject_overhead_ns);
+      auto st = new_req(backup, 1);
+      charge_inject();
       AmHdr h;
       h.kind = AmHdr::Kind::repl_create;
       h.mem_id = id;
@@ -576,24 +503,6 @@ Request RmaEngine::get_bytes(std::uint64_t origin_addr, const TargetMem& mem,
 
 // ---------------------------------------------------------- notified access
 
-namespace {
-/// Scoped set/clear of the engine's pending notify tag, so the issue path
-/// stays exception-safe and the tag never leaks into the next op.
-class NotifyTagScope {
- public:
-  NotifyTagScope(std::optional<std::uint32_t>& slot, std::uint32_t tag)
-      : slot_(slot) {
-    slot_ = tag;
-  }
-  ~NotifyTagScope() { slot_.reset(); }
-  NotifyTagScope(const NotifyTagScope&) = delete;
-  NotifyTagScope& operator=(const NotifyTagScope&) = delete;
-
- private:
-  std::optional<std::uint32_t>& slot_;
-};
-}  // namespace
-
 Request RmaEngine::put_notify(std::uint64_t origin_addr, const TargetMem& mem,
                               std::uint64_t target_disp, std::uint64_t length,
                               int target_rank, std::uint32_t tag,
@@ -601,7 +510,7 @@ Request RmaEngine::put_notify(std::uint64_t origin_addr, const TargetMem& mem,
   M3RMA_REQUIRE(length > 0, "notified put of zero bytes: a notification "
                             "must witness data");
   stats_.notifies_sent += 1;
-  NotifyTagScope scope(notify_tag_, tag);
+  ScopedSet<std::optional<std::uint32_t>> scope(notify_tag_, tag);
   return put_bytes(origin_addr, mem, target_disp, length, target_rank, attrs);
 }
 
@@ -612,7 +521,7 @@ Request RmaEngine::get_notify(std::uint64_t origin_addr, const TargetMem& mem,
   M3RMA_REQUIRE(length > 0, "notified get of zero bytes: a notification "
                             "must witness data");
   stats_.notifies_sent += 1;
-  NotifyTagScope scope(notify_tag_, tag);
+  ScopedSet<std::optional<std::uint32_t>> scope(notify_tag_, tag);
   return get_bytes(origin_addr, mem, target_disp, length, target_rank, attrs);
 }
 
@@ -713,18 +622,12 @@ Request RmaEngine::do_xfer(RmaOptype op, portals::AccOp acc_op,
                                trace::Category::rma)) {
       tr->add_counter(trace::Category::rma, "rma.failed_fast");
     }
-    auto dead = std::make_shared<Request::State>();
-    dead->id = next_req_++;
-    dead->world_target = mem.owner;
-    dead->done = true;
-    dead->status = fail_status;
+    auto dead = new_req(mem.owner);
+    settle(*dead, fail_status);
     return Request(this, std::move(dead));
   }
 
-  auto st = std::make_shared<Request::State>();
-  st->id = next_req_++;
-  st->world_target = eff.owner;
-  reqs_.emplace(st->id, st);
+  auto st = new_req(eff.owner);
   if (notify_tag_) {
     // Read, not consumed: the reissue-from-scratch recursion below must
     // re-apply the tag to the replacement request.
@@ -740,8 +643,7 @@ Request RmaEngine::do_xfer(RmaOptype op, portals::AccOp acc_op,
   if (auto* tr = trace::want(rank_->world().engine().tracer(),
                              trace::Category::rma)) {
     st->trace_span = tr->span_begin(
-        tr->track("rank" + std::to_string(rank_->id())), trace::Category::rma,
-        opname,
+        rank_track(tr, *rank_), trace::Category::rma, opname,
         "attrs=" + attrs.describe() +
             " bytes=" + std::to_string(target_dt.size() * target_count) +
             " target=" + std::to_string(eff.owner));
@@ -760,26 +662,19 @@ Request RmaEngine::do_xfer(RmaOptype op, portals::AccOp acc_op,
     stall_for_order(eff.owner);
   }
 
-  if (attrs.has(RmaAttr::atomicity)) {
-    if (cfg_.serializer == SerializerKind::coarse_lock) {
-      issue_locked_op(st, op, acc_op, origin_addr, origin_count, origin_dt,
-                      eff, mem, target_disp, target_count, target_dt, attrs);
-    } else {
-      issue_am_op(st, op, acc_op, origin_addr, origin_count, origin_dt, eff,
-                  target_disp, target_count, target_dt);
-    }
-  } else if (op == RmaOptype::get) {
-    issue_direct_get(st, origin_addr, origin_count, origin_dt, eff,
-                     target_disp, target_count, target_dt);
-  } else if (op == RmaOptype::accumulate && !ptl_->supports_atomics()) {
-    // No NIC atomics: element-atomic accumulate needs target-side software
-    // (§III-B1), even without the atomicity attribute.
-    issue_am_op(st, op, acc_op, origin_addr, origin_count, origin_dt, eff,
-                target_disp, target_count, target_dt);
+  if (attrs.has(RmaAttr::atomicity) &&
+      cfg_.serializer == SerializerKind::coarse_lock) {
+    issue_locked_op(st, op, acc_op, origin_addr, origin_count, origin_dt,
+                    eff, mem, target_disp, target_count, target_dt, attrs);
   } else {
-    issue_direct_put(st, acc_op, op == RmaOptype::accumulate, origin_addr,
-                     origin_count, origin_dt, eff, target_disp, target_count,
-                     target_dt, attrs);
+    // Atomic ops go to the target's serializer. So does accumulate without
+    // NIC atomics: element atomicity needs target-side software (§III-B1),
+    // even without the atomicity attribute.
+    const bool via_am =
+        attrs.has(RmaAttr::atomicity) ||
+        (op == RmaOptype::accumulate && !ptl_->supports_atomics());
+    issue_blocks(st, op, acc_op, via_am, origin_addr, origin_count,
+                 origin_dt, eff, target_disp, target_count, target_dt, attrs);
   }
 
   if (st->repl_backup >= 0) {
@@ -788,12 +683,7 @@ Request RmaEngine::do_xfer(RmaOptype op, portals::AccOp acc_op,
     st->repl_mem = mem;
   }
 
-  if (st->pending == 0 && !st->done) {
-    // Degenerate zero-byte transfer.
-    st->done = true;
-    finish_trace(*st);
-    reqs_.erase(st->id);
-  }
+  if (st->pending == 0 && !st->done) settle(*st);  // zero-byte transfer
 
   if (st->done && st->status == OpStatus::target_failed && mem.backup >= 0) {
     // The target died while this op was still being injected: the fault
@@ -820,148 +710,131 @@ Request RmaEngine::do_xfer(RmaOptype op, portals::AccOp acc_op,
   return req;
 }
 
-void RmaEngine::issue_direct_put(const std::shared_ptr<Request::State>& st,
-                                 portals::AccOp acc_op, bool is_acc,
-                                 std::uint64_t origin_addr,
-                                 std::uint64_t origin_count,
-                                 const dt::Datatype& origin_dt,
-                                 const TargetMem& mem,
-                                 std::uint64_t target_disp,
-                                 std::uint64_t target_count,
-                                 const dt::Datatype& target_dt, Attrs attrs) {
+void RmaEngine::issue_blocks(const std::shared_ptr<Request::State>& st,
+                             RmaOptype op, portals::AccOp acc_op, bool via_am,
+                             std::uint64_t origin_addr,
+                             std::uint64_t origin_count,
+                             const dt::Datatype& origin_dt,
+                             const TargetMem& mem, std::uint64_t target_disp,
+                             std::uint64_t target_count,
+                             const dt::Datatype& target_dt, Attrs attrs) {
   const int t = mem.owner;
-  const bool acks = ptl_->supports_ack_events();
+  const bool is_get = op == RmaOptype::get;
+  const bool is_acc = op == RmaOptype::accumulate;
   const bool same_endian = mem.endian == rank_->memory().config().endian;
   const bool fast = origin_dt.is_contiguous() && target_dt.is_contiguous() &&
                     same_endian;
   const portals::NumType nt =
       is_acc ? to_num_type(target_dt.uniform_leaf()) : portals::NumType::i8;
+  const std::uint64_t packed_len = target_dt.size() * target_count;
+  // Read where used: packing yields, and the backup may die meanwhile.
+  const auto backup_live = [&] {
+    return mem.backup >= 0 &&
+           target_failed_[static_cast<std::size_t>(mem.backup)] == 0;
+  };
 
-  std::uint64_t src_base = origin_addr;
-  std::uint64_t staging = 0;
-  if (!fast) {
-    staging = pack_origin(origin_addr, origin_count, origin_dt, target_dt,
-                          target_count, mem.endian);
-    src_base = staging;
-  }
-
-  // Completion discipline: only remote-completion ops request hardware
-  // ACKs (Portals PTL_ACK_REQ); plain ops complete locally at SEND and are
-  // flushed by count queries at completion points.
+  // Completion discipline: only remote-completion direct ops request
+  // hardware ACKs (Portals PTL_ACK_REQ); plain ops complete locally at SEND
+  // and are flushed by count queries at completion points. AM ops are
+  // always confirmed by the executor's software op_ack, gets by replies.
   const bool rc = attrs.has(RmaAttr::remote_completion);
-  const bool want_ack = rc && acks;
-  st->counts_send = !want_ack;
-  const bool mirror =
-      mem.backup >= 0 &&
-      target_failed_[static_cast<std::size_t>(mem.backup)] == 0;
+  const bool acks = ptl_->supports_ack_events();
+  const bool want_ack = !via_am && rc && acks;
+  st->counts_send = !is_get && !via_am && !want_ack;
+
+  std::uint64_t staging = 0;  // packed put/accumulate operand, if not `fast`
+  bool mirror = false;
+  if (is_get) {
+    st->is_get = true;
+    st->origin_addr = origin_addr;
+    st->origin_count = origin_count;
+    st->origin_dt = origin_dt;
+    st->target_dt = target_dt;
+    st->target_count = target_count;
+    if (backup_live()) {
+      // Rescue parameters: if the owner dies mid-flight this get is
+      // re-driven at the backup as a direct get (drain_reissues); replica
+      // reads need no serializer, mirrors apply in stream order there.
+      st->repl_backup = mem.backup;
+      st->repl_mem = mem;
+      st->repl_disp = target_disp;
+    }
+    if (fast) {
+      st->dest_addr = origin_addr;
+    } else {
+      st->staging_len = std::max<std::uint64_t>(packed_len, 1);
+      st->dest_addr = rank_->memory().alloc(st->staging_len);
+      st->needs_unpack = true;
+      st->needs_swap = !same_endian;
+      // Prepay the local gather/scatter cost (completion runs in event
+      // context where time cannot be charged).
+      charge_copy(packed_len);
+    }
+  } else {
+    if (!fast) {
+      staging = pack_origin(origin_addr, origin_count, origin_dt, target_dt,
+                            target_count, mem.endian);
+    }
+    mirror = backup_live();
+  }
+  const std::uint64_t src_base = staging != 0 ? staging : origin_addr;
 
   sim::Context& ctx = rank_->ctx();
-  // Notified op: the wire notify bit rides the LAST block only — ordered
-  // delivery means it lands after every earlier block has been applied, so
-  // one notification witnesses the whole transfer.
-  const std::uint64_t packed_total = target_dt.size() * target_count;
+  const std::uint64_t tag = trace::op_tag(rank_->id(), st->id);
   auto issue_block = [&](std::uint64_t mem_off, std::uint64_t packed_off,
                          std::uint64_t len) {
     if (len == 0) return;
-    const bool nfy = st->notify && packed_off + len == packed_total;
-    if (is_acc) {
+    // A notified op carries its notification on the LAST block only:
+    // ordered delivery applies it after every earlier block, so one
+    // notification witnesses the whole transfer.
+    const bool nfy = st->notify && packed_off + len == packed_len;
+    const std::uint64_t offset = target_disp + mem_off;
+    if (via_am) {
+      charge_inject(tag);
+      AmHdr h;
+      h.kind = AmHdr::Kind::data_op;
+      h.op = op;
+      h.mem_id = mem.id;
+      h.offset = offset;
+      h.length = len;
+      h.req_id = st->id;
+      // Notify marker: bit 32 set, low 32 bits the user tag (value_b is
+      // unused by data_op otherwise).
+      if (nfy) h.value_b = (1ULL << 32) | st->notify_tag;
+      std::vector<std::byte> payload;
+      if (is_get) {
+        h.value_a = packed_off;  // echoed back as the reply's placement
+      } else {
+        h.acc = acc_op;
+        h.nt = nt;
+        payload.resize(len);
+        rank_->memory().nic_read(src_base + packed_off, payload);
+      }
+      send_am(t, h, std::move(payload), tag);
+    } else if (is_get) {
+      ptl_->get(ctx, md_all_, st->dest_addr + packed_off, len, t, kPtData,
+                mem.id, offset, st->id, nfy, st->notify_tag);
+    } else if (is_acc) {
       ptl_->atomic(ctx, acc_op, nt, md_all_, src_base + packed_off, len, t,
-                   kPtData, mem.id, target_disp + mem_off, st->id, want_ack,
-                   nfy, st->notify_tag);
+                   kPtData, mem.id, offset, st->id, want_ack, nfy,
+                   st->notify_tag);
     } else {
       ptl_->put(ctx, md_all_, src_base + packed_off, len, t, kPtData, mem.id,
-                target_disp + mem_off, st->id, want_ack, nfy,
-                st->notify_tag);
+                offset, st->id, want_ack, nfy, st->notify_tag);
     }
-    per(t).issued += 1;
-    if (want_ack) per(t).issued_rc += 1;
+    if (is_get) {
+      per(t).pending_replies += 1;
+    } else {
+      per(t).issued += 1;
+      if (via_am || want_ack) per(t).issued_rc += 1;
+    }
     st->pending += 1;
     if (mirror) {
       // The packed bytes are already in the primary's byte order, which the
       // backup shares (replicas are endian-matched at creation).
-      mirror_block(st, is_acc, acc_op, nt, mem, target_disp + mem_off,
-                   src_base + packed_off, len);
+      mirror_block(st, is_acc, acc_op, nt, mem, offset, src_base + packed_off,
+                   len);
     }
-  };
-
-  if (fast) {
-    issue_block(0, 0, target_dt.size() * target_count);
-  } else {
-    target_dt.for_each_block(target_count, [&](const dt::Block& b) {
-      issue_block(b.mem_offset, b.packed_offset, b.nbytes());
-    });
-  }
-  if (staging != 0) rank_->memory().dealloc(staging);
-
-  if (rc && !acks) {
-    // Software remote completion: confirm with a landed-count query.
-    st->pending += 1;
-    st->flush_threshold = per(t).issued;
-    const std::uint64_t tag = trace::op_tag(rank_->id(), st->id);
-    auto* tl = trace::timeline(rank_->world().engine().tracer());
-    const sim::Time t_inj = rank_->ctx().now();
-    rank_->ctx().delay(rank_->world().config().costs.inject_overhead_ns);
-    if (tl != nullptr && tl->tracks(tag)) {
-      tl->add(tag, trace::Segment::inject, t_inj, rank_->ctx().now());
-    }
-    AmHdr q;
-    q.kind = AmHdr::Kind::count_query;
-    q.req_id = st->id;
-    send_am(t, q, {}, tag);
-  }
-}
-
-void RmaEngine::issue_direct_get(const std::shared_ptr<Request::State>& st,
-                                 std::uint64_t origin_addr,
-                                 std::uint64_t origin_count,
-                                 const dt::Datatype& origin_dt,
-                                 const TargetMem& mem,
-                                 std::uint64_t target_disp,
-                                 std::uint64_t target_count,
-                                 const dt::Datatype& target_dt) {
-  const int t = mem.owner;
-  const bool same_endian = mem.endian == rank_->memory().config().endian;
-  const bool fast = origin_dt.is_contiguous() && target_dt.is_contiguous() &&
-                    same_endian;
-  st->is_get = true;
-  st->counts_send = false;
-  st->origin_addr = origin_addr;
-  st->origin_count = origin_count;
-  st->origin_dt = origin_dt;
-  st->target_dt = target_dt;
-  st->target_count = target_count;
-  if (mem.backup >= 0 &&
-      target_failed_[static_cast<std::size_t>(mem.backup)] == 0) {
-    // Rescue parameters: if the owner dies mid-flight this get is re-driven
-    // at the backup (drain_reissues).
-    st->repl_backup = mem.backup;
-    st->repl_mem = mem;
-    st->repl_disp = target_disp;
-  }
-
-  const std::uint64_t packed_len = target_dt.size() * target_count;
-  if (fast) {
-    st->dest_addr = origin_addr;
-  } else {
-    st->staging_len = std::max<std::uint64_t>(packed_len, 1);
-    st->dest_addr = rank_->memory().alloc(st->staging_len);
-    st->needs_unpack = true;
-    st->needs_swap = !same_endian;
-    // Prepay the local gather/scatter cost (completion runs in event
-    // context where time cannot be charged).
-    charge_copy(packed_len);
-  }
-
-  sim::Context& ctx = rank_->ctx();
-  auto issue_block = [&](std::uint64_t mem_off, std::uint64_t packed_off,
-                         std::uint64_t len) {
-    if (len == 0) return;
-    // Last block only, as in issue_direct_put: one notification per op.
-    const bool nfy = st->notify && packed_off + len == packed_len;
-    ptl_->get(ctx, md_all_, st->dest_addr + packed_off, len, t, kPtData,
-              mem.id, target_disp + mem_off, st->id, nfy, st->notify_tag);
-    per(t).pending_replies += 1;
-    st->pending += 1;
   };
   if (fast) {
     issue_block(0, 0, packed_len);
@@ -970,141 +843,18 @@ void RmaEngine::issue_direct_get(const std::shared_ptr<Request::State>& st,
       issue_block(b.mem_offset, b.packed_offset, b.nbytes());
     });
   }
-}
-
-void RmaEngine::issue_am_op(const std::shared_ptr<Request::State>& st,
-                            RmaOptype op, portals::AccOp acc_op,
-                            std::uint64_t origin_addr,
-                            std::uint64_t origin_count,
-                            const dt::Datatype& origin_dt,
-                            const TargetMem& mem, std::uint64_t target_disp,
-                            std::uint64_t target_count,
-                            const dt::Datatype& target_dt) {
-  const int t = mem.owner;
-  const bool same_endian = mem.endian == rank_->memory().config().endian;
-  const portals::NumType nt = op == RmaOptype::accumulate
-                                  ? to_num_type(target_dt.uniform_leaf())
-                                  : portals::NumType::i8;
-  sim::Context& ctx = rank_->ctx();
-  const sim::Time inject = rank_->world().config().costs.inject_overhead_ns;
-  const std::uint64_t tag = trace::op_tag(rank_->id(), st->id);
-  auto* tl = trace::timeline(rank_->world().engine().tracer());
-  const bool attr = tl != nullptr && tl->tracks(tag);
-
-  if (op == RmaOptype::get) {
-    st->is_get = true;
-    st->counts_send = false;
-    st->origin_addr = origin_addr;
-    st->origin_count = origin_count;
-    st->origin_dt = origin_dt;
-    st->target_dt = target_dt;
-    st->target_count = target_count;
-    if (mem.backup >= 0 &&
-        target_failed_[static_cast<std::size_t>(mem.backup)] == 0) {
-      // Re-driven at the backup as a direct get if the owner dies: replica
-      // reads need no serializer (mirrors apply in stream order there).
-      st->repl_backup = mem.backup;
-      st->repl_mem = mem;
-      st->repl_disp = target_disp;
-    }
-    const std::uint64_t packed_len = target_dt.size() * target_count;
-    const bool fast = origin_dt.is_contiguous() &&
-                      target_dt.is_contiguous() && same_endian;
-    if (fast) {
-      st->dest_addr = origin_addr;
-    } else {
-      st->staging_len = std::max<std::uint64_t>(packed_len, 1);
-      st->dest_addr = rank_->memory().alloc(st->staging_len);
-      st->needs_unpack = true;
-      st->needs_swap = !same_endian;
-      charge_copy(packed_len);
-    }
-    auto issue_block = [&](std::uint64_t mem_off, std::uint64_t packed_off,
-                           std::uint64_t len) {
-      if (len == 0) return;
-      const sim::Time t_inj = ctx.now();
-      ctx.delay(inject);
-      if (attr) tl->add(tag, trace::Segment::inject, t_inj, ctx.now());
-      AmHdr h;
-      h.kind = AmHdr::Kind::data_op;
-      h.op = RmaOptype::get;
-      h.mem_id = mem.id;
-      h.offset = target_disp + mem_off;
-      h.length = len;
-      h.req_id = st->id;
-      h.value_a = packed_off;  // echoed back as the reply's placement
-      if (st->notify && packed_off + len == packed_len) {
-        // Notify marker: bit 32 set, low 32 bits the user tag (value_b is
-        // unused by data_op otherwise). Last block only.
-        h.value_b = (1ULL << 32) | st->notify_tag;
-      }
-      send_am(t, h, {}, tag);
-      per(t).pending_replies += 1;
-      st->pending += 1;
-    };
-    if (fast) {
-      issue_block(0, 0, packed_len);
-    } else {
-      target_dt.for_each_block(target_count, [&](const dt::Block& b) {
-        issue_block(b.mem_offset, b.packed_offset, b.nbytes());
-      });
-    }
-    return;
-  }
-
-  // put / accumulate: pack the operand, ship one AM per target block. The
-  // executor's software ack is the (remote) completion signal.
-  st->counts_send = false;
-  const bool fast = origin_dt.is_contiguous() && target_dt.is_contiguous() &&
-                    same_endian;
-  std::uint64_t src_base = origin_addr;
-  std::uint64_t staging = 0;
-  if (!fast) {
-    staging = pack_origin(origin_addr, origin_count, origin_dt, target_dt,
-                          target_count, mem.endian);
-    src_base = staging;
-  }
-  const bool mirror =
-      mem.backup >= 0 &&
-      target_failed_[static_cast<std::size_t>(mem.backup)] == 0;
-  const std::uint64_t packed_total = target_dt.size() * target_count;
-  auto issue_block = [&](std::uint64_t mem_off, std::uint64_t packed_off,
-                         std::uint64_t len) {
-    if (len == 0) return;
-    const sim::Time t_inj = ctx.now();
-    ctx.delay(inject);
-    if (attr) tl->add(tag, trace::Segment::inject, t_inj, ctx.now());
-    AmHdr h;
-    h.kind = AmHdr::Kind::data_op;
-    h.op = op;
-    h.acc = acc_op;
-    h.nt = nt;
-    h.mem_id = mem.id;
-    h.offset = target_disp + mem_off;
-    h.length = len;
-    h.req_id = st->id;
-    if (st->notify && packed_off + len == packed_total) {
-      h.value_b = (1ULL << 32) | st->notify_tag;  // see the get branch
-    }
-    std::vector<std::byte> payload(len);
-    rank_->memory().nic_read(src_base + packed_off, payload);
-    send_am(t, h, std::move(payload), tag);
-    per(t).issued += 1;
-    per(t).issued_rc += 1;  // software op_acks always confirm AM ops
-    st->pending += 1;
-    if (mirror) {
-      mirror_block(st, op == RmaOptype::accumulate, acc_op, nt, mem,
-                   target_disp + mem_off, src_base + packed_off, len);
-    }
-  };
-  if (fast) {
-    issue_block(0, 0, target_dt.size() * target_count);
-  } else {
-    target_dt.for_each_block(target_count, [&](const dt::Block& b) {
-      issue_block(b.mem_offset, b.packed_offset, b.nbytes());
-    });
-  }
   if (staging != 0) rank_->memory().dealloc(staging);
+
+  if (!is_get && !via_am && rc && !acks) {
+    // Software remote completion: confirm with a landed-count query.
+    st->pending += 1;
+    st->flush_threshold = per(t).issued;
+    charge_inject(tag);
+    AmHdr q;
+    q.kind = AmHdr::Kind::count_query;
+    q.req_id = st->id;
+    send_am(t, q, {}, tag);
+  }
 }
 
 void RmaEngine::issue_locked_op(const std::shared_ptr<Request::State>& st,
@@ -1123,31 +873,26 @@ void RmaEngine::issue_locked_op(const std::shared_ptr<Request::State>& st,
   const std::uint64_t ptag = trace::op_tag(rank_->id(), st->id);
   auto* tl = trace::timeline(rank_->world().engine().tracer());
   const bool attr = tl != nullptr && tl->tracks(ptag);
-  TagScope parent_scope(attr_parent_, attr ? ptag : attr_parent_);
-  auto adopt = [&](const std::shared_ptr<Request::State>& child) {
-    if (attr) tl->alias(trace::op_tag(rank_->id(), child->id), ptag);
-  };
-  // Notified op under the coarse-lock serializer: the data-moving child is
-  // what touches the wire, so it inherits the tag (and with it the wire
-  // fire and any failover re-arm).
-  auto inherit_notify = [&](const std::shared_ptr<Request::State>& child) {
-    if (!st->notify) return;
-    child->notify = true;
-    child->notify_tag = st->notify_tag;
-    child->notify_bytes = st->notify_bytes;
-    child->notify_disp = st->notify_disp;
-  };
-  // Mid-operation target death: the outer request may already have been
-  // drained by on_target_failed; otherwise complete it with the error here.
-  // Either way there is no lock manager left, so skip the release.
-  auto fail_out = [&](OpStatus s) {
-    if (!st->done) {
-      st->status = s;
-      st->pending = 0;
-      st->done = true;
-      finish_trace(*st);
-      reqs_.erase(st->id);
+  ScopedSet<std::uint64_t> parent_scope(attr_parent_,
+                                        attr ? ptag : attr_parent_);
+  // One blocking data-moving child, issued directly at the locked target.
+  // For a notified op the child that carries the user's data inherits the
+  // tag (and with it the wire fire and any failover re-arm).
+  auto issue_child = [&](RmaOptype cop, portals::AccOp cacc,
+                         std::uint64_t addr, std::uint64_t count,
+                         const dt::Datatype& cdt, bool notified,
+                         Attrs cattrs) {
+    auto c = new_req(t);
+    if (attr) tl->alias(trace::op_tag(rank_->id(), c->id), ptag);
+    if (notified && st->notify) {
+      c->notify = true;
+      c->notify_tag = st->notify_tag;
+      c->notify_bytes = st->notify_bytes;
+      c->notify_disp = st->notify_disp;
     }
+    issue_blocks(c, cop, cacc, false, addr, count, cdt, mem, target_disp,
+                 target_count, target_dt, cattrs);
+    return c;
   };
   // Mid-sequence death of a replicated target: re-walk the succession chain
   // from the original handle and re-drive the whole locked sequence at the
@@ -1166,11 +911,16 @@ void RmaEngine::issue_locked_op(const std::shared_ptr<Request::State>& st,
                     orig_mem, target_disp, target_count, target_dt, attrs);
     return true;
   };
+  // Mid-operation target death: unless the sequence is re-driven at the
+  // backup, complete the op with the error (on_target_failed may already
+  // have drained it). Either way there is no lock manager left, so skip
+  // the release.
+  auto fail_out = [&](OpStatus s) {
+    if (!retry_at_backup() && !st->done) settle(*st, s);
+  };
   if (!lock_acquire(t)) {
-    if (!retry_at_backup()) {
-      fail_out(mem.backup >= 0 ? OpStatus::replica_lost
-                               : OpStatus::target_failed);
-    }
+    fail_out(mem.backup >= 0 ? OpStatus::replica_lost
+                             : OpStatus::target_failed);
     return;
   }
   const Attrs inner = Attrs(RmaAttr::blocking) | RmaAttr::remote_completion;
@@ -1185,17 +935,12 @@ void RmaEngine::issue_locked_op(const std::shared_ptr<Request::State>& st,
     const dt::Datatype local_dt =
         dt::Datatype::contiguous(bytes / es, leaf_datatype(leaf));
     auto tmp = rank_->memory().alloc(std::max<std::uint64_t>(bytes, 1));
-    auto g = std::make_shared<Request::State>();
-    g->id = next_req_++;
-    g->world_target = t;
-    reqs_.emplace(g->id, g);
-    adopt(g);
-    issue_direct_get(g, tmp, 1, local_dt, mem, target_disp, target_count,
-                     target_dt);
+    auto g = issue_child(RmaOptype::get, portals::AccOp::replace, tmp, 1,
+                         local_dt, false, Attrs::none());
     progress_until([g] { return g->done; });
     if (g->status != OpStatus::ok) {
       rank_->memory().dealloc(tmp);
-      if (!retry_at_backup()) fail_out(g->status);
+      fail_out(g->status);
       return;
     }
     // Combine with the packed operand (both sides in this node's order).
@@ -1207,82 +952,48 @@ void RmaEngine::issue_locked_op(const std::shared_ptr<Request::State>& st,
     portals::apply_acc(acc_op, to_num_type(leaf), rank_->memory().raw(tmp),
                        rank_->memory().raw(staging), bytes,
                        rank_->memory().config().endian);
-    auto p = std::make_shared<Request::State>();
-    p->id = next_req_++;
-    p->world_target = t;
-    reqs_.emplace(p->id, p);
-    adopt(p);
-    issue_direct_put(p, portals::AccOp::replace, false, tmp, 1, local_dt,
-                     mem, target_disp, target_count, target_dt, inner);
+    auto p = issue_child(RmaOptype::put, portals::AccOp::replace, tmp, 1,
+                         local_dt, false, inner);
     progress_until([p] { return p->done; });
     if (p->status != OpStatus::ok) {
       rank_->memory().dealloc(staging);
       rank_->memory().dealloc(tmp);
-      if (!retry_at_backup()) fail_out(p->status);
+      fail_out(p->status);
       return;
     }
     flush_target(t);
     rank_->memory().dealloc(staging);
     rank_->memory().dealloc(tmp);
   } else if (op == RmaOptype::get) {
-    auto g = std::make_shared<Request::State>();
-    g->id = next_req_++;
-    g->world_target = t;
-    reqs_.emplace(g->id, g);
-    adopt(g);
-    inherit_notify(g);
-    issue_direct_get(g, origin_addr, origin_count, origin_dt, mem,
-                     target_disp, target_count, target_dt);
+    auto g = issue_child(op, acc_op, origin_addr, origin_count, origin_dt,
+                         true, Attrs::none());
     progress_until([g] { return g->done; });
     if (g->status != OpStatus::ok) {
-      if (!retry_at_backup()) fail_out(g->status);
+      fail_out(g->status);
       return;
     }
   } else {
-    auto p = std::make_shared<Request::State>();
-    p->id = next_req_++;
-    p->world_target = t;
-    reqs_.emplace(p->id, p);
-    adopt(p);
-    inherit_notify(p);
+    // FIFO delivery lets the release ride right behind the data: the next
+    // grant can only be issued after the put has been applied, so atomicity
+    // holds without stalling a full ACK round trip.
     const bool ordered = rank_->world().config().caps.ordered_delivery;
-    if (ordered) {
-      // FIFO delivery lets the release ride right behind the data: the
-      // next grant can only be issued after the put has been applied, so
-      // atomicity holds without stalling a full ACK round trip.
-      issue_direct_put(p, acc_op, op == RmaOptype::accumulate, origin_addr,
-                       origin_count, origin_dt, mem, target_disp,
-                       target_count, target_dt,
-                       Attrs(RmaAttr::remote_completion));
-      lock_release(t);
-      progress_until([p] { return p->done; });
-      if (p->status != OpStatus::ok) {
-        if (!retry_at_backup()) fail_out(p->status);
-        return;
-      }
-      if (!st->done) {
-        st->done = true;
-        finish_trace(*st);
-        reqs_.erase(st->id);
-      }
-      return;
-    }
-    issue_direct_put(p, acc_op, op == RmaOptype::accumulate, origin_addr,
-                     origin_count, origin_dt, mem, target_disp, target_count,
-                     target_dt, inner);
+    auto p = issue_child(op, acc_op, origin_addr, origin_count, origin_dt,
+                         true,
+                         ordered ? Attrs(RmaAttr::remote_completion) : inner);
+    if (ordered) lock_release(t);
     progress_until([p] { return p->done; });
     if (p->status != OpStatus::ok) {
-      if (!retry_at_backup()) fail_out(p->status);
+      fail_out(p->status);
+      return;
+    }
+    if (ordered) {
+      if (!st->done) settle(*st);
       return;
     }
     flush_target(t);
   }
   lock_release(t);
-  if (!st->done) {
-    st->done = true;
-    finish_trace(*st);
-    reqs_.erase(st->id);
-  }
+  if (!st->done) settle(*st);
 }
 
 // ----------------------------------------------------------------- staging
@@ -1305,10 +1016,20 @@ std::uint64_t RmaEngine::pack_origin(std::uint64_t origin_addr,
   return staging;
 }
 
+void RmaEngine::charge_inject(std::uint64_t tag) {
+  sim::Context& ctx = rank_->ctx();
+  const sim::Time t0 = ctx.now();
+  ctx.delay(rank_->world().config().costs.inject_overhead_ns);
+  auto* tl = trace::timeline(rank_->world().engine().tracer());
+  if (tl != nullptr && tl->tracks(tag)) {
+    tl->add(tag, trace::Segment::inject, t0, ctx.now());
+  }
+}
+
 void RmaEngine::charge_copy(std::uint64_t bytes) {
   if (bytes == 0) return;
-  rank_->ctx().delay(static_cast<sim::Time>(
-      static_cast<double>(bytes) / cfg_.copy_bytes_per_ns));
+  rank_->ctx().delay(
+      static_cast<sim::Time>(static_cast<double>(bytes) / kCopyBytesPerNs));
 }
 
 // ------------------------------------------------- ordering and completion
@@ -1376,14 +1097,9 @@ void RmaEngine::flush_many(const std::vector<int>& world_targets) {
   std::vector<int> probe_targets;
   for (int t : world_targets) {
     if (dead(t) || target_quiet(t)) continue;
-    auto st = std::make_shared<Request::State>();
-    st->id = next_req_++;
-    st->world_target = t;
-    st->pending = 1;
-    st->counts_send = false;
+    auto st = new_req(t, 1);
     st->flush_threshold = per(t).issued;
-    reqs_.emplace(st->id, st);
-    rank_->ctx().delay(rank_->world().config().costs.inject_overhead_ns);
+    charge_inject();
     AmHdr q;
     q.kind = AmHdr::Kind::count_query;
     q.req_id = st->id;
@@ -1411,8 +1127,8 @@ std::vector<int> RmaEngine::complete(int target_rank) {
   trace::SpanHandle h = 0;
   if (auto* tr = trace::want(rank_->world().engine().tracer(),
                              trace::Category::rma)) {
-    h = tr->span_begin(tr->track("rank" + std::to_string(rank_->id())),
-                       trace::Category::rma, "rma.complete",
+    h = tr->span_begin(rank_track(tr, *rank_), trace::Category::rma,
+                       "rma.complete",
                        target_rank == kAllRanks
                            ? std::string("target=all")
                            : "target=" + std::to_string(target_rank));
@@ -1492,14 +1208,9 @@ void RmaEngine::on_target_failed(int node) {
   target_failed_[n] = 1;
   target_failed_at_[n] = rank_->world().engine().now();
   stats_.target_failures += 1;
-  auto* tr =
-      trace::want(rank_->world().engine().tracer(), trace::Category::rma);
-  if (tr != nullptr) {
-    tr->instant(tr->track("rank" + std::to_string(rank_->id())),
-                trace::Category::rma, "fault.detect",
-                "target=" + std::to_string(node));
-    tr->add_counter(trace::Category::rma, "rma.target_failures");
-  }
+  note(*rank_, trace::Category::rma, "fault.detect",
+       [&] { return "target=" + std::to_string(node); },
+       "rma.target_failures");
 
   // Drain every pending op addressed to the dead target: complete it now
   // with an error status instead of leaving it waiting for replies that can
@@ -1523,6 +1234,12 @@ void RmaEngine::on_target_failed(int node) {
       rearm_notify(*st);
       continue;
     }
+    const auto park = [&] {
+      note(*rank_, trace::Category::rma, "failover.park", [&] {
+        return "req=" + std::to_string(st->id) +
+               " backup=" + std::to_string(st->repl_backup);
+      });
+    };
     if (rescuable && !st->is_get) {
       // Remote-completion put/acc: the mirrors carry its effect — complete
       // it once the backup has acked the highest covering mirror seq.
@@ -1532,27 +1249,10 @@ void RmaEngine::on_target_failed(int node) {
       const std::uint64_t acked =
           lit == repl_out_.end() ? 0 : lit->second.acked;
       if (acked >= st->repl_mirror_seq) {
-        st->pending = 0;
-        st->done = true;
-        stats_.rescued_ops += 1;
-        if (tr != nullptr) {
-          tr->instant(tr->track("rank" + std::to_string(rank_->id())),
-                      trace::Category::rma, "failover.rescue",
-                      "req=" + std::to_string(st->id) +
-                          " backup=" + std::to_string(st->repl_backup));
-          tr->add_counter(trace::Category::rma, "rma.rescued_ops");
-        }
-        rearm_notify(*st);
-        finish_trace(*st);
-        reqs_.erase(st->id);
+        finish_rescue(*st);
       } else {
         repl_waiters_[st->repl_backup].push_back(st->id);
-        if (tr != nullptr) {
-          tr->instant(tr->track("rank" + std::to_string(rank_->id())),
-                      trace::Category::rma, "failover.park",
-                      "req=" + std::to_string(st->id) +
-                          " backup=" + std::to_string(st->repl_backup));
-        }
+        park();
       }
       continue;
     }
@@ -1567,33 +1267,24 @@ void RmaEngine::on_target_failed(int node) {
       }
       st->pending = 0;
       repl_reissue_.push_back(st->id);
-      if (tr != nullptr) {
-        tr->instant(tr->track("rank" + std::to_string(rank_->id())),
-                    trace::Category::rma, "failover.park",
-                    "req=" + std::to_string(st->id) +
-                        " backup=" + std::to_string(st->repl_backup));
-      }
+      park();
       continue;
     }
-    st->status = st->repl_backup >= 0 ? OpStatus::replica_lost
-                                      : OpStatus::target_failed;
-    if (st->status == OpStatus::replica_lost) stats_.replica_lost_ops += 1;
+    const OpStatus status = st->repl_backup >= 0 ? OpStatus::replica_lost
+                                                 : OpStatus::target_failed;
+    if (status == OpStatus::replica_lost) stats_.replica_lost_ops += 1;
     if (st->is_get && st->needs_unpack) {
       // The staging buffer holds garbage; skip the unpack, free it.
       rank_->memory().dealloc(st->dest_addr);
     }
-    st->pending = 0;
-    st->done = true;
     stats_.drained_ops += 1;
-    if (tr != nullptr) {
-      tr->instant(tr->track("rank" + std::to_string(rank_->id())),
-                  trace::Category::rma, "fault.drain",
-                  "req=" + std::to_string(st->id) +
-                      " target=" + std::to_string(node));
-      tr->add_counter(trace::Category::rma, "rma.drained_ops");
-    }
-    finish_trace(*st);
-    reqs_.erase(st->id);
+    note(*rank_, trace::Category::rma, "fault.drain",
+         [&] {
+           return "req=" + std::to_string(st->id) +
+                  " target=" + std::to_string(node);
+         },
+         "rma.drained_ops");
+    settle(*st, status);
   }
 
   // Reconcile the per-target ledger so flush predicates hold trivially and
@@ -1607,67 +1298,23 @@ void RmaEngine::on_target_failed(int node) {
   // Serializer lock repair: purge the dead rank from the wait queue first
   // (so a release cannot grant to it), then release on its behalf if it
   // died holding our lock.
-  for (std::size_t i = 0; i < lock_.waiters.size();) {
-    if (lock_.waiters[i] == node) {
-      lock_.waiters.erase(lock_.waiters.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-      lock_waiter_reqs_.erase(lock_waiter_reqs_.begin() +
-                              static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
+  std::erase_if(lock_.waiters, [&](const auto& w) { return w.first == node; });
   if (lock_.held_by == node) service_lock_release(node);
 
   // The dead node may also have been someone's backup.
-  // Rescued puts parked on its acks can never complete: both copies of
-  // their window are gone.
+  // Rescued puts parked on its acks, and rescued gets queued for re-drive
+  // at it, can never complete: both copies of their window are gone.
   if (auto wit = repl_waiters_.find(node); wit != repl_waiters_.end()) {
     for (const std::uint64_t id : wit->second) {
       auto st = find_req(id);
-      if (!st || st->done) continue;
-      st->status = OpStatus::replica_lost;
-      st->pending = 0;
-      st->done = true;
-      stats_.replica_lost_ops += 1;
-      stats_.drained_ops += 1;
-      if (tr != nullptr) {
-        tr->instant(tr->track("rank" + std::to_string(rank_->id())),
-                    trace::Category::rma, "failover.replica_lost",
-                    "req=" + std::to_string(id) +
-                        " backup=" + std::to_string(node));
-      }
-      finish_trace(*st);
-      reqs_.erase(id);
+      if (st && !st->done) lose_replica(*st, node);
     }
     repl_waiters_.erase(wit);
   }
-  // Rescued gets queued for re-drive at it: same.
-  for (std::size_t i = 0; i < repl_reissue_.size();) {
-    auto st = find_req(repl_reissue_[i]);
-    if (!st || st->done) {
-      repl_reissue_.erase(repl_reissue_.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-      continue;
-    }
-    if (st->repl_backup == node) {
-      st->status = OpStatus::replica_lost;
-      st->done = true;
-      stats_.replica_lost_ops += 1;
-      stats_.drained_ops += 1;
-      if (tr != nullptr) {
-        tr->instant(tr->track("rank" + std::to_string(rank_->id())),
-                    trace::Category::rma, "failover.replica_lost",
-                    "req=" + std::to_string(st->id) +
-                        " backup=" + std::to_string(node));
-      }
-      finish_trace(*st);
-      reqs_.erase(st->id);
-      repl_reissue_.erase(repl_reissue_.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
+  for (auto it = repl_reissue_.begin(); it != repl_reissue_.end();) {
+    auto st = find_req(*it);
+    if (st && !st->done && st->repl_backup == node) lose_replica(*st, node);
+    it = !st || st->done ? repl_reissue_.erase(it) : std::next(it);
   }
   // Mirrors toward the dead backup are undeliverable, but entries whose
   // window's primary is still alive cover writes that may have raced the
@@ -1695,16 +1342,7 @@ void RmaEngine::on_target_failed(int node) {
   // machinery's problem (re-adoption or terminal loss) — holding mirrors
   // longer only strands the stream tail.
   if (const auto q = fwd_inflight_.find(node); q != fwd_inflight_.end()) {
-    for (const int b : q->second) {
-      if (b < 0) continue;
-      const auto hold = fwd_hold_.find(b);
-      if (hold == fwd_hold_.end()) continue;
-      if (--hold->second > 0) continue;
-      fwd_hold_.erase(hold);
-      if (target_failed_[static_cast<std::size_t>(b)] == 0) {
-        flush_deferred(b);
-      }
-    }
+    for (const int b : q->second) release_hold(b);
     fwd_inflight_.erase(q);
   }
   // Holds on the stream toward the dead rank are moot: the ledger repair
@@ -1718,9 +1356,7 @@ void RmaEngine::on_target_failed(int node) {
       if (target_failed_[static_cast<std::size_t>(pnd.primary)] != 0) {
         continue;
       }
-      AmHdr h;
-      if (pnd.hdr_bytes.size() != sizeof(AmHdr)) continue;
-      std::memcpy(&h, pnd.hdr_bytes.data(), pnd.hdr_bytes.size());
+      const AmHdr h = pnd.hdr;
       if (h.kind == AmHdr::Kind::repl_mirror_rmw) {
         region_fwd(pnd.primary, h.mem_id, h.offset, 8);
         continue;
@@ -1768,19 +1404,18 @@ void RmaEngine::on_target_failed(int node) {
       const bool resync = pnd.primary == node;
       const bool deferred_below = pnd.seq > led.flushed && pnd.seq <= hi;
       if (!resync && !deferred_below) continue;
-      send_am_raw(b, pnd.hdr_bytes, pnd.payload);
+      send_am(b, pnd.hdr, pnd.payload);
       ops += 1;
       bytes += pnd.payload.size();
     }
     led.flushed = std::max(led.flushed, hi);
     stats_.resync_ops += ops;
     stats_.resync_bytes += bytes;
-    if (ops > 0 && tr != nullptr) {
-      tr->instant(tr->track("rank" + std::to_string(rank_->id())),
-                  trace::Category::rma, "failover.resync",
-                  "backup=" + std::to_string(b) +
-                      " ops=" + std::to_string(ops) +
-                      " bytes=" + std::to_string(bytes));
+    if (ops > 0) {
+      note(*rank_, trace::Category::rma, "failover.resync", [&] {
+        return "backup=" + std::to_string(b) + " ops=" + std::to_string(ops) +
+               " bytes=" + std::to_string(bytes);
+      });
     }
   }
 
@@ -1868,8 +1503,7 @@ std::uint64_t RmaEngine::rmw(portals::RmwOp op, const TargetMem& mem,
   if (auto* tr = trace::want(rank_->world().engine().tracer(),
                              trace::Category::rma)) {
     rmw_span = tr->span_begin(
-        tr->track("rank" + std::to_string(rank_->id())), trace::Category::rma,
-        "rma.rmw",
+        rank_track(tr, *rank_), trace::Category::rma, "rma.rmw",
         std::string("mech=") + mech + " target=" + std::to_string(t));
     rmw_t0 = tr->now();
   }
@@ -1882,69 +1516,30 @@ std::uint64_t RmaEngine::rmw(portals::RmwOp op, const TargetMem& mem,
                      std::string("rma.rmw[") + mech + "]",
                      tr->now() - rmw_t0);
   };
-
-  if (ptl_->supports_atomics()) {
-    // NIC-executed RMW through portals.
-    auto st = std::make_shared<Request::State>();
-    st->id = next_req_++;
-    st->world_target = t;
-    st->pending = 1;
-    st->counts_send = false;
-    reqs_.emplace(st->id, st);
-    if (auto* tl = trace::timeline(rank_->world().engine().tracer())) {
-      tl->op_begin(trace::op_tag(rank_->id(), st->id), "rma.rmw", mech,
-                   cfg_.api_label, rank_->world().engine().now());
-      st->op_tracked = true;
-    }
-    const std::uint64_t buf = rank_->memory().alloc(24);
-    std::byte tmp[16];
-    u64_to_endian_bytes(a, eff.endian, tmp);
-    u64_to_endian_bytes(b, eff.endian, tmp + 8);
-    const std::uint64_t oplen =
-        op == portals::RmwOp::compare_swap ? 16u : 8u;
-    rank_->memory().nic_write(buf, std::span(tmp, oplen));
-    ptl_->fetch_atomic(rank_->ctx(), op, portals::NumType::u64, md_all_, buf,
-                       buf + 16, t, kPtData, eff.id, disp, st->id);
-    per(t).pending_replies += 1;
-    progress_until([st] { return st->done; });
-    if (st->status != OpStatus::ok) {
-      rank_->memory().dealloc(buf);
-      close_rmw();
-      if (backup_live()) return rmw(op, mem, disp, a, b, target_rank);
-      throw RankFailedError("RMW target rank " + std::to_string(t) +
-                            " failed before replying");
-    }
-    const std::uint64_t old =
-        u64_from_endian_bytes(rank_->memory().raw(buf + 16), eff.endian);
-    rank_->memory().dealloc(buf);
-    replicate_rmw();
+  // Failure tail of every mechanism: free the operand buffer (0: none),
+  // close the span, then retry at the backup or throw.
+  auto fail = [&](std::uint64_t buf, const char* who,
+                  const char* what) -> std::uint64_t {
+    if (buf != 0) rank_->memory().dealloc(buf);
     close_rmw();
-    return old;
-  }
+    if (backup_live()) return rmw(op, mem, disp, a, b, target_rank);
+    throw RankFailedError(std::string("RMW ") + who + " rank " +
+                          std::to_string(t) + " " + what);
+  };
 
-  if (cfg_.serializer == SerializerKind::coarse_lock) {
+  if (!ptl_->supports_atomics() &&
+      cfg_.serializer == SerializerKind::coarse_lock) {
     // Lock; read; modify; write; unlock. On target death anywhere in the
     // sequence there is no lock manager left: skip the release and retry at
     // the backup, or throw. The inner get/put go through do_xfer with the
     // ORIGINAL mem, so the writeback is mirrored (and re-targeted) by the
     // regular data paths — no explicit mirror_rmw here.
-    if (!lock_acquire(t)) {
-      close_rmw();
-      if (backup_live()) return rmw(op, mem, disp, a, b, target_rank);
-      throw RankFailedError("RMW lock target rank " + std::to_string(t) +
-                            " failed");
-    }
+    if (!lock_acquire(t)) return fail(0, "lock target", "failed");
     const std::uint64_t buf = rank_->memory().alloc(8);
     const auto u = dt::Datatype::uint64();
     Request gr =
         get(buf, 1, u, mem, disp, 1, u, target_rank, Attrs(RmaAttr::blocking));
-    if (gr.failed()) {
-      rank_->memory().dealloc(buf);
-      close_rmw();
-      if (backup_live()) return rmw(op, mem, disp, a, b, target_rank);
-      throw RankFailedError("RMW target rank " + std::to_string(t) +
-                            " failed before replying");
-    }
+    if (gr.failed()) return fail(buf, "target", "failed before replying");
     std::uint64_t old = 0;
     std::memcpy(&old, rank_->memory().raw(buf), 8);
     std::uint64_t next = old;
@@ -1963,11 +1558,7 @@ std::uint64_t RmaEngine::rmw(portals::RmwOp op, const TargetMem& mem,
     Request pr = put(buf, 1, u, mem, disp, 1, u, target_rank,
                      Attrs(RmaAttr::blocking) | RmaAttr::remote_completion);
     if (pr.failed()) {
-      rank_->memory().dealloc(buf);
-      close_rmw();
-      if (backup_live()) return rmw(op, mem, disp, a, b, target_rank);
-      throw RankFailedError("RMW target rank " + std::to_string(t) +
-                            " failed before the writeback landed");
+      return fail(buf, "target", "failed before the writeback landed");
     }
     flush_target(t);
     rank_->memory().dealloc(buf);
@@ -1976,45 +1567,51 @@ std::uint64_t RmaEngine::rmw(portals::RmwOp op, const TargetMem& mem,
     return old;
   }
 
-  // Software RMW through the serializer's executor.
-  auto st = std::make_shared<Request::State>();
-  st->id = next_req_++;
-  st->world_target = t;
-  st->pending = 1;
-  st->counts_send = false;
-  reqs_.emplace(st->id, st);
+  // One round trip: a NIC-executed fetch-atomic, or an rmw_op AM for the
+  // target's serializer.
+  auto st = new_req(t, 1);
   const std::uint64_t tag = trace::op_tag(rank_->id(), st->id);
-  auto* tl = trace::timeline(rank_->world().engine().tracer());
-  if (tl != nullptr) {
+  if (auto* tl = trace::timeline(rank_->world().engine().tracer())) {
     tl->op_begin(tag, "rma.rmw", mech, cfg_.api_label,
                  rank_->world().engine().now());
     st->op_tracked = true;
   }
-  const sim::Time t_inj = rank_->ctx().now();
-  rank_->ctx().delay(rank_->world().config().costs.inject_overhead_ns);
-  if (tl != nullptr) {
-    tl->add(tag, trace::Segment::inject, t_inj, rank_->ctx().now());
+  std::uint64_t buf = 0;  // NIC operand (16 B) + result (8 B)
+  if (ptl_->supports_atomics()) {
+    buf = rank_->memory().alloc(24);
+    std::byte tmp[16];
+    u64_to_endian_bytes(a, eff.endian, tmp);
+    u64_to_endian_bytes(b, eff.endian, tmp + 8);
+    const std::uint64_t oplen =
+        op == portals::RmwOp::compare_swap ? 16u : 8u;
+    rank_->memory().nic_write(buf, std::span(tmp, oplen));
+    ptl_->fetch_atomic(rank_->ctx(), op, portals::NumType::u64, md_all_, buf,
+                       buf + 16, t, kPtData, eff.id, disp, st->id);
+  } else {
+    charge_inject(tag);
+    AmHdr h;
+    h.kind = AmHdr::Kind::rmw_op;
+    h.rmw = op;
+    h.mem_id = eff.id;
+    h.offset = disp;
+    h.req_id = st->id;
+    h.value_a = a;
+    h.value_b = b;
+    send_am(t, h, {}, tag);
   }
-  AmHdr h;
-  h.kind = AmHdr::Kind::rmw_op;
-  h.rmw = op;
-  h.mem_id = eff.id;
-  h.offset = disp;
-  h.req_id = st->id;
-  h.value_a = a;
-  h.value_b = b;
-  send_am(t, h, {}, tag);
   per(t).pending_replies += 1;
   progress_until([st] { return st->done; });
   if (st->status != OpStatus::ok) {
-    close_rmw();
-    if (backup_live()) return rmw(op, mem, disp, a, b, target_rank);
-    throw RankFailedError("RMW target rank " + std::to_string(t) +
-                          " failed before replying");
+    return fail(buf, "target", "failed before replying");
+  }
+  std::uint64_t old = st->rmw_value;
+  if (buf != 0) {
+    old = u64_from_endian_bytes(rank_->memory().raw(buf + 16), eff.endian);
+    rank_->memory().dealloc(buf);
   }
   replicate_rmw();
   close_rmw();
-  return st->rmw_value;
+  return old;
 }
 
 // --------------------------------------------------------------------- RMI
@@ -2031,20 +1628,12 @@ Request RmaEngine::signal(int target_rank, int id,
   const int t = comm_->to_world(target_rank);
   if (target_failed_[static_cast<std::size_t>(t)] != 0) {
     stats_.failed_fast += 1;
-    auto dead = std::make_shared<Request::State>();
-    dead->id = next_req_++;
-    dead->world_target = t;
-    dead->done = true;
-    dead->status = OpStatus::target_failed;
+    auto dead = new_req(t);
+    settle(*dead, OpStatus::target_failed);
     return Request(this, std::move(dead));
   }
-  auto st = std::make_shared<Request::State>();
-  st->id = next_req_++;
-  st->world_target = t;
-  st->pending = 1;
-  st->counts_send = false;
-  reqs_.emplace(st->id, st);
-  rank_->ctx().delay(rank_->world().config().costs.inject_overhead_ns);
+  auto st = new_req(t, 1);
+  charge_inject();
   AmHdr h;
   h.kind = AmHdr::Kind::rmi_op;
   h.req_id = st->id;
@@ -2072,31 +1661,10 @@ std::vector<std::byte> RmaEngine::invoke(int target_rank, int id,
 
 void RmaEngine::progress() {
   while (auto ev = eq_.poll()) handle_eq_event(*ev);
-  if (cfg_.serializer != SerializerKind::comm_thread) {
-    while (!pending_am_.empty()) {
-      AmMsg m = std::move(pending_am_.front());
-      pending_am_.pop_front();
-      auto* tr = trace::want(rank_->world().engine().tracer(),
-                             trace::Category::serializer);
-      const trace::SpanHandle h =
-          tr == nullptr
-              ? 0
-              : tr->span_begin(
-                    tr->track("rank" + std::to_string(rank_->id())),
-                    trace::Category::serializer, "serialize",
-                    "from=" + std::to_string(m.src));
-      auto* tl = trace::timeline(rank_->world().engine().tracer());
-      const std::uint64_t op = m.op;
-      const sim::Time pickup = rank_->ctx().now();
-      if (tl != nullptr && tl->tracks(op)) {
-        tl->add(op, trace::Segment::serialize_wait, m.arrived, pickup);
-      }
-      execute_am(std::move(m), cfg_.progress_apply_ns);
-      if (tl != nullptr && tl->tracks(op)) {
-        tl->add(op, trace::Segment::apply, pickup, rank_->ctx().now());
-      }
-      if (h != 0) rank_->world().engine().tracer()->span_end(h);
-    }
+  while (!pending_am_.empty()) {  // progress serializer only
+    AmMsg m = std::move(pending_am_.front());
+    pending_am_.pop_front();
+    serve(rank_->ctx(), std::move(m));
   }
   if (!repl_reissue_.empty()) drain_reissues();
 }
@@ -2117,6 +1685,46 @@ void RmaEngine::progress_until(Pred&& pred) {
     if (pred()) return;
     rank_->ctx().await(eq_.condition());
   }
+}
+
+std::shared_ptr<Request::State> RmaEngine::new_req(int world_target,
+                                                   std::uint32_t replies) {
+  auto st = std::make_shared<Request::State>();
+  st->id = next_req_++;
+  st->world_target = world_target;
+  st->pending = replies;
+  st->counts_send = replies == 0;
+  reqs_.emplace(st->id, st);
+  return st;
+}
+
+void RmaEngine::settle(Request::State& st, OpStatus status) {
+  st.status = status;
+  st.pending = 0;
+  st.done = true;
+  finish_trace(st);
+  reqs_.erase(st.id);
+}
+
+void RmaEngine::finish_rescue(Request::State& st) {
+  stats_.rescued_ops += 1;
+  note(*rank_, trace::Category::rma, "failover.rescue",
+       [&] {
+         return "req=" + std::to_string(st.id) +
+                " backup=" + std::to_string(st.repl_backup);
+       },
+       "rma.rescued_ops");
+  rearm_notify(st);
+  settle(st);
+}
+
+void RmaEngine::lose_replica(Request::State& st, int backup) {
+  stats_.replica_lost_ops += 1;
+  stats_.drained_ops += 1;
+  note(*rank_, trace::Category::rma, "failover.replica_lost", [&] {
+    return "req=" + std::to_string(st.id) + " backup=" + std::to_string(backup);
+  });
+  settle(st, OpStatus::replica_lost);
 }
 
 std::shared_ptr<Request::State> RmaEngine::find_req(std::uint64_t id) {
@@ -2142,9 +1750,7 @@ void RmaEngine::finish_segment(const std::shared_ptr<Request::State>& st) {
                          mem.raw(st->origin_addr));
     mem.dealloc(st->dest_addr);
   }
-  st->done = true;
-  finish_trace(*st);
-  reqs_.erase(st->id);
+  settle(*st);
 }
 
 void RmaEngine::finish_trace(Request::State& st) {
@@ -2171,6 +1777,16 @@ void RmaEngine::finish_trace(Request::State& st) {
   }
 }
 
+void RmaEngine::count_ack(int world_rank) {
+  PerTarget& pt = per(world_rank);
+  pt.acked += 1;
+  // When every op so far requested confirmation, acks advance the
+  // known-complete floor directly.
+  if (pt.issued_rc == pt.issued) {
+    pt.confirmed = std::max(pt.confirmed, std::min(pt.acked, pt.issued));
+  }
+}
+
 void RmaEngine::handle_eq_event(const portals::Event& ev) {
   switch (ev.type) {
     case portals::EventType::send: {
@@ -2179,13 +1795,7 @@ void RmaEngine::handle_eq_event(const portals::Event& ev) {
       break;
     }
     case portals::EventType::ack: {
-      PerTarget& pt = per(ev.initiator);
-      pt.acked += 1;
-      // When every op so far requested confirmation, acks advance the
-      // known-complete floor directly.
-      if (pt.issued_rc == pt.issued) {
-        pt.confirmed = std::max(pt.confirmed, std::min(pt.acked, pt.issued));
-      }
+      count_ack(ev.initiator);
       auto st = find_req(ev.user_ptr);
       if (st && !st->counts_send && !st->is_get) finish_segment(st);
       break;
@@ -2212,16 +1822,6 @@ void RmaEngine::send_am(int world_target, const AmHdr& hdr,
   fabric::set_header(p, hdr);
   p.payload = std::move(payload);
   p.op = op;
-  rank_->world().fabric().nic(rank_->id()).send(world_target, std::move(p));
-}
-
-void RmaEngine::send_am_raw(int world_target,
-                            std::vector<std::byte> hdr_bytes,
-                            std::vector<std::byte> payload) {
-  fabric::Packet p;
-  p.protocol = kAmProtocolId;
-  p.header = std::move(hdr_bytes);
-  p.payload = std::move(payload);
   rank_->world().fabric().nic(rank_->id()).send(world_target, std::move(p));
 }
 
@@ -2312,7 +1912,6 @@ void RmaEngine::mirror_block(const std::shared_ptr<Request::State>& st,
     }
     return;
   }
-  ReplLedger& led = repl_out_[mem.backup];
   AmHdr h;
   h.kind = AmHdr::Kind::repl_mirror;
   h.op = is_acc ? RmaOptype::accumulate : RmaOptype::put;
@@ -2321,18 +1920,39 @@ void RmaEngine::mirror_block(const std::shared_ptr<Request::State>& st,
   h.mem_id = mem.id;
   h.offset = offset;
   h.length = len;
-  h.req_id = ++led.sent;  // per-(origin, backup) mirror stream seq
   std::vector<std::byte> payload(len);
   rank_->memory().nic_read(src_addr, payload);
-  fabric::Packet p;
-  p.protocol = kAmProtocolId;
-  fabric::set_header(p, h);
+  log_mirror(mem, h, std::move(payload), st.get());
+}
+
+void RmaEngine::mirror_rmw(portals::RmwOp op, const TargetMem& mem,
+                           std::uint64_t disp, std::uint64_t a,
+                           std::uint64_t b) {
+  // Sent AFTER the primary's reply: the mirror replays exactly the ops the
+  // primary committed, in this origin's program order.
+  AmHdr h;
+  h.kind = AmHdr::Kind::repl_mirror_rmw;
+  h.rmw = op;
+  h.mem_id = mem.id;
+  h.offset = disp;
+  h.value_a = a;
+  h.value_b = b;
+  log_mirror(mem, h, {}, nullptr);
+}
+
+void RmaEngine::log_mirror(const TargetMem& mem, AmHdr h,
+                           std::vector<std::byte> payload,
+                           Request::State* st) {
+  ReplLedger& led = repl_out_[mem.backup];
+  h.req_id = ++led.sent;  // per-(origin, backup) mirror stream seq
   // The resync log keeps a copy until the backup's cumulative ack covers it.
-  led.pending.push_back(ReplPending{h.req_id, mem.owner, p.header, payload});
-  st->repl_backup = mem.backup;
-  st->repl_mirror_seq = h.req_id;
+  led.pending.push_back(ReplPending{h.req_id, mem.owner, h, payload});
+  if (st != nullptr) {
+    st->repl_backup = mem.backup;
+    st->repl_mirror_seq = h.req_id;
+  }
   stats_.mirrored_ops += 1;
-  stats_.mirror_bytes += len;
+  stats_.mirror_bytes += payload.size();
   if (rank_->world().config().replication.mode == runtime::ReplMode::lazy) {
     // Lazy recovery: the entry stays logged-but-untransmitted (flushed does
     // not advance), keeping mirror traffic entirely off the healthy-path
@@ -2347,50 +1967,10 @@ void RmaEngine::mirror_block(const std::shared_ptr<Request::State>& st,
     return;
   }
   led.flushed = led.sent;
-  p.payload = std::move(payload);
-  p.op = trace::op_tag(rank_->id(), st->id);
-  auto* tl = trace::timeline(rank_->world().engine().tracer());
-  const sim::Time t_inj = rank_->ctx().now();
-  rank_->ctx().delay(rank_->world().config().costs.inject_overhead_ns);
-  if (tl != nullptr && tl->tracks(p.op)) {
-    tl->add(p.op, trace::Segment::inject, t_inj, rank_->ctx().now());
-  }
-  rank_->world().fabric().nic(rank_->id()).send(mem.backup, std::move(p));
-  if (auto* tr = trace::want(rank_->world().engine().tracer(),
-                             trace::Category::rma)) {
-    tr->add_counter(trace::Category::rma, "rma.mirrors");
-  }
-}
-
-void RmaEngine::mirror_rmw(portals::RmwOp op, const TargetMem& mem,
-                           std::uint64_t disp, std::uint64_t a,
-                           std::uint64_t b) {
-  // Sent AFTER the primary's reply: the mirror replays exactly the ops the
-  // primary committed, in this origin's program order.
-  ReplLedger& led = repl_out_[mem.backup];
-  AmHdr h;
-  h.kind = AmHdr::Kind::repl_mirror_rmw;
-  h.rmw = op;
-  h.mem_id = mem.id;
-  h.offset = disp;
-  h.req_id = ++led.sent;
-  h.value_a = a;
-  h.value_b = b;
-  fabric::Packet p;
-  p.protocol = kAmProtocolId;
-  fabric::set_header(p, h);
-  led.pending.push_back(ReplPending{h.req_id, mem.owner, p.header, {}});
-  stats_.mirrored_ops += 1;
-  if (rank_->world().config().replication.mode == runtime::ReplMode::lazy) {
-    return;  // logged only; pushed by the failover re-sync
-  }
-  if (const auto hold = fwd_hold_.find(mem.backup);
-      hold != fwd_hold_.end() && hold->second > 0) {
-    return;  // region repair in flight: held like a lazy entry (region_fwd)
-  }
-  led.flushed = led.sent;
-  rank_->ctx().delay(rank_->world().config().costs.inject_overhead_ns);
-  rank_->world().fabric().nic(rank_->id()).send(mem.backup, std::move(p));
+  const std::uint64_t tag =
+      st != nullptr ? trace::op_tag(rank_->id(), st->id) : 0;
+  charge_inject(tag);
+  send_am(mem.backup, h, std::move(payload), tag);
   if (auto* tr = trace::want(rank_->world().engine().tracer(),
                              trace::Category::rma)) {
     tr->add_counter(trace::Category::rma, "rma.mirrors");
@@ -2405,10 +1985,7 @@ void RmaEngine::region_fwd(int primary, std::uint64_t mem_id,
   f.mem_id = mem_id;
   f.offset = offset;
   f.length = length;
-  fabric::Packet fp;
-  fp.protocol = kAmProtocolId;
-  fabric::set_header(fp, f);
-  rank_->world().fabric().nic(rank_->id()).send(primary, std::move(fp));
+  send_am(primary, f, {});
   // The repair put rides the primary's stream to the fresh backup, but this
   // origin keeps mirroring on its OWN stream, and the fabric does not order
   // the two against each other: a mirror sent between now and the put's
@@ -2512,9 +2089,35 @@ void RmaEngine::flush_deferred(int backup) {
   ReplLedger& led = it->second;
   for (const ReplPending& pnd : led.pending) {
     if (pnd.seq <= led.flushed) continue;
-    send_am_raw(backup, pnd.hdr_bytes, pnd.payload);
+    send_am(backup, pnd.hdr, pnd.payload);
   }
   led.flushed = led.sent;
+}
+
+void RmaEngine::release_hold(int backup) {
+  if (backup < 0) return;
+  const auto hold = fwd_hold_.find(backup);
+  if (hold == fwd_hold_.end()) return;
+  if (--hold->second > 0) return;
+  fwd_hold_.erase(hold);
+  if (target_failed_[static_cast<std::size_t>(backup)] == 0) {
+    flush_deferred(backup);
+  }
+}
+
+void RmaEngine::host_replica(std::uint64_t mem_id, std::uint64_t length,
+                             int materializing_from) {
+  const std::uint64_t buf =
+      rank_->memory().alloc(std::max<std::uint64_t>(length, 1));
+  const portals::MeHandle me =
+      ptl_->me_append(kPtData, mem_id, 0, buf, length, nullptr);
+  attached_.emplace(mem_id, Attached{buf, length, me});
+  replica_bufs_.emplace(mem_id, buf);
+  repl_windows_.emplace(mem_id,
+                        ReplWindow{length, -1, materializing_from, false});
+  // Replica copies listen too: a post-failover retargeted notified op (or a
+  // re-armed rescue) must find a queue here, never land unheard.
+  register_notify_queue(mem_id);
 }
 
 void RmaEngine::mirror_raw(int backup, const AmHdr& hdr,
@@ -2528,15 +2131,10 @@ void RmaEngine::mirror_raw(int backup, const AmHdr& hdr,
   AmHdr h = hdr;
   h.req_id = ++led.sent;
   led.flushed = led.sent;
-  fabric::Packet p;
-  p.protocol = kAmProtocolId;
-  fabric::set_header(p, h);
   // primary = self: the authoritative copy of this data is local, so a later
   // death of `backup` triggers a fresh burst, never a blind re-send.
-  led.pending.push_back(
-      ReplPending{h.req_id, rank_->id(), p.header, payload});
-  p.payload = std::move(payload);
-  rank_->world().fabric().nic(rank_->id()).send(backup, std::move(p));
+  led.pending.push_back(ReplPending{h.req_id, rank_->id(), h, payload});
+  send_am(backup, h, std::move(payload));
 }
 
 bool RmaEngine::probe_replica(int target, std::uint64_t mem_id) {
@@ -2544,13 +2142,8 @@ bool RmaEngine::probe_replica(int target, std::uint64_t mem_id) {
   const auto hit = probe_ok_.find(mem_id);
   if (hit != probe_ok_.end() && hit->second == target) return true;
   for (;;) {
-    auto st = std::make_shared<Request::State>();
-    st->id = next_req_++;
-    st->world_target = target;
-    st->pending = 1;
-    st->counts_send = false;
-    reqs_.emplace(st->id, st);
-    rank_->ctx().delay(rank_->world().config().costs.inject_overhead_ns);
+    auto st = new_req(target, 1);
+    charge_inject();
     AmHdr h;
     h.kind = AmHdr::Kind::repl_probe;
     h.mem_id = mem_id;
@@ -2577,10 +2170,8 @@ bool RmaEngine::probe_replica(int target, std::uint64_t mem_id) {
 void RmaEngine::route_mirror(int src, const AmHdr& h,
                              std::span<const std::byte> payload) {
   const auto park = [&](std::map<std::uint64_t, std::deque<GatedMirror>>& gate) {
-    fabric::Packet tmp;
-    fabric::set_header(tmp, h);
-    gate[h.mem_id].push_back(GatedMirror{
-        src, std::move(tmp.header), {payload.begin(), payload.end()}});
+    gate[h.mem_id].push_back(
+        GatedMirror{src, h, {payload.begin(), payload.end()}});
   };
   auto w = repl_windows_.find(h.mem_id);
   if (w == repl_windows_.end()) {
@@ -2596,13 +2187,7 @@ void RmaEngine::route_mirror(int src, const AmHdr& h,
       if (g != mat_gate_.end()) {
         auto gated = std::move(g->second);
         mat_gate_.erase(g);
-        for (const auto& gm : gated) {
-          AmHdr gh;
-          M3RMA_ENSURE(gm.hdr_bytes.size() == sizeof(AmHdr),
-                       "gated mirror header size mismatch");
-          std::memcpy(&gh, gm.hdr_bytes.data(), sizeof(AmHdr));
-          apply_mirror(gh, gm.payload);
-        }
+        for (const auto& gm : gated) apply_mirror(gm.hdr, gm.payload);
       }
     }
     return;  // never forwarded
@@ -2677,12 +2262,7 @@ void RmaEngine::update_replication_roles(int dead_node) {
     adopt.kind = AmHdr::Kind::repl_adopt;
     adopt.mem_id = mem_id;
     adopt.length = w.length;
-    {
-      fabric::Packet p;
-      p.protocol = kAmProtocolId;
-      fabric::set_header(p, adopt);
-      rank_->world().fabric().nic(rank_->id()).send(nb, std::move(p));
-    }
+    send_am(nb, adopt, {});
     // Snapshot burst on our own mirror stream: chunks, then the completion
     // marker, all cumulatively acked like ordinary mirrors.
     constexpr std::uint64_t kChunk = 64 * 1024;
@@ -2704,14 +2284,12 @@ void RmaEngine::update_replication_roles(int dead_node) {
     done.mem_id = mem_id;
     mirror_raw(nb, done, {});
     stats_.rereplications += 1;
-    if (auto* tr = trace::want(rank_->world().engine().tracer(),
-                               trace::Category::rma)) {
-      tr->instant(tr->track("rank" + std::to_string(rank_->id())),
-                  trace::Category::rma, "failover.rereplicate",
-                  "mem=" + std::to_string(mem_id) +
-                      " backup=" + std::to_string(nb));
-      tr->add_counter(trace::Category::rma, "rma.rereplications");
-    }
+    note(*rank_, trace::Category::rma, "failover.rereplicate",
+         [&] {
+           return "mem=" + std::to_string(mem_id) +
+                  " backup=" + std::to_string(nb);
+         },
+         "rma.rereplications");
   }
 }
 
@@ -2738,10 +2316,7 @@ void RmaEngine::drain_reissues() {
       OpStatus status = OpStatus::target_failed;
       const TargetMem walked = effective_mem(st->repl_mem, &ok, &status);
       if (!ok) {
-        st->status = status;
-        st->done = true;
-        finish_trace(*st);
-        reqs_.erase(id);
+        settle(*st, status);
         repl_reissue_.pop_front();
         continue;
       }
@@ -2763,21 +2338,31 @@ void RmaEngine::drain_reissues() {
     st->world_target = b;
     stats_.reissued_gets += 1;
     stats_.retargeted_ops += 1;
-    if (auto* tr = trace::want(rank_->world().engine().tracer(),
-                               trace::Category::rma)) {
-      tr->instant(tr->track("rank" + std::to_string(rank_->id())),
-                  trace::Category::rma, "failover.reissue",
-                  "req=" + std::to_string(id) +
-                      " backup=" + std::to_string(b));
-      tr->add_counter(trace::Category::rma, "rma.reissued_gets");
-    }
-    issue_direct_get(st, st->origin_addr, st->origin_count, st->origin_dt,
-                     eff, st->repl_disp, st->target_count, st->target_dt);
+    note(*rank_, trace::Category::rma, "failover.reissue",
+         [&] {
+           return "req=" + std::to_string(id) +
+                  " backup=" + std::to_string(b);
+         },
+         "rma.reissued_gets");
+    issue_blocks(st, RmaOptype::get, portals::AccOp::replace, false,
+                 st->origin_addr, st->origin_count, st->origin_dt, eff,
+                 st->repl_disp, st->target_count, st->target_dt,
+                 Attrs::none());
   }
 }
 
 void RmaEngine::on_am(fabric::Packet&& p) {
   const auto h = fabric::get_header<AmHdr>(p);
+  // The reply to a notified software op echoes the target-side fire time:
+  // attribute the notification leg [fire, reply arrival] to the op.
+  const auto notify_leg = [&](const Request::State& st, sim::Time fired) {
+    if (!st.notify || fired == 0) return;
+    if (auto* tl = trace::timeline(rank_->world().engine().tracer());
+        tl != nullptr && tl->tracks(p.op)) {
+      tl->add(p.op, trace::Segment::notify, fired,
+              rank_->world().engine().now());
+    }
+  };
   switch (h.kind) {
     case AmHdr::Kind::data_op:
     case AmHdr::Kind::rmw_op:
@@ -2785,7 +2370,7 @@ void RmaEngine::on_am(fabric::Packet&& p) {
       AmMsg m;
       m.src = p.src;
       m.payload = std::move(p.payload);
-      m.hdr_bytes = std::move(p.header);
+      m.hdr = h;
       m.op = p.op;
       m.arrived = rank_->world().engine().now();
       if (cfg_.serializer == SerializerKind::comm_thread) {
@@ -2796,56 +2381,33 @@ void RmaEngine::on_am(fabric::Packet&& p) {
       break;
     }
     case AmHdr::Kind::op_ack: {
-      PerTarget& pt = per(p.src);
-      pt.acked += 1;
-      if (pt.issued_rc == pt.issued) {
-        pt.confirmed = std::max(pt.confirmed, std::min(pt.acked, pt.issued));
-      }
+      count_ack(p.src);
       if (auto st = find_req(h.req_id)) {
-        if (st->notify && h.value_a != 0) {
-          // value_a echoes the target-side fire time: attribute the
-          // notification leg [fire, ack-arrival] to the op.
-          if (auto* tl = trace::timeline(rank_->world().engine().tracer());
-              tl != nullptr && tl->tracks(p.op)) {
-            tl->add(p.op, trace::Segment::notify, h.value_a,
-                    rank_->world().engine().now());
-          }
-        }
+        notify_leg(*st, h.value_a);
         finish_segment(st);
       }
       break;
     }
-    case AmHdr::Kind::get_reply: {
+    case AmHdr::Kind::get_reply:
+    case AmHdr::Kind::rmw_reply:
+    case AmHdr::Kind::rmi_reply:
       if (per(p.src).pending_replies > 0) per(p.src).pending_replies -= 1;
-      if (auto st = find_req(h.req_id)) {
+      [[fallthrough]];
+    case AmHdr::Kind::repl_ready:       // value_a 1 = registered, 0 = refused
+    case AmHdr::Kind::repl_probe_ack: {  // value_a 1 = copy complete and live
+      auto st = find_req(h.req_id);
+      if (!st) break;
+      if (h.kind == AmHdr::Kind::get_reply) {
         if (!p.payload.empty()) {
           rank_->memory().nic_write(st->dest_addr + h.offset, p.payload);
         }
-        if (st->notify && h.value_b != 0) {
-          if (auto* tl = trace::timeline(rank_->world().engine().tracer());
-              tl != nullptr && tl->tracks(p.op)) {
-            tl->add(p.op, trace::Segment::notify, h.value_b,
-                    rank_->world().engine().now());
-          }
-        }
-        finish_segment(st);
-      }
-      break;
-    }
-    case AmHdr::Kind::rmw_reply: {
-      if (per(p.src).pending_replies > 0) per(p.src).pending_replies -= 1;
-      if (auto st = find_req(h.req_id)) {
-        st->rmw_value = h.value_a;
-        finish_segment(st);
-      }
-      break;
-    }
-    case AmHdr::Kind::rmi_reply: {
-      if (per(p.src).pending_replies > 0) per(p.src).pending_replies -= 1;
-      if (auto st = find_req(h.req_id)) {
+        notify_leg(*st, h.value_b);
+      } else if (h.kind == AmHdr::Kind::rmi_reply) {
         st->rmi_reply = std::move(p.payload);
-        finish_segment(st);
+      } else {
+        st->rmw_value = h.value_a;
       }
+      finish_segment(st);
       break;
     }
     case AmHdr::Kind::count_query: {
@@ -2877,15 +2439,14 @@ void RmaEngine::on_am(fabric::Packet&& p) {
         const std::uint64_t id = h.req_id;
         const int t = p.src;
         const std::uint64_t tag = trace::op_tag(rank_->id(), id);
-        rank_->world().engine().schedule_in(cfg_.flush_retry_ns,
-                                            [this, id, t, tag] {
-                                              if (!find_req(id)) return;
-                                              AmHdr q;
-                                              q.kind =
-                                                  AmHdr::Kind::count_query;
-                                              q.req_id = id;
-                                              send_am(t, q, {}, tag);
-                                            });
+        rank_->world().engine().schedule_in(
+            kFlushRetryNs, [this, alive = alive_, id, t, tag] {
+              if (!*alive || !find_req(id)) return;
+              AmHdr q;
+              q.kind = AmHdr::Kind::count_query;
+              q.req_id = id;
+              send_am(t, q, {}, tag);
+            });
       }
       break;
     }
@@ -2910,16 +2471,7 @@ void RmaEngine::on_am(fabric::Packet&& p) {
       if (owner_endian != rank_->memory().config().endian || shutting_down_) {
         r.value_a = 0;  // refused: mirrors would be byte-order garbage here
       } else {
-        const std::uint64_t buf =
-            rank_->memory().alloc(std::max<std::uint64_t>(h.length, 1));
-        const portals::MeHandle me =
-            ptl_->me_append(kPtData, h.mem_id, 0, buf, h.length, nullptr);
-        attached_.emplace(h.mem_id, Attached{buf, h.length, me});
-        replica_bufs_.emplace(h.mem_id, buf);
-        repl_windows_.emplace(h.mem_id, ReplWindow{h.length, -1, -1, false});
-        // Replica copies listen too: a post-failover retargeted notified op
-        // (or a re-armed rescue) must find a queue here, never land unheard.
-        register_notify_queue(h.mem_id);
+        host_replica(h.mem_id, h.length, -1);
         r.value_a = 1;
       }
       send_am(p.src, r, {});
@@ -2932,27 +2484,14 @@ void RmaEngine::on_am(fabric::Packet&& p) {
       // path — the chain skips endian-mismatched ranks, and both sides
       // compute it identically.
       if (shutting_down_ || attached_.count(h.mem_id) != 0) break;
-      const std::uint64_t buf =
-          rank_->memory().alloc(std::max<std::uint64_t>(h.length, 1));
-      const portals::MeHandle me =
-          ptl_->me_append(kPtData, h.mem_id, 0, buf, h.length, nullptr);
-      attached_.emplace(h.mem_id, Attached{buf, h.length, me});
-      replica_bufs_.emplace(h.mem_id, buf);
-      repl_windows_.emplace(h.mem_id, ReplWindow{h.length, -1, p.src, false});
-      register_notify_queue(h.mem_id);
+      host_replica(h.mem_id, h.length, p.src);
       // Mirrors that raced ahead of this adoption: re-route now that the
       // registry entry says which stream materializes the copy.
       if (auto g = pre_adopt_gate_.find(h.mem_id);
           g != pre_adopt_gate_.end()) {
         auto parked = std::move(g->second);
         pre_adopt_gate_.erase(g);
-        for (const auto& gm : parked) {
-          AmHdr gh;
-          M3RMA_ENSURE(gm.hdr_bytes.size() == sizeof(AmHdr),
-                       "gated mirror header size mismatch");
-          std::memcpy(&gh, gm.hdr_bytes.data(), sizeof(AmHdr));
-          route_mirror(gm.src, gh, gm.payload);
-        }
+        for (const auto& gm : parked) route_mirror(gm.src, gm.hdr, gm.payload);
       }
       break;
     }
@@ -2973,13 +2512,6 @@ void RmaEngine::on_am(fabric::Packet&& p) {
       r.req_id = h.req_id;
       r.value_a = !hosted ? 0 : (w->second.materializing_from >= 0 ? 2 : 1);
       send_am(p.src, r, {});
-      break;
-    }
-    case AmHdr::Kind::repl_probe_ack: {
-      if (auto st = find_req(h.req_id)) {
-        st->rmw_value = h.value_a;  // 1 = copy complete and live
-        finish_segment(st);
-      }
       break;
     }
     case AmHdr::Kind::repl_region_fwd: {
@@ -3031,14 +2563,7 @@ void RmaEngine::on_am(fabric::Packet&& p) {
       const int b = q->second.front();
       q->second.pop_front();
       if (q->second.empty()) fwd_inflight_.erase(q);
-      if (b < 0) break;
-      const auto hold = fwd_hold_.find(b);
-      if (hold == fwd_hold_.end()) break;
-      if (--hold->second > 0) break;
-      fwd_hold_.erase(hold);
-      if (target_failed_[static_cast<std::size_t>(b)] == 0) {
-        flush_deferred(b);
-      }
+      release_hold(b);
       break;
     }
     case AmHdr::Kind::bye: {
@@ -3053,13 +2578,6 @@ void RmaEngine::on_am(fabric::Packet&& p) {
           h.mem_id,
           notify::Notification{p.src, static_cast<std::uint32_t>(h.value_a),
                                h.length, h.offset});
-      break;
-    }
-    case AmHdr::Kind::repl_ready: {
-      if (auto st = find_req(h.req_id)) {
-        st->rmw_value = h.value_a;  // 1 = replica registered, 0 = refused
-        finish_segment(st);
-      }
       break;
     }
     case AmHdr::Kind::repl_mirror:
@@ -3080,17 +2598,13 @@ void RmaEngine::on_am(fabric::Packet&& p) {
         in.applied += 1;
         for (auto hit = in.held.find(in.applied + 1); hit != in.held.end();
              hit = in.held.find(in.applied + 1)) {
-          fabric::Packet shim;
-          shim.header = std::move(hit->second.hdr_bytes);
-          const auto hh = fabric::get_header<AmHdr>(shim);
-          route_mirror(p.src, hh, hit->second.payload);
+          route_mirror(p.src, hit->second.hdr, hit->second.payload);
           in.applied += 1;
           in.held.erase(hit);
         }
       } else if (h.req_id > in.applied + 1) {
         // Out-of-order on an unordered network: hold until the gap closes.
-        in.held.emplace(h.req_id,
-                        ReplHeld{std::move(p.header), std::move(p.payload)});
+        in.held.emplace(h.req_id, ReplHeld{h, std::move(p.payload)});
       }
       // else: duplicate (failover re-sync) — already applied; just re-ack.
       AmHdr r;
@@ -3121,21 +2635,7 @@ void RmaEngine::on_am(fabric::Packet&& p) {
               continue;
             }
             if (st->repl_mirror_seq <= led.acked) {
-              st->pending = 0;
-              st->status = OpStatus::ok;
-              st->done = true;
-              stats_.rescued_ops += 1;
-              if (auto* tr = trace::want(rank_->world().engine().tracer(),
-                                         trace::Category::rma)) {
-                tr->instant(tr->track("rank" + std::to_string(rank_->id())),
-                            trace::Category::rma, "failover.rescue",
-                            "req=" + std::to_string(st->id) +
-                                " backup=" + std::to_string(p.src));
-                tr->add_counter(trace::Category::rma, "rma.rescued_ops");
-              }
-              rearm_notify(*st);
-              finish_trace(*st);
-              reqs_.erase(st->id);
+              finish_rescue(*st);
               ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(i));
             } else {
               ++i;
@@ -3150,11 +2650,36 @@ void RmaEngine::on_am(fabric::Packet&& p) {
   eq_.condition().notify_all();
 }
 
-void RmaEngine::execute_am(AmMsg&& m, sim::Time apply_cost) {
-  if (apply_cost > 0) rank_->ctx().delay(apply_cost);
-  fabric::Packet shim;
-  shim.header = std::move(m.hdr_bytes);
-  const auto h = fabric::get_header<AmHdr>(shim);
+bool RmaEngine::serve(sim::Context& ctx, AmMsg&& m) {
+  // Copied before the apply delay: a killed rank's engine is destroyed
+  // during it, and then the token is all that is left to read.
+  const std::shared_ptr<bool> alive = alive_;
+  trace::Recorder* rec = ctx.engine().tracer();
+  auto* tr = trace::want(rec, trace::Category::serializer);
+  // The track is the serving process: "commthread<id>" or "rank<id>".
+  const trace::SpanHandle h =
+      tr == nullptr ? 0
+                    : tr->span_begin(tr->track(ctx.name()),
+                                     trace::Category::serializer, "serialize",
+                                     "from=" + std::to_string(m.src));
+  auto* tl = trace::timeline(rec);
+  const std::uint64_t op = m.op;
+  const sim::Time pickup = ctx.now();
+  if (tl != nullptr && tl->tracks(op)) {
+    tl->add(op, trace::Segment::serialize_wait, m.arrived, pickup);
+  }
+  ctx.delay(kApplyNs);
+  if (!*alive) return false;
+  execute_am(std::move(m));
+  if (tl != nullptr && tl->tracks(op)) {
+    tl->add(op, trace::Segment::apply, pickup, ctx.now());
+  }
+  if (h != 0) rec->span_end(h);
+  return true;
+}
+
+void RmaEngine::execute_am(AmMsg&& m) {
+  const AmHdr& h = m.hdr;
 
   if (h.kind == AmHdr::Kind::rmi_op) {
     const int id = static_cast<int>(static_cast<std::uint32_t>(h.value_a));
@@ -3204,65 +2729,41 @@ void RmaEngine::execute_am(AmMsg&& m, sim::Time apply_cost) {
     return;
   }
 
+  // Data op: apply it, then answer with an op_ack (put/accumulate) or the
+  // data (get). Puts and accumulates count toward the origin's landed-op
+  // count that software flushes query.
+  const bool is_get = h.op == RmaOptype::get;
+  std::vector<std::byte> data;
   switch (h.op) {
-    case RmaOptype::put: {
+    case RmaOptype::put:
       mem.nic_write(a.base + h.offset, m.payload);
-      am_applied_from_[m.src] += 1;
-      am_applied_total_ += 1;
-      AmHdr r;
-      r.kind = AmHdr::Kind::op_ack;
-      r.req_id = h.req_id;
-      if ((h.value_b >> 32) == 1) {
-        // Notified software put: enqueue the notification now that the data
-        // is applied, and echo the fire time so the origin can attribute it.
-        fire_notify_local(
-            h.mem_id,
-            notify::Notification{m.src, static_cast<std::uint32_t>(h.value_b),
-                                 h.length, h.offset});
-        r.value_a = rank_->world().engine().now();
-      }
-      send_am(m.src, r, {}, m.op);
       break;
-    }
-    case RmaOptype::accumulate: {
+    case RmaOptype::accumulate:
       portals::apply_acc(h.acc, h.nt, mem.raw(a.base + h.offset),
                          m.payload.data(), h.length, mem.config().endian);
-      am_applied_from_[m.src] += 1;
-      am_applied_total_ += 1;
-      AmHdr r;
-      r.kind = AmHdr::Kind::op_ack;
-      r.req_id = h.req_id;
-      if ((h.value_b >> 32) == 1) {
-        fire_notify_local(
-            h.mem_id,
-            notify::Notification{m.src, static_cast<std::uint32_t>(h.value_b),
-                                 h.length, h.offset});
-        r.value_a = rank_->world().engine().now();
-      }
-      send_am(m.src, r, {}, m.op);
       break;
-    }
-    case RmaOptype::get: {
-      std::vector<std::byte> data(h.length);
+    case RmaOptype::get:
+      data.resize(h.length);
       mem.nic_read(a.base + h.offset, data);
-      am_applied_total_ += 1;
-      AmHdr r;
-      r.kind = AmHdr::Kind::get_reply;
-      r.req_id = h.req_id;
-      r.offset = h.value_a;  // packed destination offset at the origin
-      if ((h.value_b >> 32) == 1) {
-        // A notified software get tells the target "the origin read this
-        // region"; fire after the read, echo the fire time in the reply.
-        fire_notify_local(
-            h.mem_id,
-            notify::Notification{m.src, static_cast<std::uint32_t>(h.value_b),
-                                 h.length, h.offset});
-        r.value_b = rank_->world().engine().now();
-      }
-      send_am(m.src, r, {}, m.op);
       break;
-    }
   }
+  if (!is_get) am_applied_from_[m.src] += 1;
+  am_applied_total_ += 1;
+  AmHdr r;
+  r.kind = is_get ? AmHdr::Kind::get_reply : AmHdr::Kind::op_ack;
+  r.req_id = h.req_id;
+  if (is_get) r.offset = h.value_a;  // packed destination offset at the origin
+  if ((h.value_b >> 32) == 1) {
+    // Notified software op: enqueue the notification now that the data is
+    // applied (or, for a get, read: "the origin read this region"), and
+    // echo the fire time so the origin can attribute the notify leg.
+    fire_notify_local(
+        h.mem_id,
+        notify::Notification{m.src, static_cast<std::uint32_t>(h.value_b),
+                             h.length, h.offset});
+    (is_get ? r.value_b : r.value_a) = rank_->world().engine().now();
+  }
+  send_am(m.src, r, std::move(data), m.op);
 }
 
 // --------------------------------------------------------------- lock ops
@@ -3275,16 +2776,11 @@ bool RmaEngine::lock_acquire(int world_target) {
                          trace::Category::serializer);
   trace::SpanHandle acq = 0;
   if (tr != nullptr) {
-    acq = tr->span_begin(tr->track("rank" + std::to_string(rank_->id())),
-                         trace::Category::serializer, "lock.acquire",
+    acq = tr->span_begin(rank_track(tr, *rank_), trace::Category::serializer,
+                         "lock.acquire",
                          "target=" + std::to_string(world_target));
   }
-  auto st = std::make_shared<Request::State>();
-  st->id = next_req_++;
-  st->world_target = world_target;
-  st->pending = 1;
-  st->counts_send = false;
-  reqs_.emplace(st->id, st);
+  auto st = new_req(world_target, 1);
   // Attribution: the acquire round trip is lock_wait on the parent op (if
   // one is being issued — engine-internal acquires stay untracked).
   const std::uint64_t tag = trace::op_tag(rank_->id(), st->id);
@@ -3293,7 +2789,7 @@ bool RmaEngine::lock_acquire(int world_target) {
       tl != nullptr && attr_parent_ != 0 && tl->tracks(attr_parent_);
   const sim::Time t_req = rank_->world().engine().now();
   if (attr) tl->alias(tag, attr_parent_);
-  rank_->ctx().delay(rank_->world().config().costs.inject_overhead_ns);
+  charge_inject();
   AmHdr h;
   h.kind = AmHdr::Kind::lock_req;
   h.req_id = st->id;
@@ -3311,10 +2807,9 @@ bool RmaEngine::lock_acquire(int world_target) {
   if (acq != 0) {
     trace::Recorder* rec = rank_->world().engine().tracer();
     rec->span_end(acq);
-    lock_hold_spans_[world_target] = rec->span_begin(
-        rec->track("rank" + std::to_string(rank_->id())),
-        trace::Category::serializer, "lock.hold",
-        "target=" + std::to_string(world_target));
+    lock_hold_spans_[world_target] =
+        rec->span_begin(rank_track(rec, *rank_), trace::Category::serializer,
+                        "lock.hold", "target=" + std::to_string(world_target));
   }
   return true;
 }
@@ -3334,25 +2829,9 @@ void RmaEngine::lock_release(int world_target) {
 
 void RmaEngine::service_lock_request(int requester, std::uint64_t req_id) {
   if (lock_.held_by < 0) {
-    lock_.held_by = requester;
-    lock_grants_ += 1;
-    if (auto* tr = trace::want(rank_->world().engine().tracer(),
-                               trace::Category::serializer)) {
-      tr->instant(tr->track("rank" + std::to_string(rank_->id())),
-                  trace::Category::serializer, "lock.grant",
-                  "to=" + std::to_string(requester));
-      tr->add_counter(trace::Category::serializer, "serializer.lock_grants");
-    }
-    AmHdr g;
-    g.kind = AmHdr::Kind::lock_grant;
-    g.req_id = req_id;
-    const std::uint64_t tag = trace::op_tag(requester, req_id);
-    rank_->world().engine().schedule_in(
-        cfg_.lock_service_ns,
-        [this, requester, g, tag] { send_am(requester, g, {}, tag); });
+    grant_lock(requester, req_id);
   } else {
-    lock_.waiters.push_back(requester);
-    lock_waiter_reqs_.push_back(req_id);
+    lock_.waiters.emplace_back(requester, req_id);
   }
 }
 
@@ -3361,27 +2840,25 @@ void RmaEngine::service_lock_release(int releaser) {
                "lock release from a rank that does not hold it");
   lock_.held_by = -1;
   if (!lock_.waiters.empty()) {
-    const int next = lock_.waiters.front();
-    const std::uint64_t req_id = lock_waiter_reqs_.front();
+    const auto [next, req_id] = lock_.waiters.front();
     lock_.waiters.pop_front();
-    lock_waiter_reqs_.pop_front();
-    lock_.held_by = next;
-    lock_grants_ += 1;
-    if (auto* tr = trace::want(rank_->world().engine().tracer(),
-                               trace::Category::serializer)) {
-      tr->instant(tr->track("rank" + std::to_string(rank_->id())),
-                  trace::Category::serializer, "lock.grant",
-                  "to=" + std::to_string(next));
-      tr->add_counter(trace::Category::serializer, "serializer.lock_grants");
-    }
-    AmHdr g;
-    g.kind = AmHdr::Kind::lock_grant;
-    g.req_id = req_id;
-    const std::uint64_t tag = trace::op_tag(next, req_id);
-    rank_->world().engine().schedule_in(
-        cfg_.lock_service_ns,
-        [this, next, g, tag] { send_am(next, g, {}, tag); });
+    grant_lock(next, req_id);
   }
+}
+
+void RmaEngine::grant_lock(int to, std::uint64_t req_id) {
+  lock_.held_by = to;
+  lock_grants_ += 1;
+  note(*rank_, trace::Category::serializer, "lock.grant",
+       [&] { return "to=" + std::to_string(to); }, "serializer.lock_grants");
+  AmHdr g;
+  g.kind = AmHdr::Kind::lock_grant;
+  g.req_id = req_id;
+  const std::uint64_t tag = trace::op_tag(to, req_id);
+  rank_->world().engine().schedule_in(
+      kLockServiceNs, [this, alive = alive_, to, g, tag] {
+        if (*alive) send_am(to, g, {}, tag);
+      });
 }
 
 }  // namespace m3rma::core

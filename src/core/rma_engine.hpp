@@ -39,6 +39,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/attrs.hpp"
@@ -126,16 +127,6 @@ struct EngineConfig {
   /// OR-ed into every call's attributes — the paper's "set attributes at
   /// the level of a communicator" / "most stringent rules while debugging".
   Attrs default_attrs = Attrs::none();
-  /// Per-op handler cost on the dedicated communication thread.
-  sim::Time comm_thread_dispatch_ns = 600;
-  /// Per-op cost when applied from the target's progress engine.
-  sim::Time progress_apply_ns = 600;
-  /// Lock-manager service time per lock transition (delivery context).
-  sim::Time lock_service_ns = 300;
-  /// Software-flush retry backoff on ack-less networks.
-  sim::Time flush_retry_ns = 2000;
-  /// Local copy engine speed for pack/unpack staging (bytes per ns).
-  double copy_bytes_per_ns = 8.0;
   /// Interface name reported in latency-attribution breakdowns (the Table S6
   /// axis). Wrapper layers (ARMCI, SHMEM, ...) set their own.
   std::string api_label = "strawman";
@@ -333,12 +324,68 @@ class RmaEngine {
  private:
   friend class Request;
 
-  struct AmHdr;
+  /// Header of every active message on the engine's AM channel (the wire
+  /// format: sent as raw bytes by fabric::set_header).
+  struct AmHdr {
+    enum class Kind : std::uint8_t {
+      data_op,      // put/get/accumulate routed through software (serializer)
+      op_ack,       // software remote-completion ack for a data_op put/acc
+      get_reply,    // data for a software get
+      rmw_op,       // software read-modify-write
+      rmw_reply,    // previous value for a software RMW
+      count_query,  // "how many of my data ops have landed?"
+      count_reply,
+      lock_req,     // coarse-grain process-level lock protocol
+      lock_grant,
+      lock_release,
+      rmi_op,       // remote method invocation (§V optype expansion)
+      rmi_reply,
+      repl_create,      // owner -> backup: register a replica region
+      repl_ready,       // backup -> owner: replica registered (or refused)
+      repl_mirror,      // origin -> backup: mirrored put/accumulate block
+      repl_mirror_rmw,  // origin -> backup: mirrored RMW (semantic replay)
+      repl_mirror_ack,  // backup -> origin: cumulative applied mirror seq
+      repl_adopt,       // acting primary -> fresh backup: adopt a replica
+                        // (snapshot burst follows on the same mirror stream)
+      repl_sync_done,   // acting primary -> fresh backup: snapshot complete
+      repl_probe,       // origin -> candidate: is your copy complete + live?
+      repl_probe_ack,   // candidate -> origin: value_a 1 = ready, 0 = lost,
+                        // 2 = copy still materializing (retry, not a verdict)
+      repl_region_fwd,  // origin -> serving copy: re-publish [offset,
+                        // offset+length) from your authoritative memory to
+                        // your current backup. Repairs committed RMWs and
+                        // accumulates whose mirror lost its destination: a
+                        // client-side semantic replay double-applies when
+                        // the fresh backup's snapshot has the effect
+      repl_region_fwd_done,  // serving copy -> origin: the requested region
+                             // is on the wire to the backup (or was
+                             // dropped); releases mirrors the origin held
+                             // for ordering
+      bye,              // teardown handshake: sender has entered quiesce
+      notify_fire,      // origin -> surviving copy: re-arm the notification
+                        // of a rescued notified op (mem_id = window, offset
+                        // = disp, length = bytes, value_a = tag)
+    };
+
+    Kind kind = Kind::data_op;
+    RmaOptype op = RmaOptype::put;
+    portals::AccOp acc = portals::AccOp::replace;
+    portals::RmwOp rmw = portals::RmwOp::fetch_add;
+    portals::NumType nt = portals::NumType::i64;
+    std::uint64_t mem_id = 0;
+    std::uint64_t offset = 0;  // byte offset within the attached region;
+                               // get_reply: destination offset at the origin
+    std::uint64_t length = 0;
+    std::uint64_t req_id = 0;
+    std::uint64_t value_a = 0;  // rmw operand / reply offset / count value
+    std::uint64_t value_b = 0;  // rmw second operand (compare_swap desired)
+  };
+  // Every AM's wire size, and with it every virtual result, includes it.
+  static_assert(sizeof(AmHdr) == 56, "AmHdr wire size changed");
   struct AmMsg {
     int src = -1;
     std::vector<std::byte> payload;
-    // Decoded header fields live in `hdr_bytes` to keep AmHdr private.
-    std::vector<std::byte> hdr_bytes;
+    AmHdr hdr;
     // Latency attribution: the packet's op tag and its delivery time, so the
     // serializer can report queueing (serialize_wait) vs execution (apply).
     std::uint64_t op = 0;
@@ -360,7 +407,7 @@ class RmaEngine {
   };
   struct LockState {
     int held_by = -1;
-    std::deque<int> waiters;
+    std::deque<std::pair<int, std::uint64_t>> waiters;  // (rank, lock_req id)
   };
   // ----- window replication (runtime::ReplicationConfig) --------------------
   //
@@ -375,7 +422,7 @@ class RmaEngine {
   struct ReplPending {  // origin-side resync log entry (one mirror message)
     std::uint64_t seq = 0;
     int primary = -1;  // world rank whose death makes this worth re-sending
-    std::vector<std::byte> hdr_bytes;
+    AmHdr hdr;
     std::vector<std::byte> payload;
   };
   struct ReplLedger {  // origin-side stream state, one per backup rank
@@ -386,7 +433,7 @@ class RmaEngine {
     std::deque<ReplPending> pending;  // sent but not yet cumulatively acked
   };
   struct ReplHeld {  // backup-side out-of-order mirror (unordered networks)
-    std::vector<std::byte> hdr_bytes;
+    AmHdr hdr;
     std::vector<std::byte> payload;
   };
   struct ReplIn {  // backup-side stream state, one per origin rank
@@ -411,7 +458,7 @@ class RmaEngine {
   };
   struct GatedMirror {  // mirror parked while this rank's copy materializes
     int src = -1;
-    std::vector<std::byte> hdr_bytes;
+    AmHdr hdr;
     std::vector<std::byte> payload;
   };
 
@@ -421,22 +468,17 @@ class RmaEngine {
                   const dt::Datatype& origin_dt, const TargetMem& mem,
                   std::uint64_t target_disp, std::uint64_t target_count,
                   const dt::Datatype& target_dt, int target_rank, Attrs attrs);
-  void issue_direct_put(const std::shared_ptr<Request::State>& st,
-                        portals::AccOp acc_op, bool is_acc,
-                        std::uint64_t origin_addr, std::uint64_t origin_count,
-                        const dt::Datatype& origin_dt, const TargetMem& mem,
-                        std::uint64_t target_disp, std::uint64_t target_count,
-                        const dt::Datatype& target_dt, Attrs attrs);
-  void issue_direct_get(const std::shared_ptr<Request::State>& st,
-                        std::uint64_t origin_addr, std::uint64_t origin_count,
-                        const dt::Datatype& origin_dt, const TargetMem& mem,
-                        std::uint64_t target_disp, std::uint64_t target_count,
-                        const dt::Datatype& target_dt);
-  void issue_am_op(const std::shared_ptr<Request::State>& st, RmaOptype op,
-                   portals::AccOp acc_op, std::uint64_t origin_addr,
-                   std::uint64_t origin_count, const dt::Datatype& origin_dt,
-                   const TargetMem& mem, std::uint64_t target_disp,
-                   std::uint64_t target_count, const dt::Datatype& target_dt);
+  /// Stage the op's origin side (packed operand for put/accumulate, landing
+  /// buffer for get), then send one message per contiguous target block:
+  /// a Portals op, or with `via_am` a data_op AM for the target's
+  /// serializer. `attrs` decides the completion discipline of direct
+  /// put/accumulate only.
+  void issue_blocks(const std::shared_ptr<Request::State>& st, RmaOptype op,
+                    portals::AccOp acc_op, bool via_am,
+                    std::uint64_t origin_addr, std::uint64_t origin_count,
+                    const dt::Datatype& origin_dt, const TargetMem& mem,
+                    std::uint64_t target_disp, std::uint64_t target_count,
+                    const dt::Datatype& target_dt, Attrs attrs);
   /// `orig_mem` is the caller's unretargeted handle: mid-sequence failover
   /// re-walks the succession chain from it (only its owner/backup pair is
   /// trusted without a readiness probe).
@@ -457,6 +499,9 @@ class RmaEngine {
                             const dt::Datatype& origin_dt,
                             const dt::Datatype& target_dt,
                             std::uint64_t target_count, Endian target_endian);
+  /// Charge the per-message inject overhead, attributed to op `tag` (0:
+  /// unattributed).
+  void charge_inject(std::uint64_t tag = 0);
   void charge_copy(std::uint64_t bytes);
 
   // Ordering / completion machinery.
@@ -469,13 +514,15 @@ class RmaEngine {
 
   // AM machinery.
   void on_am(fabric::Packet&& p);
-  void execute_am(AmMsg&& m, sim::Time apply_cost);
+  /// Serializer step for one queued AM, on the comm thread or in progress():
+  /// charge the apply cost, execute, and record the serialize span and the
+  /// serialize_wait/apply segments. False when the engine was disposed
+  /// during the apply delay (its rank killed): `this` is then gone.
+  bool serve(sim::Context& ctx, AmMsg&& m);
+  void execute_am(AmMsg&& m);
   /// `op` is the latency-attribution tag stamped on the packet (0 = none).
   void send_am(int world_target, const AmHdr& hdr,
                std::vector<std::byte> payload, std::uint64_t op = 0);
-  /// Re-send a previously serialized AM (failover re-sync path).
-  void send_am_raw(int world_target, std::vector<std::byte> hdr_bytes,
-                   std::vector<std::byte> payload);
 
   // Replication machinery.
   /// Mirror one put/accumulate block to `mem.backup` (process context;
@@ -487,6 +534,11 @@ class RmaEngine {
   /// Mirror a completed RMW (semantic op + operands; the backup replays it).
   void mirror_rmw(portals::RmwOp op, const TargetMem& mem, std::uint64_t disp,
                   std::uint64_t a, std::uint64_t b);
+  /// Log one mirror on this origin's stream to `mem.backup` and transmit
+  /// it (charging inject overhead) unless lazy mode or a region-repair hold
+  /// defers it. `st`, if any, is the op the mirror covers.
+  void log_mirror(const TargetMem& mem, AmHdr h,
+                  std::vector<std::byte> payload, Request::State* st);
   /// Ask the live primary of `mem_id` to re-publish `[offset,
   /// offset+length)` to its current backup (repl_region_fwd). Replicates a
   /// committed RMW or accumulate when a semantic replay could double-apply
@@ -525,6 +577,13 @@ class RmaEngine {
   /// `backup` in seq order and advance the flush point (event-context safe).
   /// Releases lazily deferred tails and region-repair holds alike.
   void flush_deferred(int backup);
+  /// Release one region-repair hold on the stream to `backup` (-1: none);
+  /// the last release flushes the deferred tail.
+  void release_hold(int backup);
+  /// Expose a replica region of window `mem_id` on this rank under the
+  /// window's own id (repl_create, repl_adopt).
+  void host_replica(std::uint64_t mem_id, std::uint64_t length,
+                    int materializing_from);
   /// Backup side: accept one in-order mirror — apply it, gate it while this
   /// copy materializes, or park it pre-adoption; then forward it when this
   /// rank is an acting primary with a live backup.
@@ -547,8 +606,13 @@ class RmaEngine {
   void lock_release(int world_target);
   void service_lock_request(int requester, std::uint64_t req_id);
   void service_lock_release(int releaser);
+  /// Hand the serializer lock to `to` and send the grant after the lock
+  /// manager's service time.
+  void grant_lock(int to, std::uint64_t req_id);
 
   void handle_eq_event(const portals::Event& ev);
+  /// One confirmation (hardware ACK or software op_ack) from `world_rank`.
+  void count_ack(int world_rank);
   /// Create the notification queue for a window copy this rank hosts and
   /// register it as the Portals notify sink for the window's match bits.
   /// Simulation-invisible (no time, no rng, no traffic).
@@ -583,6 +647,16 @@ class RmaEngine {
 
   PerTarget& per(int world_rank);
   const PerTarget& per(int world_rank) const;
+  /// Register a new request to `world_target`. One awaiting `replies`
+  /// AM/portals replies completes on those, never on SEND events.
+  std::shared_ptr<Request::State> new_req(int world_target,
+                                          std::uint32_t replies = 0);
+  /// Complete a request with `status` and retire it.
+  void settle(Request::State& st, OpStatus status = OpStatus::ok);
+  /// Complete a rescued put/accumulate whose mirrors the backup has acked.
+  void finish_rescue(Request::State& st);
+  /// Fail a rescued request whose backup died too.
+  void lose_replica(Request::State& st, int backup);
   std::shared_ptr<Request::State> find_req(std::uint64_t id);
   void finish_segment(const std::shared_ptr<Request::State>& st);
 
@@ -610,11 +684,11 @@ class RmaEngine {
 
   // Incoming atomic/fallback ops awaiting the executor.
   std::shared_ptr<sim::Channel<AmMsg>> am_chan_;  // comm_thread serializer
-  /// Shared with the comm thread: dispose() flips it so messages still
-  /// queued behind the shutdown sentinel are dropped, never executed
-  /// against a destroyed engine (a killed rank's queue drains as if the
-  /// NIC blackholed them).
-  std::shared_ptr<bool> comm_alive_;
+  /// The engine's liveness token, shared with the comm thread and every
+  /// engine timer: dispose() clears it, so queued messages and pending
+  /// timers stand down instead of touching a destroyed engine (a killed
+  /// rank's engine lives on its unwound fiber stack).
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   std::deque<AmMsg> pending_am_;                  // progress serializer
   std::unordered_map<int, std::uint64_t> am_applied_from_;
   std::uint64_t am_applied_total_ = 0;
@@ -623,7 +697,6 @@ class RmaEngine {
   // Attribution tag of the op whose locked sequence is being issued: child
   // requests (lock acquire, inner get/put) alias into it. 0 between ops.
   std::uint64_t attr_parent_ = 0;
-  std::deque<std::uint64_t> lock_waiter_reqs_;
   std::uint64_t lock_grants_ = 0;
   // Open "lock.hold" trace spans, keyed by lock-owning world rank.
   std::unordered_map<int, std::uint64_t> lock_hold_spans_;

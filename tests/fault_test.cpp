@@ -497,5 +497,79 @@ TEST(FaultInjection, FaultEventsAppearInTrace) {
   EXPECT_EQ(json.front(), '{');
 }
 
+// A rank's engine lives on its fiber stack, so every engine timer must
+// stand down once the rank is killed. Lock grants leave the lock manager
+// 300 ns after the request is serviced; killing the manager anywhere inside
+// that window must neither crash nor strand the requesters, who see their
+// atomic updates fail instead.
+TEST(FaultInjection, KillLockManagerInsideGrantWindow) {
+  for (sim::Time at = 22'000; at <= 26'000; at += 7) {
+    WorldConfig cfg;
+    cfg.ranks = 3;
+    cfg.seed = 12;
+    cfg.caps.native_atomics = false;
+    cfg.faults.schedule = {{/*rank=*/0, at}};
+    World w(cfg);
+    int finished = 0;
+    w.run([&](Rank& r) {
+      EngineConfig ec;
+      ec.serializer = SerializerKind::coarse_lock;
+      RmaEngine eng(r, r.comm_world(), ec);
+      auto buf = r.alloc(8);
+      store(r, buf.addr, std::vector<std::int64_t>{0});
+      auto mems = eng.exchange_all(eng.attach(buf.addr, buf.size));
+      const auto i64 = dt::Datatype::int64();
+      auto src = r.alloc(8);
+      store(r, src.addr, std::vector<std::int64_t>{1});
+      if (r.id() != 0) {
+        for (int i = 0; i < 40; ++i) {
+          eng.accumulate(portals::AccOp::sum, src.addr, 1, i64, mems[0], 0,
+                         1, i64, 0,
+                         Attrs(RmaAttr::atomicity) | RmaAttr::blocking);
+        }
+      }
+      eng.complete_collective();
+      finished += 1;
+    });
+    EXPECT_EQ(w.failed_ranks(), std::vector<int>{0}) << "kill at " << at;
+    EXPECT_EQ(finished, 2) << "kill at " << at;
+  }
+}
+
+// Same hazard at the origin: on a network without completion events,
+// complete() confirms by count queries and re-queries 2 us after a short
+// count. Killing the origin while such a retry is pending must not let the
+// retry touch the dead rank's engine.
+TEST(FaultInjection, KillOriginDuringFlushBackoff) {
+  constexpr std::uint64_t kBlock = 4096;
+  for (sim::Time at = 34'000; at <= 37'000; at += 7) {
+    WorldConfig cfg;
+    cfg.ranks = 2;
+    cfg.seed = 5;
+    cfg.caps.ordered_delivery = false;
+    cfg.caps.remote_completion_events = false;
+    cfg.faults.schedule = {{/*rank=*/1, at}};
+    World w(cfg);
+    bool target_finished = false;
+    w.run([&](Rank& r) {
+      RmaEngine eng(r, r.comm_world());
+      auto [buf, mems] = eng.allocate_shared(16 * kBlock);
+      if (r.id() == 1) {
+        auto src = r.alloc(kBlock);
+        for (int i = 0; i < 200; ++i) {
+          for (std::uint64_t j = 0; j < 16; ++j) {
+            eng.put_bytes(src.addr, mems[0], j * kBlock, kBlock, 0);
+          }
+          eng.complete(0);
+        }
+      }
+      eng.complete_collective();
+      if (r.id() == 0) target_finished = true;
+    });
+    EXPECT_EQ(w.failed_ranks(), std::vector<int>{1}) << "kill at " << at;
+    EXPECT_TRUE(target_finished) << "kill at " << at;
+  }
+}
+
 }  // namespace
 }  // namespace m3rma
