@@ -10,7 +10,17 @@
 // sublayer adds over the bare (reliability-off, lossless) wire.
 //
 //   build/bench/tab_reliability
+//   build/bench/tab_reliability --seeds 1000-1039
+//
+// `--seeds A-B` replaces the single seeded table with each (loss, rto)
+// cell's median total and median standalone-ack count over
+// `WorldConfig::seed` A..B, so a comparison of two builds does not rest on
+// one loss pattern.
+#include <algorithm>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -29,12 +39,15 @@ struct CaseResult {
   std::uint64_t drops = 0;          // packets lost on the wire
   std::uint64_t retransmits = 0;    // data packets re-injected
   std::uint64_t duplicates = 0;     // re-deliveries suppressed
+  std::uint64_t acks = 0;           // standalone ack-only packets
 };
 
 CaseResult run_case(bool reliable, double loss, sim::Time rto,
                     trace::Recorder* rec = nullptr,
-                    const std::string& label = {}) {
+                    const std::string& label = {},
+                    std::optional<std::uint64_t> seed = std::nullopt) {
   auto cfg = benchutil::xt5_config(2);
+  if (seed) cfg.seed = *seed;
   cfg.costs.loss_rate = loss;
   cfg.costs.reliability.enabled = reliable;
   cfg.costs.reliability.retransmit_timeout_ns = rto;
@@ -65,6 +78,7 @@ CaseResult run_case(bool reliable, double loss, sim::Time rto,
     if (const auto* rel = w.fabric().nic(n).reliability()) {
       res.retransmits += rel->stats().retransmits;
       res.duplicates += rel->stats().duplicates_suppressed;
+      res.acks += rel->stats().acks_sent;
     }
   }
   return res;
@@ -79,11 +93,67 @@ std::string fmt_goodput(sim::Time elapsed) {
   return buf;
 }
 
+/// Parse `--seeds A-B` into an inclusive seed range; nullopt when the flag
+/// is absent. A malformed range exits with status 2.
+std::optional<std::pair<std::uint64_t, std::uint64_t>> seeds_flag(
+    int argc, char** argv) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::string(argv[i]) != "--seeds") continue;
+    unsigned long long lo = 0, hi = 0;
+    char tail = 0;
+    if (std::sscanf(argv[i + 1], "%llu-%llu%c", &lo, &hi, &tail) != 2 ||
+        lo > hi) {
+      std::fprintf(stderr, "--seeds wants A-B with A <= B, got '%s'\n",
+                   argv[i + 1]);
+      std::exit(2);
+    }
+    return std::pair{lo, hi};
+  }
+  return std::nullopt;
+}
+
+/// Median of `v` (mean of the middle two for an even count).
+double median(std::vector<std::uint64_t> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? static_cast<double>(v[n / 2])
+                    : (static_cast<double>(v[n / 2 - 1]) +
+                       static_cast<double>(v[n / 2])) /
+                          2.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const double losses[] = {0.0, 0.01, 0.05, 0.2};
   const sim::Time rtos[] = {20'000, 50'000, 200'000};
+
+  if (const auto seeds = seeds_flag(argc, argv)) {
+    const auto [lo, hi] = *seeds;
+    Table t;
+    t.title = "Reliability cost — median total over seeds " +
+              std::to_string(lo) + "-" + std::to_string(hi) +
+              " (64 rc puts of 4 KiB, rank 0 -> 1)";
+    t.header = {"loss_rate", "rto (us)", "median total (us)",
+                "median standalone acks"};
+    for (double loss : losses) {
+      for (sim::Time rto : rtos) {
+        std::vector<std::uint64_t> totals, acks;
+        for (std::uint64_t seed = lo; seed <= hi; ++seed) {
+          const CaseResult c = run_case(true, loss, rto, nullptr, {}, seed);
+          totals.push_back(c.elapsed);
+          acks.push_back(c.acks);
+        }
+        char lossbuf[16], med[32], medacks[32];
+        std::snprintf(lossbuf, sizeof(lossbuf), "%.2f", loss);
+        std::snprintf(med, sizeof(med), "%.2f", median(totals) / 1e3);
+        std::snprintf(medacks, sizeof(medacks), "%.1f", median(acks));
+        t.rows.push_back({lossbuf, benchutil::fmt_us(rto), med, medacks});
+      }
+    }
+    t.print();
+    return 0;
+  }
 
   // Bare wire: reliability off, lossless — the Figure 2 regime.
   const CaseResult bare = run_case(false, 0.0, 0);

@@ -289,39 +289,27 @@ void LinkReliability::on_receive(Packet&& p) {
   }
   if ((p.rel_flags & kRelFlagData) == 0) return;  // ack-only: consumed
 
-  const std::uint64_t key = stream_key(p.src, p.protocol);
-  RxStream& rx = rx_[key];
+  RxStream& rx = rx_[stream_key(p.src, p.protocol)];
   const int src = p.src;
   const int protocol = p.protocol;
 
   if (p.rel_seq <= rx.delivered) {
-    // Re-delivery of something already handed up: the sender evidently
-    // missed our ack, so suppress the duplicate and re-ack.
-    ++stats_.duplicates_suppressed;
-    if (auto* tr = trace::want(nic_->fabric().engine().tracer(),
-                               trace::Category::reliability)) {
-      tr->instant(tr->track(rel_track(src, nic_->node())),
-                  trace::Category::reliability, "dup_suppress",
-                  "seq=" + std::to_string(p.rel_seq));
-      tr->add_counter(trace::Category::reliability,
-                      rel_counter(src, nic_->node(), "duplicates_suppressed"));
+    // Re-delivery of something already handed up: the sender timed out
+    // without our ack. Suppress the duplicate and ack at once (rule 3),
+    // unless that ack already went out within the last window: then this
+    // is a later copy of the same go-back-all round, and the round's
+    // remaining copies share one delayed ack — a second chance, one window
+    // later, should the immediate ack be lost.
+    note_duplicate(src, p.rel_seq);
+    if (rx.quick_ack != rx.delivered ||
+        nic_->fabric().engine().now() >= rx.quick_ack_until) {
+      ack_now(src, protocol, rx);
+    } else {
+      arm_delayed_ack(src, protocol, rx);
     }
-  } else if (p.rel_seq == rx.delivered + 1) {
-    rx.delivered += 1;
-    nic_->dispatch(std::move(p));
-    // Drain whatever buffered packets the delivery unblocked. Re-look-up
-    // each round: dispatch runs an arbitrary handler which may send (and
-    // thereby touch rx_/tx_, invalidating references).
-    for (;;) {
-      RxStream& cur = rx_[key];
-      auto next = cur.ooo.find(cur.delivered + 1);
-      if (next == cur.ooo.end()) break;
-      Packet buffered = std::move(next->second);
-      cur.ooo.erase(next);
-      cur.delivered += 1;
-      nic_->dispatch(std::move(buffered));
-    }
-  } else {
+    return;
+  }
+  if (p.rel_seq > rx.delivered + 1) {
     const std::uint64_t seq = p.rel_seq;
     if (rx.ooo.emplace(seq, std::move(p)).second) {
       ++stats_.out_of_order_buffered;
@@ -333,19 +321,43 @@ void LinkReliability::on_receive(Packet&& p) {
         send_ack(src, protocol, rx.delivered, /*gap=*/true);
       }
     } else {
-      ++stats_.duplicates_suppressed;  // already buffered
-      if (auto* tr = trace::want(nic_->fabric().engine().tracer(),
-                                 trace::Category::reliability)) {
-        tr->instant(tr->track(rel_track(src, nic_->node())),
-                    trace::Category::reliability, "dup_suppress",
-                    "seq=" + std::to_string(seq));
-        tr->add_counter(
-            trace::Category::reliability,
-            rel_counter(src, nic_->node(), "duplicates_suppressed"));
-      }
+      // Already buffered. The cumulative ack cannot advance before the
+      // hole is filled, so an immediate ack would tell the sender nothing.
+      note_duplicate(src, seq);
     }
+    arm_delayed_ack(src, protocol, rx);
+    return;
   }
-  arm_delayed_ack(src, protocol, rx_[key]);
+  // In order. Arm the delayed ack before each dispatch, so a reply the
+  // handler sends to `src` carries and absorbs it (rule 1). `rx` stays
+  // valid across the handler: unordered_map never moves its elements, and
+  // nothing erases from rx_.
+  bool drained = false;
+  for (;;) {
+    rx.delivered += 1;
+    arm_delayed_ack(src, protocol, rx);
+    nic_->dispatch(std::move(p));
+    auto next = rx.ooo.find(rx.delivered + 1);
+    if (next == rx.ooo.end()) break;
+    p = std::move(next->second);
+    rx.ooo.erase(next);
+    drained = true;
+  }
+  // A filled hole means the sender is recovering: ack at once (rule 3).
+  // If the last handler already replied, that reply carried the ack.
+  if (drained && rx.ack_pending) ack_now(src, protocol, rx);
+}
+
+void LinkReliability::note_duplicate(int src, std::uint64_t seq) {
+  ++stats_.duplicates_suppressed;
+  if (auto* tr = trace::want(nic_->fabric().engine().tracer(),
+                             trace::Category::reliability)) {
+    tr->instant(tr->track(rel_track(src, nic_->node())),
+                trace::Category::reliability, "dup_suppress",
+                "seq=" + std::to_string(seq));
+    tr->add_counter(trace::Category::reliability,
+                    rel_counter(src, nic_->node(), "duplicates_suppressed"));
+  }
 }
 
 void LinkReliability::arm_delayed_ack(int peer, int protocol, RxStream& rx) {
@@ -354,8 +366,22 @@ void LinkReliability::arm_delayed_ack(int peer, int protocol, RxStream& rx) {
   ++stats_.ack_arms;
   const std::uint64_t gen = ++rx.ack_gen;
   nic_->fabric().engine().schedule_in(
-      cfg_.ack_delay_ns,
+      ack_window(),
       [this, peer, protocol, gen] { on_ack_timer(peer, protocol, gen); });
+}
+
+void LinkReliability::ack_now(int peer, int protocol, RxStream& rx) {
+  // An immediate ack resolves the pending window, or opens and closes one,
+  // so ack_arms = acks_sent + acks_piggybacked still holds.
+  if (rx.ack_pending) {
+    ++rx.ack_gen;  // invalidate the armed delayed-ack event
+  } else {
+    ++stats_.ack_arms;
+  }
+  rx.ack_pending = false;
+  rx.quick_ack = rx.delivered;
+  rx.quick_ack_until = nic_->fabric().engine().now() + ack_window();
+  send_ack(peer, protocol, rx.delivered, /*gap=*/false);
 }
 
 void LinkReliability::on_ack_timer(int peer, int protocol,

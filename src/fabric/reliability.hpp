@@ -7,9 +7,21 @@
 //
 //   * per-(src,dst,protocol) data streams with 1-based sequence numbers
 //     carried in the packet framing (Packet::rel_seq, +20 wire bytes);
-//   * cumulative acknowledgements, piggybacked on reverse-direction data
-//     where possible and sent as standalone ack-only packets after a short
-//     delayed-ack window otherwise;
+//   * cumulative acknowledgements, sent only when the sender needs one
+//     (the delayed-ACK and quick-ACK rules of TCP, RFC 5681 §4.2):
+//       1. each in-order delivery arms a delayed ack *before* the packet is
+//          dispatched, so a reply the handler sends to the peer carries the
+//          ack and absorbs it (piggybacking);
+//       2. otherwise a standalone ack-only packet goes out when the
+//          delayed-ack window closes. The window is derived from the
+//          retransmission timeout (retransmit_timeout_ns / 5), so it
+//          coalesces acks without ever approaching a spurious timeout;
+//       3. the receiver acks at once, without the window, when it sees the
+//          sender recovering: a duplicate of a delivered packet (the sender
+//          timed out) or an in-order arrival that drains the reorder buffer
+//          (a hole was filled). One such ack per ack window: the rest of a
+//          go-back-all round arrives right behind its first copy and gets
+//          one delayed ack between them, a backup for the immediate one;
 //   * fast retransmit on ordered fabrics: the receiver acks at once, with
 //     kRelFlagGap, when it buffers a new out-of-order packet — on a FIFO
 //     network that gap proves a loss — and the sender re-injects its
@@ -60,8 +72,9 @@ struct ReliabilityConfig {
   /// Master switch. Off = Nic sends/delivers exactly as if this sublayer
   /// did not exist (the Figure 2 benches depend on that).
   bool enabled = false;
-  /// Initial retransmission timeout. Must comfortably exceed the link RTT
-  /// plus ack_delay_ns or every packet pays a spurious retransmission.
+  /// Initial retransmission timeout. Also sets the delayed-ack window (a
+  /// fifth of it), so the ack window can never cause a spurious timeout as
+  /// long as the link RTT stays below the other four fifths.
   sim::Time retransmit_timeout_ns = 50'000;
   /// Timeout multiplier per consecutive unanswered retransmission round.
   double backoff_factor = 2.0;
@@ -71,10 +84,6 @@ struct ReliabilityConfig {
   /// declared failed (LinkFailure report / TransportError). 0 = the first
   /// timeout is fatal.
   int retry_budget = 10;
-  /// Delayed-ack window: a standalone cumulative ack goes out this long
-  /// after a data delivery unless reverse-direction data piggybacks it
-  /// first.
-  sim::Time ack_delay_ns = 1'000;
 };
 
 struct ReliabilityStats {
@@ -83,7 +92,9 @@ struct ReliabilityStats {
                                      ///< or fast)
   std::uint64_t fast_retransmits = 0;  ///< of which on a gap ack
   std::uint64_t acks_sent = 0;       ///< standalone ack-only packets
-  std::uint64_t acks_piggybacked = 0;  ///< pending acks absorbed by data
+  std::uint64_t acks_piggybacked = 0;  ///< pending acks absorbed by data,
+                                       ///< including replies a handler sends
+                                       ///< inside the delivery (rule 1)
   std::uint64_t ack_arms = 0;        ///< delayed-ack windows opened; each is
                                      ///< resolved by exactly one standalone
                                      ///< or piggybacked ack (conservation)
@@ -166,6 +177,8 @@ class LinkReliability {
     std::map<std::uint64_t, Packet> ooo;    // buffered out-of-order
     bool ack_pending = false;               // delayed ack armed
     std::uint64_t ack_gen = 0;
+    std::uint64_t quick_ack = 0;      // value of the last immediate ack
+    sim::Time quick_ack_until = 0;    // ... and the end of its window
   };
 
   static std::uint64_t stream_key(int peer, int protocol) {
@@ -184,8 +197,15 @@ class LinkReliability {
   /// count/trace it as a retransmission (`what` names the trace instant).
   void reinject(int peer, const PendingPkt& pp, std::uint64_t rev_ack,
                 const char* what, const std::string& detail);
+  /// Count and trace a suppressed re-delivery from `src`.
+  void note_duplicate(int src, std::uint64_t seq);
+  /// Delayed-ack window (rule 2).
+  sim::Time ack_window() const { return cfg_.retransmit_timeout_ns / 5; }
   void arm_delayed_ack(int peer, int protocol, RxStream& rx);
   void on_ack_timer(int peer, int protocol, std::uint64_t gen);
+  /// Standalone ack of rx.delivered right now (rule 3), resolving the
+  /// pending delayed ack if one is armed; opens a quick-ack window.
+  void ack_now(int peer, int protocol, RxStream& rx);
   /// Ack-only packet carrying cumulative ack `cum`; `gap` flags it
   /// kRelFlagGap (counted in gap_acks instead of acks_sent).
   void send_ack(int peer, int protocol, std::uint64_t cum, bool gap);

@@ -15,10 +15,14 @@
 //  * a consumer killed while blocked in NotifyQueue::wait unwinds cleanly
 //    (Engine::run terminates; no deadlock);
 //  * the notification leg shows up as the `notify` attribution segment
-//    without breaking conservation.
+//    without breaking conservation;
+//  * over the reliable transport, a consumer's NIC receives about one
+//    message per item: the remote-completion ACK it sends back carries the
+//    transport ack, and the producer's ack of that ACK is coalesced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <set>
 #include <vector>
 
@@ -424,6 +428,64 @@ TEST(Notify, ExactlyOnceAtSurvivingCopyAcrossFailover) {
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     EXPECT_EQ(sorted[i],
               1000u + static_cast<std::uint32_t>(kOps - sorted.size() + i));
+  }
+}
+
+// ------------------------------------------------------ reliable fan-in
+
+TEST(Notify, ReliableFanInConsumersReceiveDataNotAcks) {
+  // 6 producers put_notify into 2 consumers with remote completion over
+  // the lossless reliable transport. Every item costs the consumer one data
+  // packet; its Portals ACK back to the producer piggybacks the transport
+  // ack, and the producer's delayed ack of that ACK coalesces with its
+  // later traffic. So the consumer's NIC receives little beyond the items
+  // (without the piggyback it received about two messages per item).
+  constexpr int kConsumers = 2;
+  constexpr int kItems = 60;  // per producer
+  constexpr std::size_t kWindow = 4;
+  WorldConfig cfg = cfg2(8, 21);
+  cfg.costs.reliability.enabled = true;
+  // XT5 injection cost: a producer's next put to the same consumer comes
+  // 2.4 us later, too late to carry a short-window ack of the ACK.
+  cfg.costs.inject_overhead_ns = 1200;
+  World w(cfg);
+  std::vector<std::uint64_t> items(kConsumers, 0), received(kConsumers, 0);
+  w.run([&](Rank& r) {
+    RmaEngine eng(r, r.comm_world());
+    auto [buf, mems] = eng.allocate_shared(64);
+    r.comm_world().barrier();
+    if (r.id() >= kConsumers) {
+      auto src = r.alloc(64);
+      std::deque<core::Request> inflight;
+      for (int i = 0; i < kItems; ++i) {
+        if (inflight.size() == kWindow) {
+          inflight.front().wait();
+          inflight.pop_front();
+        }
+        const int c = (r.id() + i) % kConsumers;
+        inflight.push_back(eng.put_notify(
+            src.addr, mems[static_cast<std::size_t>(c)], 0, 64, c,
+            static_cast<std::uint32_t>(i), Attrs(RmaAttr::remote_completion)));
+      }
+      for (auto& req : inflight) req.wait();
+    } else {
+      const auto me = static_cast<std::size_t>(r.id());
+      const std::uint64_t before = w.fabric().nic(r.id()).received_messages();
+      auto& q = eng.notify_queue(mems[me]);
+      const int expect = (8 - kConsumers) * kItems / kConsumers;
+      for (int n = 0; n < expect; ++n) (void)q.wait(r.ctx());
+      items[me] = q.delivered();
+      received[me] = w.fabric().nic(r.id()).received_messages() - before;
+    }
+    eng.complete_collective();
+  });
+  for (int c = 0; c < kConsumers; ++c) {
+    const auto i = static_cast<std::size_t>(c);
+    EXPECT_EQ(items[i], 180u);
+    EXPECT_LE(static_cast<double>(received[i]),
+              1.15 * static_cast<double>(items[i]))
+        << "consumer " << c << " received " << received[i]
+        << " messages for " << items[i] << " items";
   }
 }
 

@@ -1,7 +1,8 @@
 // Reliable transport sublayer (fabric/reliability.hpp): ack/retransmit with
-// exponential backoff, gap-triggered fast retransmit on ordered fabrics,
-// duplicate suppression, in-order delivery, and bounded-retry degradation
-// to TransportError.
+// exponential backoff, the three ack rules (piggyback on handler replies,
+// an RTO-derived delayed-ack window, immediate acks during recovery),
+// gap-triggered fast retransmit on ordered fabrics, duplicate suppression,
+// in-order delivery, and bounded-retry degradation to TransportError.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,17 +137,19 @@ TEST(Reliability, StandaloneAcksFlowOnOneWayTraffic) {
 TEST(Reliability, ReverseTrafficPiggybacksAcks) {
   // Node 1 answers every delivery immediately, inside the delayed-ack
   // window, so its data packets carry the acks and standalone acks stay
-  // rare.
+  // rare. The ack is armed before the handler runs, so a reply sent from
+  // inside the delivery absorbs it: node 1 never sends a standalone ack,
+  // not even a redundant one repeating what its reply already carried.
+  constexpr int kPackets = 20;
   sim::Engine eng(1);
   CostModel costs = reliable_costs(0.0);
-  costs.reliability.ack_delay_ns = 30'000;
   Fabric f(eng, 2, Capabilities{}, costs);
   f.nic(0).register_protocol(1, [](Packet&&) {});
   f.nic(1).register_protocol(1, [&](Packet&& p) {
     f.nic(1).send(0, make_packet(1, get_header<TestHdr>(p).id + 1000));
   });
   eng.spawn("s", [&](sim::Context& ctx) {
-    for (int i = 0; i < 20; ++i) {
+    for (int i = 0; i < kPackets; ++i) {
       f.nic(0).send(1, make_packet(1, i));
       ctx.delay(15'000);
     }
@@ -156,6 +159,125 @@ TEST(Reliability, ReverseTrafficPiggybacksAcks) {
   EXPECT_GT(st1.acks_piggybacked, 0u);
   EXPECT_LT(st1.acks_sent, 20u)
       << "piggybacking should absorb most standalone acks";
+  EXPECT_EQ(st1.acks_sent, 0u);
+  EXPECT_EQ(st1.acks_piggybacked, static_cast<std::uint64_t>(kPackets));
+  EXPECT_EQ(f.nic(0).reliability()->unacked(1, 1), 0u);
+}
+
+TEST(Reliability, AckWindowNeverCausesASpuriousTimeout) {
+  // The delayed-ack window is a fifth of the RTO, so even at Table S9's
+  // shortest RTO a lossless one-way stream is acked before its timer fires,
+  // and the window still coalesces several deliveries into one ack.
+  constexpr int kPackets = 200;
+  sim::Engine eng(1);
+  Fabric f(eng, 2, Capabilities{}, reliable_costs(0.0, 10, /*rto=*/20'000));
+  f.nic(1).register_protocol(1, [](Packet&&) {});
+  eng.spawn("s", [&](sim::Context& ctx) {
+    for (int i = 0; i < kPackets; ++i) {
+      f.nic(0).send(1, make_packet(1, i));
+      ctx.delay(500);
+    }
+  });
+  eng.run();
+  const auto& tx = f.nic(0).reliability()->stats();
+  const auto& rx = f.nic(1).reliability()->stats();
+  EXPECT_EQ(tx.retransmits, 0u);
+  EXPECT_EQ(rx.duplicates_suppressed, 0u);
+  EXPECT_GT(rx.acks_sent, 0u);
+  EXPECT_LT(rx.acks_sent, static_cast<std::uint64_t>(kPackets) / 4)
+      << "a 4 us window spans 8 deliveries";
+  EXPECT_EQ(f.nic(0).reliability()->unacked(1, 1), 0u);
+}
+
+// One short burst over a 2-node fabric. A watcher process polls the
+// sender's unacked() count and records when it first reaches 0 after the
+// burst; the receiver's handler records each delivery time.
+struct AckTiming {
+  sim::Time last_delivery = 0;
+  sim::Time all_acked = 0;
+  sim::Time rtt = 0;  // two one-way trips of a small packet
+  std::uint64_t drops = 0;
+  ReliabilityStats tx, rx;
+};
+
+constexpr sim::Time kPoll = 100;  // watcher's polling step
+
+AckTiming run_acked_burst(std::uint64_t seed, double loss, int packets,
+                          sim::Time rto) {
+  sim::Engine eng(seed);
+  Fabric f(eng, 2, Capabilities{}, reliable_costs(loss, 10, rto));
+  AckTiming out;
+  out.rtt = 2 * f.transfer_time(0, 1, make_packet(1, 0).wire_size());
+  int delivered = 0;
+  f.nic(1).register_protocol(1, [&](Packet&&) {
+    ++delivered;
+    out.last_delivery = eng.now();
+  });
+  eng.spawn("s", [&](sim::Context& ctx) {
+    for (int i = 0; i < packets; ++i) f.nic(0).send(1, make_packet(1, i));
+    while (f.nic(0).reliability()->unacked(1, 1) != 0) ctx.delay(kPoll);
+    out.all_acked = ctx.now();
+  });
+  eng.run();
+  EXPECT_EQ(delivered, packets) << "exactly once";
+  out.drops = f.dropped_packets();
+  out.tx = f.nic(0).reliability()->stats();
+  out.rx = f.nic(1).reliability()->stats();
+  return out;
+}
+
+TEST(Reliability, FilledHoleIsAckedAtOnce) {
+  // Seed 1 drops one packet of the burst; the packets behind it are
+  // buffered, the gap ack triggers a fast copy, and the copy's arrival
+  // drains the reorder buffer. The receiver acks that at once, so the
+  // sender's window is clear one trip after the hole is filled, not when
+  // the delayed ack the first buffered packet armed expires (40 us at this
+  // RTO, well after the fast copy's round trip).
+  const AckTiming a = run_acked_burst(1, 0.1, 8, 200'000);
+  ASSERT_EQ(a.drops, 1u);
+  EXPECT_GT(a.rx.out_of_order_buffered, 0u);
+  EXPECT_EQ(a.tx.fast_retransmits, 1u);
+  EXPECT_EQ(a.tx.retransmits, 1u) << "no timer round";
+  EXPECT_LT(a.all_acked - a.last_delivery, a.rtt);
+}
+
+TEST(Reliability, DuplicateIsReackedAtOnce) {
+  // Seed 3 drops the receiver's ack of a single packet. The sender times
+  // out and re-sends it; the receiver suppresses the duplicate and acks at
+  // once, so the sender is clear one RTT after its timeout, not one RTT
+  // plus a delayed-ack window.
+  constexpr sim::Time kRto = 50'000;
+  const AckTiming a = run_acked_burst(3, 0.3, 1, kRto);
+  ASSERT_EQ(a.drops, 1u);
+  EXPECT_EQ(a.tx.retransmits, 1u);
+  EXPECT_EQ(a.rx.duplicates_suppressed, 1u);
+  EXPECT_EQ(a.rx.acks_sent, 2u) << "the lost delayed ack, then the re-ack";
+  EXPECT_LE(a.all_acked, kRto + a.rtt + kPoll);
+}
+
+TEST(Reliability, GoBackAllRoundGetsOneImmediateReack) {
+  // Seed 66 drops the receiver's one delayed ack for a burst of four. The
+  // sender's timeout re-sends all four; the receiver re-acks the first copy
+  // at once, and the three behind it, inside the same ack window, share
+  // one delayed ack instead of an immediate ack each.
+  constexpr sim::Time kRto = 50'000;
+  const AckTiming a = run_acked_burst(66, 0.2, 4, kRto);
+  ASSERT_EQ(a.drops, 1u);
+  EXPECT_EQ(a.tx.retransmits, 4u);
+  EXPECT_EQ(a.rx.duplicates_suppressed, 4u);
+  EXPECT_EQ(a.rx.acks_sent, 3u)
+      << "the lost delayed ack, one immediate re-ack, one delayed ack";
+  EXPECT_EQ(a.rx.ack_arms, a.rx.acks_sent + a.rx.acks_piggybacked);
+  EXPECT_LE(a.all_acked, kRto + a.rtt + kPoll);
+
+  // Seed 169 also drops the immediate re-ack. The delayed ack covers it
+  // one window later, before the sender's next (backed-off) round.
+  const AckTiming b = run_acked_burst(169, 0.2, 4, kRto);
+  ASSERT_EQ(b.drops, 2u);
+  EXPECT_EQ(b.tx.retransmits, 4u) << "no second timer round";
+  EXPECT_EQ(b.rx.duplicates_suppressed, 4u);
+  EXPECT_EQ(b.rx.acks_sent, 3u);
+  EXPECT_LE(b.all_acked, kRto + kRto / 5 + b.rtt + kPoll);
 }
 
 TEST(Reliability, RetryBudgetZeroFailsFastWithLinkName) {
