@@ -36,7 +36,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -133,6 +132,8 @@ struct EngineConfig {
 };
 
 class RmaEngine;
+class Replication;
+struct AmHdr;
 
 /// Completion handle for a nonblocking RMA operation.
 class Request {
@@ -157,6 +158,7 @@ class Request {
 
  private:
   friend class RmaEngine;
+  friend class Replication;
   struct State;
   Request(RmaEngine* e, std::shared_ptr<State> st)
       : eng_(e), st_(std::move(st)) {}
@@ -317,80 +319,15 @@ class RmaEngine {
   bool target_failed(int target_rank) const;
   sim::Time target_failed_at(int target_rank) const;
   /// Replication observability: mirrors this rank applied as a backup, and
-  /// how many replica regions it hosts.
-  std::uint64_t mirrors_applied() const { return mirrors_applied_total_; }
-  std::size_t replicas_hosted() const { return replica_bufs_.size(); }
+  /// how many replica regions it hosts (0 with replication off).
+  std::uint64_t mirrors_applied() const;
+  std::size_t replicas_hosted() const;
 
  private:
   friend class Request;
+  friend class Replication;
 
-  /// Header of every active message on the engine's AM channel (the wire
-  /// format: sent as raw bytes by fabric::set_header).
-  struct AmHdr {
-    enum class Kind : std::uint8_t {
-      data_op,      // put/get/accumulate routed through software (serializer)
-      op_ack,       // software remote-completion ack for a data_op put/acc
-      get_reply,    // data for a software get
-      rmw_op,       // software read-modify-write
-      rmw_reply,    // previous value for a software RMW
-      count_query,  // "how many of my data ops have landed?"
-      count_reply,
-      lock_req,     // coarse-grain process-level lock protocol
-      lock_grant,
-      lock_release,
-      rmi_op,       // remote method invocation (§V optype expansion)
-      rmi_reply,
-      repl_create,      // owner -> backup: register a replica region
-      repl_ready,       // backup -> owner: replica registered (or refused)
-      repl_mirror,      // origin -> backup: mirrored put/accumulate block
-      repl_mirror_rmw,  // origin -> backup: mirrored RMW (semantic replay)
-      repl_mirror_ack,  // backup -> origin: cumulative applied mirror seq
-      repl_adopt,       // acting primary -> fresh backup: adopt a replica
-                        // (snapshot burst follows on the same mirror stream)
-      repl_sync_done,   // acting primary -> fresh backup: snapshot complete
-      repl_probe,       // origin -> candidate: is your copy complete + live?
-      repl_probe_ack,   // candidate -> origin: value_a 1 = ready, 0 = lost,
-                        // 2 = copy still materializing (retry, not a verdict)
-      repl_region_fwd,  // origin -> serving copy: re-publish [offset,
-                        // offset+length) from your authoritative memory to
-                        // your current backup. Repairs committed RMWs and
-                        // accumulates whose mirror lost its destination: a
-                        // client-side semantic replay double-applies when
-                        // the fresh backup's snapshot has the effect
-      repl_region_fwd_done,  // serving copy -> origin: the requested region
-                             // is on the wire to the backup (or was
-                             // dropped); releases mirrors the origin held
-                             // for ordering
-      bye,              // teardown handshake: sender has entered quiesce
-      notify_fire,      // origin -> surviving copy: re-arm the notification
-                        // of a rescued notified op (mem_id = window, offset
-                        // = disp, length = bytes, value_a = tag)
-    };
-
-    Kind kind = Kind::data_op;
-    RmaOptype op = RmaOptype::put;
-    portals::AccOp acc = portals::AccOp::replace;
-    portals::RmwOp rmw = portals::RmwOp::fetch_add;
-    portals::NumType nt = portals::NumType::i64;
-    std::uint64_t mem_id = 0;
-    std::uint64_t offset = 0;  // byte offset within the attached region;
-                               // get_reply: destination offset at the origin
-    std::uint64_t length = 0;
-    std::uint64_t req_id = 0;
-    std::uint64_t value_a = 0;  // rmw operand / reply offset / count value
-    std::uint64_t value_b = 0;  // rmw second operand (compare_swap desired)
-  };
-  // Every AM's wire size, and with it every virtual result, includes it.
-  static_assert(sizeof(AmHdr) == 56, "AmHdr wire size changed");
-  struct AmMsg {
-    int src = -1;
-    std::vector<std::byte> payload;
-    AmHdr hdr;
-    // Latency attribution: the packet's op tag and its delivery time, so the
-    // serializer can report queueing (serialize_wait) vs execution (apply).
-    std::uint64_t op = 0;
-    sim::Time arrived = 0;
-  };
+  struct AmMsg;
   struct PerTarget {
     std::uint64_t issued = 0;     // put-like segments sent
     std::uint64_t issued_rc = 0;  // of those, how many will be confirmed
@@ -409,60 +346,9 @@ class RmaEngine {
     int held_by = -1;
     std::deque<std::pair<int, std::uint64_t>> waiters;  // (rank, lock_req id)
   };
-  // ----- window replication (runtime::ReplicationConfig) --------------------
-  //
-  // Origins mirror every put/accumulate/RMW on a replicated window to the
-  // backup rank over a per-(origin, backup) cumulatively-acked sequence
-  // stream, piggybacked on the AM channel. The backup applies mirrors
-  // in-order directly to its replica region (no serializer dispatch, no
-  // am_applied accounting). When the primary dies, in-flight puts complete
-  // once their highest mirror seq is acked, gets are re-driven at the
-  // backup, and unacked mirrors are re-sent (the "acked by primary but not
-  // yet mirrored" re-sync window).
-  struct ReplPending {  // origin-side resync log entry (one mirror message)
-    std::uint64_t seq = 0;
-    int primary = -1;  // world rank whose death makes this worth re-sending
-    AmHdr hdr;
-    std::vector<std::byte> payload;
-  };
-  struct ReplLedger {  // origin-side stream state, one per backup rank
-    std::uint64_t sent = 0;     // entries logged (lazy mode logs > transmits)
-    std::uint64_t flushed = 0;  // entries actually transmitted; eager keeps
-                                // flushed == sent, lazy defers until failover
-    std::uint64_t acked = 0;
-    std::deque<ReplPending> pending;  // sent but not yet cumulatively acked
-  };
-  struct ReplHeld {  // backup-side out-of-order mirror (unordered networks)
-    AmHdr hdr;
-    std::vector<std::byte> payload;
-  };
-  struct ReplIn {  // backup-side stream state, one per origin rank
-    std::uint64_t applied = 0;  // cumulative in-order seq applied
-    std::map<std::uint64_t, ReplHeld> held;
-  };
-  // ----- multi-crash survivability (re-replication) --------------------------
-  //
-  // Every copy of a replicated window (owner or backup) keeps a registry
-  // entry. The succession chain of window w is
-  //   chain(k) = (owner0 + k*backup_offset) mod ranks,  owner0 = w >> 32,
-  // skipping dead and endian-mismatched ranks; every engine computes it
-  // identically from the globally consistent failure-detector state. After a
-  // death the first live chain member (the acting primary) bursts a snapshot
-  // of its copy to the next live eligible member, restoring redundancy.
-  struct ReplWindow {
-    std::uint64_t length = 0;
-    int cur_backup = -1;  // live backup this copy mirrors/forwards to (-1:
-                          // none — plain backups never forward)
-    int materializing_from = -1;  // adoptee: snapshot source, -1 once synced
-    bool lost = false;  // snapshot source died mid-burst: copy incomplete
-  };
-  struct GatedMirror {  // mirror parked while this rank's copy materializes
-    int src = -1;
-    AmHdr hdr;
-    std::vector<std::byte> payload;
-  };
 
   // Issue paths.
+  /// The issuing half of xfer(), which validates and counts the op once.
   Request do_xfer(RmaOptype op, portals::AccOp acc_op,
                   std::uint64_t origin_addr, std::uint64_t origin_count,
                   const dt::Datatype& origin_dt, const TargetMem& mem,
@@ -524,82 +410,9 @@ class RmaEngine {
   void send_am(int world_target, const AmHdr& hdr,
                std::vector<std::byte> payload, std::uint64_t op = 0);
 
-  // Replication machinery.
-  /// Mirror one put/accumulate block to `mem.backup` (process context;
-  /// charges inject overhead) and stamp the request's rescue state.
-  void mirror_block(const std::shared_ptr<Request::State>& st, bool is_acc,
-                    portals::AccOp acc_op, portals::NumType nt,
-                    const TargetMem& mem, std::uint64_t offset,
-                    std::uint64_t src_addr, std::uint64_t len);
-  /// Mirror a completed RMW (semantic op + operands; the backup replays it).
-  void mirror_rmw(portals::RmwOp op, const TargetMem& mem, std::uint64_t disp,
-                  std::uint64_t a, std::uint64_t b);
-  /// Log one mirror on this origin's stream to `mem.backup` and transmit
-  /// it (charging inject overhead) unless lazy mode or a region-repair hold
-  /// defers it. `st`, if any, is the op the mirror covers.
-  void log_mirror(const TargetMem& mem, AmHdr h,
-                  std::vector<std::byte> payload, Request::State* st);
-  /// Ask the live primary of `mem_id` to re-publish `[offset,
-  /// offset+length)` to its current backup (repl_region_fwd). Replicates a
-  /// committed RMW or accumulate when a semantic replay could double-apply
-  /// or has nowhere safe to go: the bytes ride the primary's own in-order
-  /// stream behind its snapshot burst, so the copy converges to the
-  /// authoritative value. Fire-and-forget, event-context safe.
-  void region_fwd(int primary, std::uint64_t mem_id, std::uint64_t offset,
-                  std::uint64_t length);
-  /// Backup side: apply one in-order mirror to the replica region.
-  void apply_mirror(const AmHdr& h, std::span<const std::byte> payload);
-  /// Block until the mirror stream to `backup` is fully acked (or the
-  /// backup dies). Called before re-targeting ops at the replica.
-  void failover_sync(int backup);
-  /// Succession chain of window `mem_id` in world-rank space: distinct
-  /// members in order starting at the original owner, dead/endian-mismatched
-  /// ranks included (callers filter) so every engine agrees on positions.
-  std::vector<int> chain_members(std::uint64_t mem_id) const;
-  /// Configured endianness of a world rank's node.
-  Endian node_endian(int world_rank) const;
-  /// True when `world_rank` may host a copy of `mem_id` (alive + endian
-  /// matches the original owner's node).
-  bool chain_eligible(int world_rank, std::uint64_t mem_id) const;
-  /// First live eligible chain member (the acting primary), or -1.
-  int chain_first_alive(std::uint64_t mem_id) const;
-  /// Next live eligible chain member strictly after `after`, or -1.
-  int chain_next_alive(std::uint64_t mem_id, int after) const;
-  /// Event context, end of on_target_failed: for every registered window
-  /// whose chain changed, the acting primary re-replicates (adopt + snapshot
-  /// burst + sync-done) to the next live eligible member.
-  void update_replication_roles(int dead_node);
-  /// Log + transmit one raw mirror on this rank's own ledger stream to
-  /// `backup` (no inject delay charge; event-context safe). Used by the
-  /// re-replication snapshot burst and in-flight mirror forwarding.
-  void mirror_raw(int backup, const AmHdr& h, std::vector<std::byte> payload);
-  /// Transmit every logged-but-untransmitted entry on the ledger stream to
-  /// `backup` in seq order and advance the flush point (event-context safe).
-  /// Releases lazily deferred tails and region-repair holds alike.
-  void flush_deferred(int backup);
-  /// Release one region-repair hold on the stream to `backup` (-1: none);
-  /// the last release flushes the deferred tail.
-  void release_hold(int backup);
-  /// Expose a replica region of window `mem_id` on this rank under the
-  /// window's own id (repl_create, repl_adopt).
-  void host_replica(std::uint64_t mem_id, std::uint64_t length,
-                    int materializing_from);
-  /// Backup side: accept one in-order mirror — apply it, gate it while this
-  /// copy materializes, or park it pre-adoption; then forward it when this
-  /// rank is an acting primary with a live backup.
-  void route_mirror(int src, const AmHdr& h, std::span<const std::byte> payload);
-  /// Blocking readiness probe: does `target` host a complete, live copy of
-  /// `mem_id`? Cached per window; used only when failover walks past the
-  /// handle's own owner/backup pair. A mid-materialization answer is
-  /// retried (the copy may complete moments later); only a definitive
-  /// unhosted/lost answer caches the window as lost.
-  bool probe_replica(int target, std::uint64_t mem_id);
-  /// Re-drive rescued gets at their backup once its mirror stream is flushed.
-  void drain_reissues();
-  /// Failover target resolution: owner if alive, else the live backup
-  /// (after failover_sync). Throws nothing; *ok=false when no copy can
-  /// serve and *status is the error to report.
-  TargetMem effective_mem(const TargetMem& mem, bool* ok, OpStatus* status);
+  /// Failover target resolution (Replication::resolve). With replication
+  /// off `*eff` is `mem`, and a dead owner is target_failed.
+  OpStatus resolve(const TargetMem& mem, TargetMem* eff);
   /// False when the lock target is (or dies while we wait to become) a
   /// failed rank — there is no lock manager left to grant.
   bool lock_acquire(int world_target);
@@ -613,19 +426,15 @@ class RmaEngine {
   void handle_eq_event(const portals::Event& ev);
   /// One confirmation (hardware ACK or software op_ack) from `world_rank`.
   void count_ack(int world_rank);
-  /// Create the notification queue for a window copy this rank hosts and
-  /// register it as the Portals notify sink for the window's match bits.
-  /// Simulation-invisible (no time, no rng, no traffic).
-  void register_notify_queue(std::uint64_t mem_id);
+  /// Expose [base, base+length) under window id `mem_id`: match entry,
+  /// attached region, and the notification queue registered as the Portals
+  /// notify sink for the window's match bits (owner and replica copies).
+  void expose(std::uint64_t mem_id, std::uint64_t base, std::uint64_t length);
   /// Enqueue a notification on window `mem_id`'s local queue (every fire
   /// path — wire sink, AM/serializer path, replication re-arms — funnels
   /// here); counts a drop when this rank hosts no queue for it.
   /// Event-context safe (no time, no blocking).
   void fire_notify_local(std::uint64_t mem_id, const notify::Notification& n);
-  /// Re-arm the notification of a rescued in-flight op at the backup that
-  /// absorbed its mirrors: sends AmHdr::Kind::notify_fire so the surviving
-  /// copy's queue sees the op exactly once. Event-context safe.
-  void rearm_notify(const Request::State& st);
   /// Failure detector: `node` (world rank) was announced dead. Drains every
   /// pending op addressed to it with target_failed status, reconciles the
   /// per-target counters so flush predicates converge, and repairs the
@@ -636,27 +445,22 @@ class RmaEngine {
   /// a dangling death listener or claimed AM protocol behind).
   void dispose();
   void quiesce();
-  /// True once this rank has entered quiesce and every other live member's
-  /// bye has been seen: no peer issues new ops past its bye, and any peer
-  /// may dispose the moment its own predicates hold, so no new forward
-  /// traffic may be aimed at one.
-  bool peers_quiesced() const;
   /// Tracing: close the request's rma span and record its latency sample.
   /// No-op when the request was issued untraced.
   void finish_trace(Request::State& st);
 
   PerTarget& per(int world_rank);
   const PerTarget& per(int world_rank) const;
+  /// Failure detector: has `world_rank` been declared dead?
+  bool dead(int world_rank) const {
+    return target_failed_[static_cast<std::size_t>(world_rank)] != 0;
+  }
   /// Register a new request to `world_target`. One awaiting `replies`
   /// AM/portals replies completes on those, never on SEND events.
   std::shared_ptr<Request::State> new_req(int world_target,
                                           std::uint32_t replies = 0);
   /// Complete a request with `status` and retire it.
   void settle(Request::State& st, OpStatus status = OpStatus::ok);
-  /// Complete a rescued put/accumulate whose mirrors the backup has acked.
-  void finish_rescue(Request::State& st);
-  /// Fail a rescued request whose backup died too.
-  void lose_replica(Request::State& st, int backup);
   std::shared_ptr<Request::State> find_req(std::uint64_t id);
   void finish_segment(const std::shared_ptr<Request::State>& st);
 
@@ -682,14 +486,14 @@ class RmaEngine {
   std::unordered_map<std::uint64_t, std::shared_ptr<Request::State>> reqs_;
   std::uint64_t next_req_ = 1;
 
-  // Incoming atomic/fallback ops awaiting the executor.
-  std::shared_ptr<sim::Channel<AmMsg>> am_chan_;  // comm_thread serializer
+  // Incoming atomic/fallback ops awaiting the serializer: the comm thread
+  // receives them, the other serializers drain them in progress().
+  std::shared_ptr<sim::Channel<AmMsg>> am_chan_;
   /// The engine's liveness token, shared with the comm thread and every
   /// engine timer: dispose() clears it, so queued messages and pending
   /// timers stand down instead of touching a destroyed engine (a killed
   /// rank's engine lives on its unwound fiber stack).
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-  std::deque<AmMsg> pending_am_;                  // progress serializer
   std::unordered_map<int, std::uint64_t> am_applied_from_;
   std::uint64_t am_applied_total_ = 0;
 
@@ -702,53 +506,14 @@ class RmaEngine {
   std::unordered_map<int, std::uint64_t> lock_hold_spans_;
   std::unordered_map<int, RmiHandler> rmi_handlers_;
   OpStats stats_;
-  // Replication state. All maps stay empty with replication off, so
-  // healthy-path lookups are no-ops and fault-free runs are byte-identical.
-  std::unordered_map<int, ReplLedger> repl_out_;   // by backup world rank
-  std::unordered_map<int, ReplIn> repl_in_;        // by origin world rank
-  // Rescued puts parked until their mirror seq is acked, by backup rank
-  // (insertion = request-id order, preserved for deterministic completion).
-  std::unordered_map<int, std::vector<std::uint64_t>> repl_waiters_;
-  std::deque<std::uint64_t> repl_reissue_;  // rescued gets awaiting re-drive
-  // Replica regions this rank hosts as a backup: mem id -> allocated base
-  // (freed at dispose; also marks ids in attached_ that are replicas).
-  std::map<std::uint64_t, std::uint64_t> replica_bufs_;
-  std::uint64_t mirrors_applied_total_ = 0;
-  // Re-replication registry: every copy (owner or backup) this rank hosts.
-  std::map<std::uint64_t, ReplWindow> repl_windows_;
-  // Mirrors accepted (acked on the origin stream) but not yet applicable:
-  // parked until the local copy finishes materializing / is adopted.
-  std::map<std::uint64_t, std::deque<GatedMirror>> mat_gate_;
-  std::map<std::uint64_t, std::deque<GatedMirror>> pre_adopt_gate_;
-  // Failover probe cache: window -> rank verified ready (invalidated when
-  // that rank dies); windows verified lost short-circuit to replica_lost.
-  std::map<std::uint64_t, int> probe_ok_;
-  std::set<std::uint64_t> lost_windows_;
-  // Region-repair ordering: outstanding repl_region_fwd requests by serving
-  // primary (FIFO per fabric pair keeps confirmations aligned with their
-  // request; each entry is the backup stream held for that request, -1 =
-  // none), and the per-backup count of holds currently deferring this
-  // origin's fresh mirrors (released — tail flushed — when it hits 0).
-  std::map<int, std::deque<int>> fwd_inflight_;
-  std::map<int, int> fwd_hold_;
+  // Window replication; null unless WorldConfig::replication.enabled.
+  std::unique_ptr<Replication> repl_;
   // Failure detector state, indexed by world rank. Healthy-path code only
   // reads these flags, so fault-free runs are byte-identical.
   std::vector<char> target_failed_;
   std::vector<sim::Time> target_failed_at_;
   int death_listener_ = -1;
-  bool draining_reissues_ = false;  // re-entrancy guard: chain-aware re-walk
-                                    // inside drain_reissues may progress()
-  // Fault-robust teardown (replication only): an engine leaves by sending
-  // `bye` to every comm member and parks — still serving mirrors, probes,
-  // adoption streams and retargeted ops — until every live member has said
-  // bye too (dead members count via the death announcement). The plain
-  // dissemination barrier releases waiters the instant a round partner dies,
-  // which would tear a chain member's engine down while a re-replication
-  // burst is in flight to it.
-  bool quiescing_ = false;
-  std::vector<std::uint8_t> bye_seen_;  // world-rank indexed
   bool disposed_ = false;
-  bool shutting_down_ = false;
 };
 
 }  // namespace m3rma::core

@@ -183,27 +183,7 @@ void Win::issue_put_like(bool is_acc, portals::AccOp op,
   }
 
   const portals::NumType nt =
-      is_acc ? [&] {
-        using dt::LeafKind;
-        switch (target_dt.uniform_leaf()) {
-          case LeafKind::bytes:
-          case LeafKind::i8:
-            return portals::NumType::i8;
-          case LeafKind::i16:
-            return portals::NumType::i16;
-          case LeafKind::i32:
-            return portals::NumType::i32;
-          case LeafKind::i64:
-            return portals::NumType::i64;
-          case LeafKind::u64:
-            return portals::NumType::u64;
-          case LeafKind::f32:
-            return portals::NumType::f32;
-          case LeafKind::f64:
-            return portals::NumType::f64;
-        }
-        throw Panic("unknown LeafKind");
-      }()
+      is_acc ? portals::num_type_of(target_dt.uniform_leaf())
              : portals::NumType::i8;
 
   sim::Context& ctx = rank_->ctx();

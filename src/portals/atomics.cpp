@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/diagnostics.hpp"
+#include "datatype/datatype.hpp"
 
 namespace m3rma::portals {
 
@@ -22,6 +23,28 @@ std::size_t num_size(NumType t) {
       return 8;
   }
   throw Panic("unknown NumType");
+}
+
+NumType num_type_of(dt::LeafKind k) {
+  using dt::LeafKind;
+  switch (k) {
+    case LeafKind::bytes:
+    case LeafKind::i8:
+      return NumType::i8;
+    case LeafKind::i16:
+      return NumType::i16;
+    case LeafKind::i32:
+      return NumType::i32;
+    case LeafKind::i64:
+      return NumType::i64;
+    case LeafKind::u64:
+      return NumType::u64;
+    case LeafKind::f32:
+      return NumType::f32;
+    case LeafKind::f64:
+      return NumType::f64;
+  }
+  throw Panic("unknown LeafKind");
 }
 
 bool acc_op_valid_for(AccOp op, NumType t) {

@@ -17,6 +17,10 @@
 
 #include "common/byteorder.hpp"
 
+namespace m3rma::dt {
+enum class LeafKind : std::uint8_t;
+}  // namespace m3rma::dt
+
 namespace m3rma::portals {
 
 /// Reduction applied per element by accumulate.
@@ -50,6 +54,8 @@ enum class NumType : std::uint8_t {
 };
 
 std::size_t num_size(NumType t);
+/// Element type of a datatype leaf (opaque bytes combine as i8).
+NumType num_type_of(dt::LeafKind k);
 bool acc_op_valid_for(AccOp op, NumType t);
 
 /// Apply `op` element-wise: target[i] = op(target[i], operand[i]).

@@ -180,10 +180,7 @@ std::optional<Time> OpTimeline::latency_percentile(
   }
   if (v.empty()) return std::nullopt;
   std::sort(v.begin(), v.end());
-  // Same nearest-rank rule as Recorder::percentile, 1/10-percent steps.
-  const auto q = static_cast<std::size_t>(pct * 10.0 + 0.5);
-  const std::size_t rank = (q * v.size() + 999) / 1000;
-  return v[std::min(std::max<std::size_t>(rank, 1), v.size()) - 1];
+  return nearest_rank(v, pct);
 }
 
 void OpTimeline::write_flame(std::ostream& os) const {

@@ -173,21 +173,14 @@ std::optional<Recorder::HistSummary> Recorder::histogram(
   if (it == hists_.end() || it->second.empty()) return std::nullopt;
   std::vector<Time> v = it->second;
   std::sort(v.begin(), v.end());
-  // Nearest-rank percentiles: exact on the recorded samples, no
-  // interpolation, so summaries are integers and deterministic. q is in
-  // permille so p99.9 stays integer math.
-  auto pct = [&](std::size_t q) {
-    const std::size_t rank = (q * v.size() + 999) / 1000;  // ceil(q*n/1000)
-    return v[std::max<std::size_t>(rank, 1) - 1];
-  };
   HistSummary s;
   s.count = v.size();
   s.min = v.front();
   s.max = v.back();
-  s.p50 = pct(500);
-  s.p90 = pct(900);
-  s.p99 = pct(990);
-  s.p999 = pct(999);
+  s.p50 = nearest_rank(v, 50.0);
+  s.p90 = nearest_rank(v, 90.0);
+  s.p99 = nearest_rank(v, 99.0);
+  s.p999 = nearest_rank(v, 99.9);
   Time sum = 0;
   for (Time x : v) sum += x;
   s.mean = sum / v.size();
@@ -202,10 +195,13 @@ std::optional<Time> Recorder::percentile(const std::string& name,
   if (it == hists_.end() || it->second.empty()) return std::nullopt;
   std::vector<Time> v = it->second;
   std::sort(v.begin(), v.end());
-  // Same nearest-rank rule as histogram(), at 1/10-percent resolution.
+  return nearest_rank(v, pct);
+}
+
+Time nearest_rank(const std::vector<Time>& sorted, double pct) {
   const auto q = static_cast<std::size_t>(pct * 10.0 + 0.5);
-  const std::size_t rank = (q * v.size() + 999) / 1000;
-  return v[std::min(std::max<std::size_t>(rank, 1), v.size()) - 1];
+  const std::size_t rank = (q * sorted.size() + 999) / 1000;
+  return sorted[std::min(std::max<std::size_t>(rank, 1), sorted.size()) - 1];
 }
 
 void Recorder::for_each_span(const SpanVisitor& fn) const {

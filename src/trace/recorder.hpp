@@ -48,6 +48,11 @@ class OpTimeline;
 /// trace does not depend on simtime).
 using Time = std::uint64_t;
 
+/// Nearest-rank percentile of `sorted` (ascending, non-empty), pct in
+/// (0, 100]: the sample of rank ceil(q*n/1000), q = pct in permille. Exact
+/// and integer, no interpolation; every reported percentile uses it.
+Time nearest_rank(const std::vector<Time>& sorted, double pct);
+
 enum class Category : std::uint8_t {
   sim,          ///< engine internals: process block/wake, event dispatch
   fabric,       ///< raw network: per-link packet flights, drops

@@ -359,6 +359,7 @@ TEST(Notify, ExactlyOnceAtSurvivingCopyAcrossFailover) {
   std::vector<std::uint32_t> survivor_tags;
   std::vector<OpStatus> statuses;
   std::uint64_t rearmed = 0, fired_at_backup = 0;
+  std::uint64_t dropped[4] = {};
   w.run([&](Rank& r) {
     RmaEngine eng(r, r.comm_world());
     auto [buf, mems] = eng.allocate_shared(128 * 1024);
@@ -406,7 +407,11 @@ TEST(Notify, ExactlyOnceAtSurvivingCopyAcrossFailover) {
       fired_at_backup = eng.stats().notifies_fired;
     }
     eng.complete_collective();
+    dropped[r.id()] = eng.stats().notifies_dropped;
   });
+  // Every fire found its queue: no re-arm or retargeted op reached a rank
+  // without the window's copy (the victim cannot report; it stays 0).
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(dropped[i], 0u) << "rank " << i;
   // Every op in the stream completed ok: rescued through its mirror or
   // transparently retargeted to the backup.
   ASSERT_EQ(statuses.size(), static_cast<std::size_t>(kOps));

@@ -115,6 +115,9 @@ TEST(Replication, DisabledIsInert) {
     // Unreplicated handles keep the original 31-byte wire blob.
     EXPECT_EQ(mems[static_cast<std::size_t>(r.id())].serialize().size(), 31u);
     EXPECT_EQ(eng.stats().mirrored_ops, 0u);
+    EXPECT_EQ(eng.stats().forwarded_mirrors, 0u);
+    EXPECT_EQ(eng.stats().probes_sent, 0u);
+    EXPECT_EQ(eng.stats().notifies_dropped, 0u);
     EXPECT_EQ(eng.mirrors_applied(), 0u);
     EXPECT_EQ(eng.replicas_hosted(), 0u);
   });
@@ -289,6 +292,7 @@ TEST(Replication, SecondCrashAfterRereplicationSurvives) {
   World w(cfg);
   std::uint64_t rerepl = 0, rerepl_bytes = 0;
   std::uint64_t fa_pre = 1, fa_mid = 1, fa_post = 1;
+  std::uint64_t probes = 0;
   bool put_post_ok = false;
   std::vector<std::uint64_t> got;
   w.run([&](Rank& r) {
@@ -332,8 +336,12 @@ TEST(Replication, SecondCrashAfterRereplicationSurvives) {
     EXPECT_FALSE(g.failed());
     got = load<std::uint64_t>(r, dst.addr, 4);
     EXPECT_EQ(eng.stats().replica_lost_ops, 0u);
+    probes = eng.stats().probes_sent;
   });
   EXPECT_GE(rerepl, 1u) << "backup death must trigger re-replication";
+  // Rank 3's copy is past the handle's own owner/backup pair: the chain
+  // walk had to probe it before trusting it.
+  EXPECT_GT(probes, 0u);
   EXPECT_GE(rerepl_bytes, 64u);
   EXPECT_TRUE(put_post_ok);
   EXPECT_EQ(fa_pre, 0u);
@@ -854,12 +862,17 @@ TEST(Replication, LazyAdopteeIsEchoedItsOwnResyncedWrites) {
   World w(cfg);
   std::vector<std::uint64_t> got;
   std::uint64_t lost_ops = 1;
+  std::uint64_t forwarded[4] = {};  // OpStats::forwarded_mirrors
   w.run([&](Rank& r) {
     const int me = r.id();
     RmaEngine eng(r, r.comm_world());
     auto [buf, mems] = eng.allocate_shared(64);
     if (me == 1 || me == 2) {
-      r.ctx().delay(2'000'000);
+      // Rank 2 acts as primary between the crashes (400 and 800 us): read
+      // its relay count before it dies too.
+      r.ctx().delay(600'000);
+      forwarded[me] = eng.stats().forwarded_mirrors;
+      r.ctx().delay(1'400'000);
       return;
     }
     if (me == 3) {
@@ -882,6 +895,9 @@ TEST(Replication, LazyAdopteeIsEchoedItsOwnResyncedWrites) {
     got = load<std::uint64_t>(r, dst.addr, 8);
     lost_ops = eng.stats().replica_lost_ops;
   });
+  // The echo itself: acting primary 2 relayed the resynced mirrors that
+  // reached it as the old backup on to the adoptee.
+  EXPECT_GT(forwarded[2], 0u);
   ASSERT_EQ(got.size(), 8u);
   for (std::uint64_t i = 0; i < 8; ++i) {
     EXPECT_EQ(got[i], 0x3000 + i) << "slot " << i
