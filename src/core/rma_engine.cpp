@@ -45,29 +45,6 @@ constexpr sim::Time kFlushRetryNs = 2000;
 /// Local copy engine speed for pack/unpack staging (bytes per ns).
 constexpr double kCopyBytesPerNs = 8.0;
 
-dt::Datatype leaf_datatype(dt::LeafKind k) {
-  using dt::LeafKind;
-  switch (k) {
-    case LeafKind::bytes:
-      return dt::Datatype::byte();
-    case LeafKind::i8:
-      return dt::Datatype::int8();
-    case LeafKind::i16:
-      return dt::Datatype::int16();
-    case LeafKind::i32:
-      return dt::Datatype::int32();
-    case LeafKind::i64:
-      return dt::Datatype::int64();
-    case LeafKind::u64:
-      return dt::Datatype::uint64();
-    case LeafKind::f32:
-      return dt::Datatype::float32();
-    case LeafKind::f64:
-      return dt::Datatype::float64();
-  }
-  throw Panic("unknown LeafKind");
-}
-
 std::uint64_t u64_to_endian_bytes(std::uint64_t v, Endian e,
                                   std::byte* out8) {
   std::memcpy(out8, &v, 8);
@@ -446,7 +423,9 @@ Request RmaEngine::do_xfer(RmaOptype op, portals::AccOp acc_op,
     return Request(this, std::move(failed));
   }
 
-  auto st = new_req(eff.owner);
+  const bool locked = attrs.has(RmaAttr::atomicity) &&
+                      cfg_.serializer == SerializerKind::coarse_lock;
+  auto st = new_req(locked ? -1 : eff.owner);
   if (notify_tag_) {
     // Read, not consumed: the reissue-from-scratch recursion below must
     // re-apply the tag to the replacement request.
@@ -481,10 +460,32 @@ Request RmaEngine::do_xfer(RmaOptype op, portals::AccOp acc_op,
     stall_for_order(eff.owner);
   }
 
-  if (attrs.has(RmaAttr::atomicity) &&
-      cfg_.serializer == SerializerKind::coarse_lock) {
-    issue_locked_op(st, op, acc_op, origin_addr, origin_count, origin_dt,
-                    eff, mem, target_disp, target_count, target_dt, attrs);
+  if (locked && op == RmaOptype::accumulate && !ptl_->supports_atomics()) {
+    // Get-modify-put under the lock: the classic emulation when neither NIC
+    // atomics nor an extra execution context exist. The image is kept in
+    // this node's byte order; the direct get/put convert on the wire.
+    const portals::NumType nt =
+        portals::num_type_of(target_dt.uniform_leaf());
+    const std::uint64_t bytes = target_dt.size() * target_count;
+    auto& m = rank_->memory();
+    const std::uint64_t image = m.alloc(std::max<std::uint64_t>(bytes, 1));
+    settle(*st, locked_sequence(
+                    st, RmaOptype::put, portals::AccOp::replace, image, bytes,
+                    dt::Datatype::byte(), mem, eff, target_disp, target_count,
+                    target_dt, [&] {
+                      const std::uint64_t operand = pack_origin(
+                          origin_addr, origin_count, origin_dt, target_dt,
+                          target_count, m.config().endian);
+                      portals::apply_acc(acc_op, nt, m.raw(image),
+                                         m.raw(operand), bytes,
+                                         m.config().endian);
+                      m.dealloc(operand);
+                    }));
+    m.dealloc(image);
+  } else if (locked) {
+    settle(*st, locked_sequence(st, op, acc_op, origin_addr, origin_count,
+                                origin_dt, mem, eff, target_disp,
+                                target_count, target_dt, nullptr));
   } else {
     // Atomic ops go to the target's serializer. So does accumulate without
     // NIC atomics: element atomicity needs target-side software (§III-B1),
@@ -494,19 +495,19 @@ Request RmaEngine::do_xfer(RmaOptype op, portals::AccOp acc_op,
         (op == RmaOptype::accumulate && !ptl_->supports_atomics());
     issue_blocks(st, op, acc_op, via_am, origin_addr, origin_count,
                  origin_dt, eff, target_disp, target_count, target_dt, attrs);
-  }
-
-  if (st->pending == 0 && !st->done) settle(*st);  // zero-byte transfer
-
-  if (st->done && st->status == OpStatus::target_failed && mem.backup >= 0) {
-    // The target died while this op was still being injected: the fault
-    // drain found a request with no block (and hence no mirror) on the wire
-    // yet, which it cannot rescue. Nothing was sent, so reissue from
-    // scratch — the effective-target resolution now lands on the backup,
-    // or fails fast for real if the backup is gone too. The op was counted
-    // once, by xfer().
-    return do_xfer(op, acc_op, origin_addr, origin_count, origin_dt, mem,
-                   target_disp, target_count, target_dt, target_rank, attrs);
+    if (st->pending == 0 && !st->done) settle(*st);  // zero-byte transfer
+    if (st->done && st->status == OpStatus::target_failed &&
+        mem.backup >= 0) {
+      // The target died while this op was still being injected: the fault
+      // drain found a request with no block (and hence no mirror) on the
+      // wire yet, which it cannot rescue. Nothing was sent, so reissue from
+      // scratch — the effective-target resolution now lands on the backup,
+      // or fails fast for real if the backup is gone too. The op was
+      // counted once, by xfer().
+      return do_xfer(op, acc_op, origin_addr, origin_count, origin_dt, mem,
+                     target_disp, target_count, target_dt, target_rank,
+                     attrs);
+    }
   }
   Request req(this, st);
   if (attrs.has(RmaAttr::blocking)) req.wait();
@@ -648,139 +649,82 @@ void RmaEngine::issue_blocks(const std::shared_ptr<Request::State>& st,
   }
 }
 
-void RmaEngine::issue_locked_op(const std::shared_ptr<Request::State>& st,
-                                RmaOptype op, portals::AccOp acc_op,
-                                std::uint64_t origin_addr,
-                                std::uint64_t origin_count,
-                                const dt::Datatype& origin_dt,
-                                const TargetMem& mem,
-                                const TargetMem& orig_mem,
-                                std::uint64_t target_disp,
-                                std::uint64_t target_count,
-                                const dt::Datatype& target_dt, Attrs attrs) {
-  const int t = mem.owner;
-  // Attribution: the lock acquire and the inner get/put are child requests
-  // of this op — alias their tags so their work lands on the parent.
+OpStatus RmaEngine::locked_sequence(
+    const std::shared_ptr<Request::State>& st, RmaOptype op,
+    portals::AccOp acc_op, std::uint64_t origin_addr,
+    std::uint64_t origin_count, const dt::Datatype& origin_dt,
+    const TargetMem& mem, TargetMem eff, std::uint64_t target_disp,
+    std::uint64_t target_count, const dt::Datatype& target_dt,
+    const std::function<void()>& combine) {
+  // Attribution: the lock acquires and the children alias into the parent
+  // op, so their work lands on it.
   const std::uint64_t ptag = trace::op_tag(rank_->id(), st->id);
   auto* tl = trace::timeline(rank_->world().engine().tracer());
   const bool attr = tl != nullptr && tl->tracks(ptag);
   ScopedSet<std::uint64_t> parent_scope(attr_parent_,
                                         attr ? ptag : attr_parent_);
-  // One blocking data-moving child, issued directly at the locked target.
-  // For a notified op the child that carries the user's data inherits the
-  // tag (and with it the wire fire and any failover re-arm).
-  auto issue_child = [&](RmaOptype cop, portals::AccOp cacc,
-                         std::uint64_t addr, std::uint64_t count,
-                         const dt::Datatype& cdt, bool notified,
-                         Attrs cattrs) {
-    auto c = new_req(t);
+  const bool read = op == RmaOptype::get || combine;
+  const bool write = op != RmaOptype::get;
+  // One data-moving child, issued directly at `at`. A notified op has one
+  // child, which inherits the tag (and with it the wire fire and any
+  // failover re-arm).
+  auto child = [&](RmaOptype cop, portals::AccOp cacc, const TargetMem& at) {
+    auto c = new_req(at.owner);
     if (attr) tl->alias(trace::op_tag(rank_->id(), c->id), ptag);
-    if (notified && st->notify) {
-      c->notify = true;
-      c->notify_tag = st->notify_tag;
-      c->notify_bytes = st->notify_bytes;
-      c->notify_disp = st->notify_disp;
-    }
-    issue_blocks(c, cop, cacc, false, addr, count, cdt, mem, target_disp,
-                 target_count, target_dt, cattrs);
+    c->notify = st->notify;
+    c->notify_tag = st->notify_tag;
+    c->notify_bytes = st->notify_bytes;
+    c->notify_disp = st->notify_disp;
+    issue_blocks(c, cop, cacc, false, origin_addr, origin_count, origin_dt,
+                 at, target_disp, target_count, target_dt,
+                 Attrs(RmaAttr::remote_completion));
+    if (c->pending == 0 && !c->done) settle(*c);  // zero-byte transfer
     return c;
   };
-  // Mid-sequence death of a replicated target: re-walk the succession chain
-  // from the original handle and re-drive the whole locked sequence at the
-  // acting primary (whose own lock manager serializes there). The chain
-  // strictly advances past dead ranks, so recursion terminates.
-  auto retry_at_backup = [&]() -> bool {
-    if (orig_mem.backup < 0 || !dead(mem.owner)) return false;
-    TargetMem eff;
-    if (resolve(orig_mem, &eff) != OpStatus::ok || eff.owner == mem.owner) {
-      return false;
-    }
-    issue_locked_op(st, op, acc_op, origin_addr, origin_count, origin_dt, eff,
-                    orig_mem, target_disp, target_count, target_dt, attrs);
-    return true;
+  const auto finish = [this](const std::shared_ptr<Request::State>& c) {
+    progress_until([c] { return c->done; });
+    return c->status;
   };
-  // Mid-operation target death: unless the sequence is re-driven at the
-  // backup, complete the op with the error (on_target_failed may already
-  // have drained it). Either way there is no lock manager left, so skip
-  // the release.
-  auto fail_out = [&](OpStatus s) {
-    if (!retry_at_backup() && !st->done) settle(*st, s);
-  };
-  if (!lock_acquire(t)) {
-    fail_out(mem.backup >= 0 ? OpStatus::replica_lost
-                             : OpStatus::target_failed);
-    return;
+  for (;;) {
+    const int t = eff.owner;
+    if (lock_acquire(t)) {
+      bool got = true;
+      if (read) {
+        // An RMW has not passed do_xfer's order stall.
+        if (per(t).order_fence) stall_for_order(t);
+        // Read without a backup: a read the target's death cut short is
+        // not re-driven there, the whole sequence runs again instead.
+        TargetMem at = eff;
+        at.backup = -1;
+        got = finish(child(RmaOptype::get, portals::AccOp::replace, at)) ==
+              OpStatus::ok;
+      }
+      if (got && !write) {
+        lock_release(t);
+        return OpStatus::ok;
+      }
+      if (got && combine) combine();
+      if (got && !dead(t)) {
+        // FIFO delivery lets the release ride right behind a plain write:
+        // the next grant can only be issued after it has been applied, so
+        // atomicity holds without stalling a full ACK round trip.
+        const bool early =
+            !read && rank_->world().config().caps.ordered_delivery;
+        auto w = child(combine ? RmaOptype::put : op,
+                       combine ? portals::AccOp::replace : acc_op, eff);
+        if (early) lock_release(t);
+        const OpStatus s = finish(w);
+        if (!early) {
+          flush_target(t);
+          lock_release(t);
+        }
+        return s;
+      }
+    }
+    // The lock target died before the write was issued, so nothing was
+    // applied: run the whole sequence again at the acting primary.
+    if (const OpStatus s = resolve(mem, &eff); s != OpStatus::ok) return s;
   }
-  const Attrs inner = Attrs(RmaAttr::blocking) | RmaAttr::remote_completion;
-  if (op == RmaOptype::accumulate && !ptl_->supports_atomics()) {
-    // Get-modify-put under the lock: the classic emulation when neither NIC
-    // atomics nor an extra execution context exist. The local image is kept
-    // in this node's byte order; the direct get/put paths convert on the
-    // wire as usual.
-    const dt::LeafKind leaf = target_dt.uniform_leaf();
-    const portals::NumType nt = portals::num_type_of(leaf);
-    const std::uint64_t bytes = target_dt.size() * target_count;
-    const std::uint64_t es = portals::num_size(nt);
-    const dt::Datatype local_dt =
-        dt::Datatype::contiguous(bytes / es, leaf_datatype(leaf));
-    auto tmp = rank_->memory().alloc(std::max<std::uint64_t>(bytes, 1));
-    auto g = issue_child(RmaOptype::get, portals::AccOp::replace, tmp, 1,
-                         local_dt, false, Attrs::none());
-    progress_until([g] { return g->done; });
-    if (g->status != OpStatus::ok) {
-      rank_->memory().dealloc(tmp);
-      fail_out(g->status);
-      return;
-    }
-    // Combine with the packed operand (both sides in this node's order).
-    const std::uint64_t staging =
-        pack_origin(origin_addr, origin_count, origin_dt, target_dt,
-                    target_count, rank_->memory().config().endian);
-    portals::apply_acc(acc_op, nt, rank_->memory().raw(tmp),
-                       rank_->memory().raw(staging), bytes,
-                       rank_->memory().config().endian);
-    auto p = issue_child(RmaOptype::put, portals::AccOp::replace, tmp, 1,
-                         local_dt, false, inner);
-    progress_until([p] { return p->done; });
-    if (p->status != OpStatus::ok) {
-      rank_->memory().dealloc(staging);
-      rank_->memory().dealloc(tmp);
-      fail_out(p->status);
-      return;
-    }
-    flush_target(t);
-    rank_->memory().dealloc(staging);
-    rank_->memory().dealloc(tmp);
-  } else if (op == RmaOptype::get) {
-    auto g = issue_child(op, acc_op, origin_addr, origin_count, origin_dt,
-                         true, Attrs::none());
-    progress_until([g] { return g->done; });
-    if (g->status != OpStatus::ok) {
-      fail_out(g->status);
-      return;
-    }
-  } else {
-    // FIFO delivery lets the release ride right behind the data: the next
-    // grant can only be issued after the put has been applied, so atomicity
-    // holds without stalling a full ACK round trip.
-    const bool ordered = rank_->world().config().caps.ordered_delivery;
-    auto p = issue_child(op, acc_op, origin_addr, origin_count, origin_dt,
-                         true,
-                         ordered ? Attrs(RmaAttr::remote_completion) : inner);
-    if (ordered) lock_release(t);
-    progress_until([p] { return p->done; });
-    if (p->status != OpStatus::ok) {
-      fail_out(p->status);
-      return;
-    }
-    if (ordered) {
-      if (!st->done) settle(*st);
-      return;
-    }
-    flush_target(t);
-  }
-  lock_release(t);
-  if (!st->done) settle(*st);
 }
 
 // ----------------------------------------------------------------- staging
@@ -1076,18 +1020,12 @@ std::uint64_t RmaEngine::rmw(portals::RmwOp op, const TargetMem& mem,
                                : ""));
   }
   const int t = eff.owner;
-  // True while this is the primary attempt of a replicated window with a
-  // live backup: successes are mirrored there, and a mid-sequence death
-  // retries against it (the re-entry recomputes eff along the succession
-  // chain, which strictly advances past dead ranks, so recursion
-  // terminates).
-  auto backup_live = [&] { return eff.backup >= 0 && !dead(eff.backup); };
+  const bool locked = !ptl_->supports_atomics() &&
+                      cfg_.serializer == SerializerKind::coarse_lock;
 
   // RMW mechanism: NIC-executed, lock-emulated, or serializer AM (§V).
   const char* mech =
-      ptl_->supports_atomics()
-          ? "nic"
-          : (cfg_.serializer == SerializerKind::coarse_lock ? "lock" : "am");
+      ptl_->supports_atomics() ? "nic" : (locked ? "lock" : "am");
   trace::SpanHandle rmw_span = 0;
   trace::Time rmw_t0 = 0;
   if (auto* tr = trace::want(rank_->world().engine().tracer(),
@@ -1106,66 +1044,40 @@ std::uint64_t RmaEngine::rmw(portals::RmwOp op, const TargetMem& mem,
                      std::string("rma.rmw[") + mech + "]",
                      tr->now() - rmw_t0);
   };
-  // Failure tail of every mechanism: free the operand buffer (0: none),
-  // close the span, then retry at the backup or throw.
-  auto fail = [&](std::uint64_t buf, const char* who,
-                  const char* what) -> std::uint64_t {
-    if (buf != 0) rank_->memory().dealloc(buf);
-    close_rmw();
-    if (backup_live()) return rmw(op, mem, disp, a, b, target_rank);
-    throw RankFailedError(std::string("RMW ") + who + " rank " +
-                          std::to_string(t) + " " + what);
-  };
-
-  if (!ptl_->supports_atomics() &&
-      cfg_.serializer == SerializerKind::coarse_lock) {
-    // Lock; read; modify; write; unlock. On target death anywhere in the
-    // sequence there is no lock manager left: skip the release and retry at
-    // the backup, or throw. The inner get/put go through do_xfer with the
-    // ORIGINAL mem, so the writeback is mirrored (and re-targeted) by the
-    // regular data paths — no replicate_rmw here.
-    if (!lock_acquire(t)) return fail(0, "lock target", "failed");
-    const std::uint64_t buf = rank_->memory().alloc(8);
-    const auto u = dt::Datatype::uint64();
-    Request gr =
-        get(buf, 1, u, mem, disp, 1, u, target_rank, Attrs(RmaAttr::blocking));
-    if (gr.failed()) return fail(buf, "target", "failed before replying");
-    std::uint64_t old = 0;
-    std::memcpy(&old, rank_->memory().raw(buf), 8);
-    std::uint64_t next = old;
-    switch (op) {
-      case portals::RmwOp::fetch_add:
-        next = old + a;
-        break;
-      case portals::RmwOp::swap:
-        next = a;
-        break;
-      case portals::RmwOp::compare_swap:
-        next = old == a ? b : old;
-        break;
-    }
-    std::memcpy(rank_->memory().raw(buf), &next, 8);
-    Request pr = put(buf, 1, u, mem, disp, 1, u, target_rank,
-                     Attrs(RmaAttr::blocking) | RmaAttr::remote_completion);
-    if (pr.failed()) {
-      return fail(buf, "target", "failed before the writeback landed");
-    }
-    flush_target(t);
-    rank_->memory().dealloc(buf);
-    lock_release(t);
-    close_rmw();
-    return old;
-  }
-
-  // One round trip: a NIC-executed fetch-atomic, or an rmw_op AM for the
-  // target's serializer.
-  auto st = new_req(t, 1);
+  // One tracked op: a locked get-modify-put whose children alias into it,
+  // a NIC-executed fetch-atomic, or an rmw_op AM for the target's
+  // serializer.
+  auto st = locked ? new_req(-1) : new_req(t, 1);
   const std::uint64_t tag = trace::op_tag(rank_->id(), st->id);
   if (auto* tl = trace::timeline(rank_->world().engine().tracer())) {
     tl->op_begin(tag, "rma.rmw", mech, cfg_.api_label,
                  rank_->world().engine().now());
     st->op_tracked = true;
   }
+  if (locked) {
+    // The writeback is a put of the window, mirrored like any other: no
+    // replicate_rmw here.
+    const std::uint64_t image = rank_->memory().alloc(8);
+    const auto u = dt::Datatype::uint64();
+    AmHdr h;
+    h.rmw = op;
+    h.value_a = a;
+    h.value_b = b;
+    std::uint64_t old = 0;
+    settle(*st, locked_sequence(st, RmaOptype::put, portals::AccOp::replace,
+                                image, 1, u, mem, eff, disp, 1, u, [&] {
+                                  old = apply_rmw_word(rank_->memory(),
+                                                       image, h);
+                                }));
+    rank_->memory().dealloc(image);
+    close_rmw();
+    if (st->status != OpStatus::ok) {
+      throw RankFailedError("RMW target rank " + std::to_string(t) +
+                            " failed");
+    }
+    return old;
+  }
+
   std::uint64_t buf = 0;  // NIC operand (16 B) + result (8 B)
   if (ptl_->supports_atomics()) {
     buf = rank_->memory().alloc(24);
@@ -1192,7 +1104,15 @@ std::uint64_t RmaEngine::rmw(portals::RmwOp op, const TargetMem& mem,
   per(t).pending_replies += 1;
   progress_until([st] { return st->done; });
   if (st->status != OpStatus::ok) {
-    return fail(buf, "target", "failed before replying");
+    // Retry at the live backup (the re-entry resolves along the succession
+    // chain, which strictly advances past dead ranks) or throw.
+    if (buf != 0) rank_->memory().dealloc(buf);
+    close_rmw();
+    if (eff.backup >= 0 && !dead(eff.backup)) {
+      return rmw(op, mem, disp, a, b, target_rank);
+    }
+    throw RankFailedError("RMW target rank " + std::to_string(t) +
+                          " failed before replying");
   }
   std::uint64_t old = st->rmw_value;
   if (buf != 0) {
@@ -1660,6 +1580,7 @@ void RmaEngine::lock_release(int world_target) {
     }
     lock_hold_spans_.erase(it);
   }
+  if (dead(world_target)) return;  // no lock manager left to release
   AmHdr h;
   h.kind = AmHdr::Kind::lock_release;
   send_am(world_target, h, {});

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -365,16 +366,25 @@ class RmaEngine {
                     const dt::Datatype& origin_dt, const TargetMem& mem,
                     std::uint64_t target_disp, std::uint64_t target_count,
                     const dt::Datatype& target_dt, Attrs attrs);
-  /// `orig_mem` is the caller's unretargeted handle: mid-sequence failover
-  /// re-walks the succession chain from it (only its owner/backup pair is
-  /// trusted without a readiness probe).
-  void issue_locked_op(const std::shared_ptr<Request::State>& st,
-                       RmaOptype op, portals::AccOp acc_op,
-                       std::uint64_t origin_addr, std::uint64_t origin_count,
-                       const dt::Datatype& origin_dt, const TargetMem& mem,
-                       const TargetMem& orig_mem, std::uint64_t target_disp,
-                       std::uint64_t target_count,
-                       const dt::Datatype& target_dt, Attrs attrs);
+  /// The coarse-lock serializer's one sequence for an atomic op: lock the
+  /// target, read, combine, write, release. A get reads into the origin
+  /// buffer; a put or accumulate writes from it. With `combine` the origin
+  /// buffer is an image of the target region in this node's byte order: it
+  /// is read, `combine` updates it, and it is written back. `eff` is `mem`
+  /// resolved. If the lock target dies before the write is issued, nothing
+  /// was applied: `mem` is resolved again and the sequence runs at the
+  /// acting primary. Once the write is issued its status is the op's, and
+  /// it is never issued again. `st`, the parent, has no wire target, so
+  /// the failure detector drains only its children; the caller settles it.
+  OpStatus locked_sequence(const std::shared_ptr<Request::State>& st,
+                           RmaOptype op, portals::AccOp acc_op,
+                           std::uint64_t origin_addr,
+                           std::uint64_t origin_count,
+                           const dt::Datatype& origin_dt, const TargetMem& mem,
+                           TargetMem eff, std::uint64_t target_disp,
+                           std::uint64_t target_count,
+                           const dt::Datatype& target_dt,
+                           const std::function<void()>& combine);
   std::uint64_t rmw(portals::RmwOp op, const TargetMem& mem,
                     std::uint64_t disp, std::uint64_t a, std::uint64_t b,
                     int target_rank);
@@ -479,7 +489,7 @@ class RmaEngine {
   // land unheard. std::map for deterministic teardown order.
   std::map<std::uint64_t, std::unique_ptr<notify::NotifyQueue>> notify_queues_;
   // Tag of the notified op currently being issued (do_xfer reads it into
-  // the request state; survives the endian-retry recursion).
+  // the request state; survives its reissue-from-scratch recursion).
   std::optional<std::uint32_t> notify_tag_;
 
   std::vector<PerTarget> targets_;  // indexed by world rank
@@ -499,7 +509,8 @@ class RmaEngine {
 
   LockState lock_;
   // Attribution tag of the op whose locked sequence is being issued: child
-  // requests (lock acquire, inner get/put) alias into it. 0 between ops.
+  // requests (lock acquires, the read and the write) alias into it. 0
+  // between ops.
   std::uint64_t attr_parent_ = 0;
   std::uint64_t lock_grants_ = 0;
   // Open "lock.hold" trace spans, keyed by lock-owning world rank.

@@ -607,6 +607,45 @@ TEST(CoreAtomicity, ProgressSerializerNoLostUpdates) {
   hammer_counter(SerializerKind::progress, true);
 }
 
+// The paper's "most stringent rules while debugging": atomicity on every op
+// through EngineConfig::default_attrs. Without NIC atomics a coarse-lock
+// RMW is one locked get-modify-put; its read and write must not ask again
+// for the lock the sequence already holds.
+TEST(CoreAtomicity, CoarseLockRmwUnderDefaultAtomicity) {
+  World w(cfg_with(2, true, true, /*atomics=*/false));
+  w.run([](Rank& r) {
+    EngineConfig ec;
+    ec.serializer = SerializerKind::coarse_lock;
+    ec.default_attrs = Attrs(RmaAttr::atomicity);
+    RmaEngine eng(r, r.comm_world(), ec);
+    auto buf = r.alloc(8);
+    store(r, buf.addr, std::vector<std::int64_t>{0});
+    auto mems = eng.exchange_all(eng.attach(buf.addr, buf.size));
+    if (r.id() == 1) {  // alone on the counter: every old value is known
+      for (std::uint64_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(eng.fetch_add(mems[0], 0, 1, 0), i);
+      }
+      EXPECT_EQ(eng.compare_swap(mems[0], 0, 5, 100, 0), 5u);
+      EXPECT_EQ(eng.compare_swap(mems[0], 0, 5, 7, 0), 100u);  // no swap
+    }
+    r.comm_world().barrier();
+    // Both ranks, the target included, then race 10 increments each.
+    std::uint64_t prev = 0;
+    for (int i = 0; i < 10; ++i) {
+      const std::uint64_t old = eng.fetch_add(mems[0], 0, 1, 0);
+      EXPECT_GE(old, 100u);
+      if (i > 0) {
+        EXPECT_GT(old, prev);
+      }
+      prev = old;
+    }
+    eng.complete_collective();
+    if (r.id() == 0) {
+      EXPECT_EQ(load<std::int64_t>(r, buf.addr, 1)[0], 100 + 2 * 10);
+    }
+  });
+}
+
 TEST(CoreAtomicity, CoarseLockCountsGrants) {
   World w(cfg_with(3));
   w.run([](Rank& r) {

@@ -12,7 +12,10 @@
 //  * the whole machinery replays byte-identically under the seed discipline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/rma_engine.hpp"
@@ -647,7 +650,10 @@ TEST(Replication, CrashScheduleReplaysByteIdentically) {
 
 // Unordered network: mirrors may arrive out of per-origin order; the backup
 // holds gaps and applies in sequence, so the replica content a failover get
-// observes equals what the (ordered) origin stream wrote.
+// observes equals what the origin stream wrote. The puts go out back to
+// back, so their mirrors leave a few hundred ns apart and the 3 us jitter
+// reorders some of them (blocking puts would space them a round trip
+// apart, and nothing would ever be held).
 TEST(Replication, UnorderedNetworkMirrorsApplyInStreamOrder) {
   WorldConfig cfg = repl_cfg(4, 71);
   cfg.caps.ordered_delivery = false;
@@ -663,16 +669,20 @@ TEST(Replication, UnorderedNetworkMirrorsApplyInStreamOrder) {
       return;
     }
     if (me != 0) return;
-    auto src = r.alloc(8);
-    // Ordered origin stream (per-op attr) of distinct values to distinct
-    // slots, all remote-complete before the crash.
+    auto src = r.alloc(8 * 16);
+    // Distinct values to distinct slots, issued without waiting, all
+    // remote-complete before the crash.
+    std::vector<core::Request> reqs;
     for (int i = 0; i < 16; ++i) {
-      store<std::uint64_t>(r, src.addr,
-                           {0x1000ull + static_cast<std::uint64_t>(i)});
-      eng.put_bytes(src.addr, mems[1], 8 * static_cast<std::uint64_t>(i), 8,
-                    1,
-                    Attrs(RmaAttr::blocking) | RmaAttr::remote_completion |
-                        RmaAttr::ordering);
+      const std::uint64_t at = src.addr + 8 * static_cast<std::uint64_t>(i);
+      store<std::uint64_t>(r, at, {0x1000ull + static_cast<std::uint64_t>(i)});
+      reqs.push_back(eng.put_bytes(at, mems[1],
+                                   8 * static_cast<std::uint64_t>(i), 8, 1,
+                                   Attrs(RmaAttr::remote_completion)));
+    }
+    for (auto& q : reqs) {
+      q.wait();
+      EXPECT_FALSE(q.failed());
     }
     eng.complete(1);
     r.ctx().delay(700'000);  // crash + detection
@@ -687,6 +697,97 @@ TEST(Replication, UnorderedNetworkMirrorsApplyInStreamOrder) {
     EXPECT_EQ(got[i], 0x1000ull + i) << "slot " << i;
   }
 }
+
+// ------------------------------------------- coarse lock across failover
+
+// The coarse-lock serializer runs an atomic op as one locked sequence at
+// the primary: lock, read, combine, write, release. When the primary dies
+// mid-sequence the op must apply exactly once at the surviving copy and
+// report ok. Before the write is issued nothing has been applied, so the
+// sequence runs again at the acting primary under that primary's lock;
+// after it, the write's mirror carries the op. Issue times sweep the 40 us
+// before the death at 400 us, so the death lands at different steps of the
+// sequence (for the 64 KiB accumulate without NIC atomics: in the read at
+// 360-390 us, after the write is issued at 394-399.5 us). Without NIC
+// atomics the accumulate and fetch_add are a locked get-modify-put; with
+// them the accumulate is one locked NIC atomic write, and fetch_add a NIC
+// fetch-atomic outside the lock.
+enum class LockedOp { accumulate, fetch_add };
+
+class CoarseLockFailover
+    : public ::testing::TestWithParam<std::tuple<bool, LockedOp, sim::Time>> {
+};
+
+TEST_P(CoarseLockFailover, AppliesExactlyOnceAtSurvivingCopy) {
+  const auto [nic_atomics, kind, issue_at] = GetParam();
+  WorldConfig cfg = repl_cfg(4, 14);
+  cfg.caps.native_atomics = nic_atomics;
+  cfg.faults.schedule = {{/*rank=*/1, /*at=*/400'000}};
+  World w(cfg);
+  constexpr std::uint64_t kElems = 8192;
+  bool ok = false;
+  std::uint64_t old = ~0ull;
+  std::vector<std::uint64_t> got;
+  w.run([&](Rank& r) {
+    core::EngineConfig ec;
+    ec.serializer = core::SerializerKind::coarse_lock;
+    RmaEngine eng(r, r.comm_world(), ec);
+    auto [buf, mems] = eng.allocate_shared(8 * kElems);
+    if (r.id() == 1) {  // victim idles until death
+      r.ctx().delay(2'000'000);
+      return;
+    }
+    if (r.id() != 0) return;
+    auto src = r.alloc(8 * kElems);
+    store(r, src.addr, std::vector<std::uint64_t>(kElems, 1));
+    ASSERT_LT(r.ctx().now(), issue_at);
+    r.ctx().delay(issue_at - r.ctx().now());
+    if (kind == LockedOp::accumulate) {
+      const auto i64 = dt::Datatype::int64();
+      core::Request q = eng.accumulate(
+          portals::AccOp::sum, src.addr, kElems, i64, mems[1], 0, kElems, i64,
+          1,
+          Attrs(RmaAttr::atomicity) | RmaAttr::blocking |
+              RmaAttr::remote_completion);
+      ok = !q.failed();
+    } else {
+      old = eng.fetch_add(mems[1], 0, 1, 1);  // throws unless it applied
+      ok = true;
+    }
+    if (r.ctx().now() < 800'000) r.ctx().delay(800'000 - r.ctx().now());
+    ASSERT_TRUE(eng.target_failed(1));
+    const std::uint64_t words = kind == LockedOp::accumulate ? kElems : 1;
+    auto dst = r.alloc(8 * words);
+    core::Request g = eng.get_bytes(dst.addr, mems[1], 0, 8 * words, 1,
+                                    Attrs(RmaAttr::blocking));
+    ASSERT_FALSE(g.failed());
+    got = load<std::uint64_t>(r, dst.addr, words);
+  });
+  EXPECT_TRUE(ok);
+  if (kind == LockedOp::fetch_add) {
+    EXPECT_EQ(old, 0u);
+  }
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got[0], 1u) << "the op applied "
+                        << (got[0] == 0 ? "never" : "more than once");
+  EXPECT_EQ(std::count(got.begin(), got.end(), 1ull),
+            static_cast<std::ptrdiff_t>(got.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ExactlyOnce, CoarseLockFailover,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(LockedOp::accumulate,
+                                         LockedOp::fetch_add),
+                       ::testing::Values<sim::Time>(360'000, 380'000, 390'000,
+                                                    394'000, 398'000,
+                                                    399'500)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "Nic" : "NoNic") +
+             (std::get<1>(info.param) == LockedOp::accumulate ? "Accumulate"
+                                                              : "FetchAdd") +
+             "At" + std::to_string(std::get<2>(info.param)) + "ns";
+    });
 
 // ------------------------------------------- multi-crash regressions
 
