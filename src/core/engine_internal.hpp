@@ -91,6 +91,9 @@ struct Request::State {
   OpStatus status = OpStatus::ok;
   std::uint32_t pending = 0;  // segment completions still expected
   bool counts_send = true;    // decrement on SEND (local) vs ACK (remote)
+  // In xfer's order stall or issue_blocks: the failure detector skips it,
+  // issue_blocks decides its failover once every block and mirror is out.
+  bool injecting = false;
   // get finalization
   bool is_get = false;
   std::uint64_t dest_addr = 0;

@@ -496,7 +496,10 @@ void Replication::log_mirror(const TargetMem& mem, AmHdr h,
   if (rank.world().config().replication.mode == runtime::ReplMode::lazy) {
     // Lazy recovery: the entry stays logged-but-untransmitted (flushed does
     // not advance), keeping mirror traffic entirely off the healthy-path
-    // critical path; failover re-sync pushes the log instead.
+    // critical path; failover re-sync pushes the log instead. An entry
+    // logged after its primary died (the death cut the op's injection)
+    // missed that re-sync: it goes out now, behind the deferred tail.
+    if (eng_.dead(mem.owner)) flush_deferred(mem.backup);
     return;
   }
   if (const auto hold = fwd_hold_.find(mem.backup);

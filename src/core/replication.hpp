@@ -67,8 +67,9 @@ class Replication {
   /// Replicate an RMW the primary `eff.owner` has committed.
   void replicate_rmw(portals::RmwOp op, const TargetMem& eff,
                      std::uint64_t disp, std::uint64_t a, std::uint64_t b);
-  /// In the engine's drain of ops to `dead`: take over `st` if its mirrors
-  /// or its backup can still serve it. False: drain it.
+  /// RmaEngine::fail_over, once `st` is fully injected (decided after
+  /// injection: rescued or drained, never reissued): take over `st` if its
+  /// mirrors or its backup can still serve it. False: drain it.
   bool rescue(Request::State& st, int dead);
   /// End of the engine's on_target_failed: ledger repair, re-sync, roles.
   void on_target_failed(int dead);

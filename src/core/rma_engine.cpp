@@ -295,47 +295,6 @@ Request RmaEngine::accumulate(portals::AccOp op, std::uint64_t origin_addr,
               mem, target_disp, target_count, target_dt, target_rank, attrs);
 }
 
-Request RmaEngine::xfer(RmaOptype op, portals::AccOp acc_op,
-                        std::uint64_t origin_addr,
-                        std::uint64_t origin_count,
-                        const dt::Datatype& origin_dt, const TargetMem& mem,
-                        std::uint64_t target_disp,
-                        std::uint64_t target_count,
-                        const dt::Datatype& target_dt, int target_rank,
-                        Attrs attrs) {
-  M3RMA_REQUIRE(mem.valid(), "transfer to an invalid TargetMem");
-  M3RMA_REQUIRE(comm_->to_world(target_rank) == mem.owner,
-                "target_rank does not own this TargetMem");
-  M3RMA_REQUIRE(origin_dt.matches(origin_count, target_dt, target_count),
-                "origin/target datatype signatures do not match");
-  const std::uint64_t target_span = target_dt.extent() * target_count;
-  M3RMA_REQUIRE(target_disp + target_span <= mem.length,
-                "transfer exceeds the target memory object");
-  const std::uint64_t origin_span = origin_dt.extent() * origin_count;
-  M3RMA_REQUIRE(rank_->memory().contains(origin_addr,
-                                         std::max<std::uint64_t>(origin_span,
-                                                                 1)),
-                "origin buffer outside this rank's memory");
-  if (op == RmaOptype::accumulate) {
-    M3RMA_REQUIRE(target_dt.has_uniform_leaf(),
-                  "accumulate requires a uniform-leaf target datatype");
-  }
-
-  switch (op) {
-    case RmaOptype::put:
-      stats_.puts += 1;
-      break;
-    case RmaOptype::get:
-      stats_.gets += 1;
-      break;
-    case RmaOptype::accumulate:
-      stats_.accumulates += 1;
-      break;
-  }
-  return do_xfer(op, acc_op, origin_addr, origin_count, origin_dt, mem,
-                 target_disp, target_count, target_dt, target_rank, attrs);
-}
-
 Request RmaEngine::put_bytes(std::uint64_t origin_addr, const TargetMem& mem,
                              std::uint64_t target_disp, std::uint64_t length,
                              int target_rank, Attrs attrs) {
@@ -399,14 +358,44 @@ void RmaEngine::fire_notify_local(std::uint64_t mem_id,
 
 // --------------------------------------------------------------- core issue
 
-Request RmaEngine::do_xfer(RmaOptype op, portals::AccOp acc_op,
-                           std::uint64_t origin_addr,
-                           std::uint64_t origin_count,
-                           const dt::Datatype& origin_dt,
-                           const TargetMem& mem, std::uint64_t target_disp,
-                           std::uint64_t target_count,
-                           const dt::Datatype& target_dt, int target_rank,
-                           Attrs attrs) {
+Request RmaEngine::xfer(RmaOptype op, portals::AccOp acc_op,
+                        std::uint64_t origin_addr,
+                        std::uint64_t origin_count,
+                        const dt::Datatype& origin_dt, const TargetMem& mem,
+                        std::uint64_t target_disp,
+                        std::uint64_t target_count,
+                        const dt::Datatype& target_dt, int target_rank,
+                        Attrs attrs) {
+  M3RMA_REQUIRE(mem.valid(), "transfer to an invalid TargetMem");
+  M3RMA_REQUIRE(comm_->to_world(target_rank) == mem.owner,
+                "target_rank does not own this TargetMem");
+  M3RMA_REQUIRE(origin_dt.matches(origin_count, target_dt, target_count),
+                "origin/target datatype signatures do not match");
+  const std::uint64_t target_span = target_dt.extent() * target_count;
+  M3RMA_REQUIRE(target_disp + target_span <= mem.length,
+                "transfer exceeds the target memory object");
+  const std::uint64_t origin_span = origin_dt.extent() * origin_count;
+  M3RMA_REQUIRE(rank_->memory().contains(origin_addr,
+                                         std::max<std::uint64_t>(origin_span,
+                                                                 1)),
+                "origin buffer outside this rank's memory");
+  if (op == RmaOptype::accumulate) {
+    M3RMA_REQUIRE(target_dt.has_uniform_leaf(),
+                  "accumulate requires a uniform-leaf target datatype");
+  }
+
+  switch (op) {
+    case RmaOptype::put:
+      stats_.puts += 1;
+      break;
+    case RmaOptype::get:
+      stats_.gets += 1;
+      break;
+    case RmaOptype::accumulate:
+      stats_.accumulates += 1;
+      break;
+  }
+
   attrs = attrs | cfg_.default_attrs;
   TargetMem eff;
   if (const OpStatus fail = resolve(mem, &eff); fail != OpStatus::ok) {
@@ -426,9 +415,10 @@ Request RmaEngine::do_xfer(RmaOptype op, portals::AccOp acc_op,
   const bool locked = attrs.has(RmaAttr::atomicity) &&
                       cfg_.serializer == SerializerKind::coarse_lock;
   auto st = new_req(locked ? -1 : eff.owner);
+  // An unlocked op's failover is decided by issue_blocks once it is fully
+  // on the wire; the order stall below already counts as its injection.
+  st->injecting = !locked;
   if (notify_tag_) {
-    // Read, not consumed: the reissue-from-scratch recursion below must
-    // re-apply the tag to the replacement request.
     st->notify = true;
     st->notify_tag = *notify_tag_;
     st->notify_bytes = target_dt.size() * target_count;
@@ -495,19 +485,6 @@ Request RmaEngine::do_xfer(RmaOptype op, portals::AccOp acc_op,
         (op == RmaOptype::accumulate && !ptl_->supports_atomics());
     issue_blocks(st, op, acc_op, via_am, origin_addr, origin_count,
                  origin_dt, eff, target_disp, target_count, target_dt, attrs);
-    if (st->pending == 0 && !st->done) settle(*st);  // zero-byte transfer
-    if (st->done && st->status == OpStatus::target_failed &&
-        mem.backup >= 0) {
-      // The target died while this op was still being injected: the fault
-      // drain found a request with no block (and hence no mirror) on the
-      // wire yet, which it cannot rescue. Nothing was sent, so reissue from
-      // scratch — the effective-target resolution now lands on the backup,
-      // or fails fast for real if the backup is gone too. The op was
-      // counted once, by xfer().
-      return do_xfer(op, acc_op, origin_addr, origin_count, origin_dt, mem,
-                     target_disp, target_count, target_dt, target_rank,
-                     attrs);
-    }
   }
   Request req(this, st);
   if (attrs.has(RmaAttr::blocking)) req.wait();
@@ -523,6 +500,7 @@ void RmaEngine::issue_blocks(const std::shared_ptr<Request::State>& st,
                              std::uint64_t target_count,
                              const dt::Datatype& target_dt, Attrs attrs) {
   const int t = mem.owner;
+  st->injecting = true;
   const bool is_get = op == RmaOptype::get;
   const bool is_acc = op == RmaOptype::accumulate;
   const bool same_endian = mem.endian == rank_->memory().config().endian;
@@ -647,6 +625,17 @@ void RmaEngine::issue_blocks(const std::shared_ptr<Request::State>& st,
     q.req_id = st->id;
     send_am(t, q, {}, tag);
   }
+
+  // Every block and mirror is out: decide failover now if the target died
+  // meanwhile (the failure detector skipped this request). The op is
+  // rescued or drained, never issued again.
+  st->injecting = false;
+  if (st->done) return;
+  if (dead(t)) {
+    fail_over(*st, t);
+  } else if (st->pending == 0) {
+    settle(*st);  // zero-byte transfer
+  }
 }
 
 OpStatus RmaEngine::locked_sequence(
@@ -678,7 +667,6 @@ OpStatus RmaEngine::locked_sequence(
     issue_blocks(c, cop, cacc, false, origin_addr, origin_count, origin_dt,
                  at, target_disp, target_count, target_dt,
                  Attrs(RmaAttr::remote_completion));
-    if (c->pending == 0 && !c->done) settle(*c);  // zero-byte transfer
     return c;
   };
   const auto finish = [this](const std::shared_ptr<Request::State>& c) {
@@ -690,7 +678,7 @@ OpStatus RmaEngine::locked_sequence(
     if (lock_acquire(t)) {
       bool got = true;
       if (read) {
-        // An RMW has not passed do_xfer's order stall.
+        // An RMW has not passed xfer's order stall.
         if (per(t).order_fence) stall_for_order(t);
         // Read without a backup: a read the target's death cut short is
         // not re-driven there, the whole sequence runs again instead.
@@ -931,35 +919,20 @@ void RmaEngine::on_target_failed(int node) {
        [&] { return "target=" + std::to_string(node); },
        "rma.target_failures");
 
-  // Drain every pending op addressed to the dead target: complete it now
-  // with an error status instead of leaving it waiting for replies that can
-  // never arrive. Sorted by id — unordered_map order is not deterministic.
+  // Drain every pending op addressed to the dead target: rescue it or
+  // complete it now with an error status instead of leaving it waiting for
+  // replies that can never arrive. A request still being injected is left
+  // to issue_blocks, which applies the same rule once it is fully out.
+  // Sorted by id — unordered_map order is not deterministic.
   std::vector<std::shared_ptr<Request::State>> victims;
   for (auto& [id, st] : reqs_) {
-    if (st->world_target == node && !st->done) victims.push_back(st);
+    if (st->world_target == node && !st->done && !st->injecting) {
+      victims.push_back(st);
+    }
   }
   std::sort(victims.begin(), victims.end(),
             [](const auto& a, const auto& b) { return a->id < b->id; });
-  for (auto& st : victims) {
-    if (st->is_get && st->needs_unpack) {
-      // The staging buffer holds garbage: a drained get skips the unpack, a
-      // re-driven one gets a fresh buffer.
-      rank_->memory().dealloc(st->dest_addr);
-      st->needs_unpack = false;
-    }
-    if (repl_ && repl_->rescue(*st, node)) continue;
-    const OpStatus status = st->repl_backup >= 0 ? OpStatus::replica_lost
-                                                 : OpStatus::target_failed;
-    if (status == OpStatus::replica_lost) stats_.replica_lost_ops += 1;
-    stats_.drained_ops += 1;
-    note(*rank_, trace::Category::rma, "fault.drain",
-         [&] {
-           return "req=" + std::to_string(st->id) +
-                  " target=" + std::to_string(node);
-         },
-         "rma.drained_ops");
-    settle(*st, status);
-  }
+  for (auto& st : victims) fail_over(*st, node);
 
   // Reconcile the per-target ledger so flush predicates hold trivially and
   // no completion path ever waits on the dead rank again.
@@ -980,6 +953,27 @@ void RmaEngine::on_target_failed(int node) {
   // Wake any process blocked in progress_until so it re-evaluates its
   // predicate against the reconciled state.
   eq_.condition().notify_all();
+}
+
+void RmaEngine::fail_over(Request::State& st, int node) {
+  if (st.is_get && st.needs_unpack) {
+    // The staging buffer holds garbage: a drained get skips the unpack, a
+    // re-driven one gets a fresh buffer.
+    rank_->memory().dealloc(st.dest_addr);
+    st.needs_unpack = false;
+  }
+  if (repl_ && repl_->rescue(st, node)) return;
+  const OpStatus status = st.repl_backup >= 0 ? OpStatus::replica_lost
+                                              : OpStatus::target_failed;
+  if (status == OpStatus::replica_lost) stats_.replica_lost_ops += 1;
+  stats_.drained_ops += 1;
+  note(*rank_, trace::Category::rma, "fault.drain",
+       [&] {
+         return "req=" + std::to_string(st.id) +
+                " target=" + std::to_string(node);
+       },
+       "rma.drained_ops");
+  settle(st, status);
 }
 
 // --------------------------------------------------------------------- RMW

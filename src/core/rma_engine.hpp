@@ -233,8 +233,8 @@ class RmaEngine {
   /// target_disp} on the target window's notification queue once the data
   /// is applied at the target — remote completion, not origin ack. On a
   /// replicated window the notification fires exactly once at the copy
-  /// that ends up serving the op (rescue/reissue paths re-arm it at the
-  /// backup). length must be > 0: a notification must witness data.
+  /// that ends up serving the op (a rescue re-arms it at the backup).
+  /// length must be > 0: a notification must witness data.
   Request put_notify(std::uint64_t origin_addr, const TargetMem& mem,
                      std::uint64_t target_disp, std::uint64_t length,
                      int target_rank, std::uint32_t tag,
@@ -349,17 +349,12 @@ class RmaEngine {
   };
 
   // Issue paths.
-  /// The issuing half of xfer(), which validates and counts the op once.
-  Request do_xfer(RmaOptype op, portals::AccOp acc_op,
-                  std::uint64_t origin_addr, std::uint64_t origin_count,
-                  const dt::Datatype& origin_dt, const TargetMem& mem,
-                  std::uint64_t target_disp, std::uint64_t target_count,
-                  const dt::Datatype& target_dt, int target_rank, Attrs attrs);
   /// Stage the op's origin side (packed operand for put/accumulate, landing
   /// buffer for get), then send one message per contiguous target block:
   /// a Portals op, or with `via_am` a data_op AM for the target's
   /// serializer. `attrs` decides the completion discipline of direct
-  /// put/accumulate only.
+  /// put/accumulate only. Failover of `st` waits until every block and
+  /// mirror is out: if the target died meanwhile, fail_over decides here.
   void issue_blocks(const std::shared_ptr<Request::State>& st, RmaOptype op,
                     portals::AccOp acc_op, bool via_am,
                     std::uint64_t origin_addr, std::uint64_t origin_count,
@@ -445,11 +440,15 @@ class RmaEngine {
   /// here); counts a drop when this rank hosts no queue for it.
   /// Event-context safe (no time, no blocking).
   void fire_notify_local(std::uint64_t mem_id, const notify::Notification& n);
-  /// Failure detector: `node` (world rank) was announced dead. Drains every
-  /// pending op addressed to it with target_failed status, reconciles the
-  /// per-target counters so flush predicates converge, and repairs the
-  /// serializer lock if the dead rank held or awaited it.
+  /// Failure detector: `node` (world rank) was announced dead. Applies
+  /// fail_over to every pending op addressed to it but one still being
+  /// injected, reconciles the per-target counters so flush predicates
+  /// converge, and repairs the serializer lock the dead rank held or awaited.
   void on_target_failed(int node);
+  /// The failover rule for `st`, whose target `node` died: rescue it
+  /// (Replication::rescue), or settle it target_failed, or replica_lost
+  /// when it had a backup. It is never issued again.
+  void fail_over(Request::State& st, int node);
   /// Idempotent teardown shared by the destructor and the constructor's
   /// failure path (a rank killed during the wire-up barrier must not leave
   /// a dangling death listener or claimed AM protocol behind).
@@ -488,8 +487,8 @@ class RmaEngine {
   // notify sink the moment the copy exists so a notified op can never
   // land unheard. std::map for deterministic teardown order.
   std::map<std::uint64_t, std::unique_ptr<notify::NotifyQueue>> notify_queues_;
-  // Tag of the notified op currently being issued (do_xfer reads it into
-  // the request state; survives its reissue-from-scratch recursion).
+  // Tag of the notified op currently being issued (xfer reads it into the
+  // request state).
   std::optional<std::uint32_t> notify_tag_;
 
   std::vector<PerTarget> targets_;  // indexed by world rank

@@ -779,8 +779,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Bool(),
                        ::testing::Values(LockedOp::accumulate,
                                          LockedOp::fetch_add),
-                       ::testing::Values<sim::Time>(360'000, 380'000, 390'000,
-                                                    394'000, 398'000,
+                       ::testing::Values<sim::Time>(340'212, 360'000,
+                                                    380'000, 381'171, 390'000,
+                                                    390'310, 394'000, 398'000,
                                                     399'500)),
     [](const auto& info) {
       return std::string(std::get<0>(info.param) ? "Nic" : "NoNic") +
@@ -788,6 +789,146 @@ INSTANTIATE_TEST_SUITE_P(
                                                               : "FetchAdd") +
              "At" + std::to_string(std::get<2>(info.param)) + "ns";
     });
+
+// An unlocked op whose primary dies during the op's own injection: the
+// failure detector leaves the request to issue_blocks, which decides its
+// failover once the data packet and the mirror are out — rescued through
+// the mirror, never issued a second time at the backup. One blocking
+// remote-completion accumulate(sum, +1) of 8,192 int64 under the comm
+// thread; the issue times at 399,701-399,995 ns put the death at 400 us
+// inside its 300 ns injection, 398,000 ns is a control that is on the wire
+// by then. In lazy mode the mirror, logged after the failover re-sync, must
+// still go out, or the rescued op waits for its ack forever.
+class MidInjectionFailover
+    : public ::testing::TestWithParam<std::tuple<bool, bool, sim::Time>> {};
+
+TEST_P(MidInjectionFailover, AppliesExactlyOnceAtSurvivingCopy) {
+  const auto [nic_atomics, lazy, issue_at] = GetParam();
+  WorldConfig cfg = repl_cfg(4, 14);
+  cfg.caps.native_atomics = nic_atomics;
+  if (lazy) cfg.replication.mode = runtime::ReplMode::lazy;
+  cfg.faults.schedule = {{/*rank=*/1, /*at=*/400'000}};
+  World w(cfg);
+  constexpr std::uint64_t kElems = 8192;
+  OpStatus status = OpStatus::target_failed;
+  std::uint64_t rescued = 0;
+  std::vector<std::uint64_t> got;
+  w.run([&](Rank& r) {
+    core::EngineConfig ec;
+    ec.serializer = core::SerializerKind::comm_thread;
+    RmaEngine eng(r, r.comm_world(), ec);
+    auto [buf, mems] = eng.allocate_shared(8 * kElems);
+    if (r.id() == 1) {  // victim idles until death
+      r.ctx().delay(2'000'000);
+      return;
+    }
+    if (r.id() != 0) return;
+    auto src = r.alloc(8 * kElems);
+    store(r, src.addr, std::vector<std::uint64_t>(kElems, 1));
+    ASSERT_LT(r.ctx().now(), issue_at);
+    r.ctx().delay(issue_at - r.ctx().now());
+    const auto i64 = dt::Datatype::int64();
+    status = eng.accumulate(portals::AccOp::sum, src.addr, kElems, i64,
+                            mems[1], 0, kElems, i64, 1,
+                            Attrs(RmaAttr::blocking) |
+                                RmaAttr::remote_completion)
+                 .status();
+    rescued = eng.stats().rescued_ops;
+    if (r.ctx().now() < 800'000) r.ctx().delay(800'000 - r.ctx().now());
+    ASSERT_TRUE(eng.target_failed(1));
+    auto dst = r.alloc(8 * kElems);
+    core::Request g = eng.get_bytes(dst.addr, mems[1], 0, 8 * kElems, 1,
+                                    Attrs(RmaAttr::blocking));
+    ASSERT_FALSE(g.failed());
+    got = load<std::uint64_t>(r, dst.addr, kElems);
+  });
+  EXPECT_EQ(status, OpStatus::ok);
+  EXPECT_EQ(rescued, 1u) << "completed through its mirror";
+  ASSERT_EQ(got.size(), kElems);
+  EXPECT_EQ(got[0], 1u) << "the op applied "
+                        << (got[0] == 0 ? "never" : "more than once");
+  EXPECT_EQ(std::count(got.begin(), got.end(), 1ull),
+            static_cast<std::ptrdiff_t>(got.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ExactlyOnce, MidInjectionFailover,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values<sim::Time>(398'000, 399'701, 399'848,
+                                                    399'995)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "Nic" : "NoNic") +
+             (std::get<1>(info.param) ? "Lazy" : "Eager") + "At" +
+             std::to_string(std::get<2>(info.param)) + "ns";
+    });
+
+// A local-completion put_notify still pending when its primary dies: its
+// SEND events complete it, its mirror carries the data, and the rescue
+// re-arms its notification at the backup (the first case of
+// Replication::rescue). Issued at 399,848 ns the death cuts its injection
+// (issue_blocks decides); issued at 390,000 ns its 64 KiB are on the wire
+// and the failure detector's drain decides. Either way the backup's queue
+// sees the tag exactly once and the backup holds the data.
+class LocalNotifyFailover : public ::testing::TestWithParam<sim::Time> {};
+
+TEST_P(LocalNotifyFailover, NotifiesOnceAtBackup) {
+  const sim::Time issue_at = GetParam();
+  WorldConfig cfg = repl_cfg(4, 14);
+  cfg.faults.schedule = {{/*rank=*/1, /*at=*/400'000}};
+  World w(cfg);
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  constexpr std::uint32_t kTag = 77;
+  OpStatus status = OpStatus::target_failed;
+  std::uint64_t rearmed = 0, dropped = 0;
+  std::vector<std::uint32_t> tags;
+  std::vector<std::uint8_t> got;
+  w.run([&](Rank& r) {
+    RmaEngine eng(r, r.comm_world());
+    auto [buf, mems] = eng.allocate_shared(kBytes);
+    if (r.id() == 1) {  // victim idles until death
+      r.ctx().delay(2'000'000);
+      return;
+    }
+    if (r.id() == 0) {
+      auto src = r.alloc(kBytes);
+      store(r, src.addr, std::vector<std::uint8_t>(kBytes, 0x5a));
+      ASSERT_LT(r.ctx().now(), issue_at);
+      r.ctx().delay(issue_at - r.ctx().now());
+      core::Request q = eng.put_notify(src.addr, mems[1], 0, kBytes, 1, kTag);
+      // No progress until the death is known: the request is still pending
+      // when the failure detector runs.
+      if (r.ctx().now() < 420'000) r.ctx().delay(420'000 - r.ctx().now());
+      q.wait();
+      status = q.status();
+      rearmed = eng.stats().notifies_rearmed;
+      auto dst = r.alloc(kBytes);
+      core::Request g = eng.get_bytes(dst.addr, mems[1], 0, kBytes, 1,
+                                      Attrs(RmaAttr::blocking));
+      ASSERT_FALSE(g.failed());
+      got = load<std::uint8_t>(r, dst.addr, kBytes);
+    }
+    if (r.id() == 2) {  // the backup: drain its copy's queue
+      r.ctx().delay(1'500'000);
+      auto& q = eng.notify_queue(mems[1]);
+      while (auto n = q.poll()) tags.push_back(n->tag);
+      dropped = eng.stats().notifies_dropped;
+    }
+    eng.complete_collective();
+  });
+  EXPECT_EQ(status, OpStatus::ok);
+  EXPECT_EQ(rearmed, 1u);
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(tags, std::vector<std::uint32_t>{kTag});
+  ASSERT_EQ(got.size(), kBytes);
+  EXPECT_EQ(std::count(got.begin(), got.end(), std::uint8_t{0x5a}),
+            static_cast<std::ptrdiff_t>(kBytes));
+}
+
+INSTANTIATE_TEST_SUITE_P(ExactlyOnce, LocalNotifyFailover,
+                         ::testing::Values<sim::Time>(390'000, 399'848),
+                         [](const auto& info) {
+                           return "At" + std::to_string(info.param) + "ns";
+                         });
 
 // ------------------------------------------- multi-crash regressions
 
