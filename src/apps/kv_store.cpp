@@ -19,6 +19,11 @@ std::uint64_t u64_at(const std::byte* p, Endian e) {
   return v;
 }
 
+/// Value updates carry the atomicity attribute (target-side serializer) so
+/// concurrent writers to one slot never interleave bytes.
+constexpr core::Attrs kPutAttrs =
+    core::RmaAttr::remote_completion | core::RmaAttr::atomicity;
+
 }  // namespace
 
 KvStore::KvStore(runtime::Rank& rank, core::RmaEngine& eng, KvConfig cfg)
@@ -27,7 +32,6 @@ KvStore::KvStore(runtime::Rank& rank, core::RmaEngine& eng, KvConfig cfg)
                 "KvStore needs 1..comm_size server ranks");
   M3RMA_REQUIRE(cfg_.slots_per_shard >= 1, "KvStore needs at least one slot");
   M3RMA_REQUIRE(cfg_.key_space >= 1, "KvStore needs a nonempty key space");
-  M3RMA_REQUIRE(cfg_.max_probes >= 1, "KvStore needs a probe budget");
   core::TargetMem mine;  // invalid on client ranks
   if (is_server()) {
     const std::uint64_t bytes =
@@ -85,7 +89,7 @@ std::optional<std::uint32_t> KvStore::locate(std::uint64_t key) {
   const int shard = shard_of(key);
   const std::uint64_t home = home_slot(key);
   const std::uint64_t scratch = scratch_acquire();
-  for (int p = 0; p < cfg_.max_probes; ++p) {
+  for (int p = 0; p < kMaxProbes; ++p) {
     const auto slot = static_cast<std::uint32_t>(
         (home + static_cast<std::uint64_t>(p)) % cfg_.slots_per_shard);
     if (p > 0) stats_.probes += 1;
@@ -113,7 +117,7 @@ std::optional<std::pair<std::uint32_t, bool>> KvStore::claim(
     std::uint64_t key) {
   const int shard = shard_of(key);
   const std::uint64_t home = home_slot(key);
-  for (int p = 0; p < cfg_.max_probes; ++p) {
+  for (int p = 0; p < kMaxProbes; ++p) {
     const auto slot = static_cast<std::uint32_t>(
         (home + static_cast<std::uint64_t>(p)) % cfg_.slots_per_shard);
     if (p > 0) stats_.probes += 1;
@@ -156,11 +160,9 @@ KvOutcome KvStore::put(std::uint64_t key, std::span<const std::byte> value) {
   const int shard = shard_of(key);
   const std::uint64_t scratch = scratch_acquire();
   std::memcpy(rank_->memory().raw(scratch), value.data(), value.size());
-  core::Attrs attrs(core::RmaAttr::remote_completion);
-  if (cfg_.atomic_puts) attrs = attrs | core::RmaAttr::atomicity;
   core::Request req = eng_->put_bytes(scratch, shards_[shard],
                                       slot_off(slot) + 16, cfg_.value_bytes,
-                                      shard, attrs);
+                                      shard, kPutAttrs);
   req.wait();
   scratch_release(scratch);
   if (req.failed()) {
@@ -185,7 +187,7 @@ KvOutcome KvStore::get(std::uint64_t key, std::span<std::byte> out) {
   const int shard = shard_of(key);
   const std::uint64_t home = home_slot(key);
   const std::uint64_t scratch = scratch_acquire();
-  for (int p = 0; p < cfg_.max_probes; ++p) {
+  for (int p = 0; p < kMaxProbes; ++p) {
     const auto slot = static_cast<std::uint32_t>(
         (home + static_cast<std::uint64_t>(p)) % cfg_.slots_per_shard);
     if (p > 0) stats_.probes += 1;
@@ -280,11 +282,9 @@ KvStore::AsyncOp KvStore::start_put(std::uint64_t key,
   op.is_get = false;
   op.valid = true;
   std::memcpy(rank_->memory().raw(op.scratch), value.data(), value.size());
-  core::Attrs attrs(core::RmaAttr::remote_completion);
-  if (cfg_.atomic_puts) attrs = attrs | core::RmaAttr::atomicity;
   op.req = eng_->put_bytes(op.scratch, shards_[shard],
                            slot_off(op.slot) + 16, cfg_.value_bytes, shard,
-                           attrs);
+                           kPutAttrs);
   return op;
 }
 

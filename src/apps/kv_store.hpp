@@ -63,11 +63,6 @@ struct KvConfig {
   /// are rejected.
   std::uint64_t key_space = 1024;
   Sharding sharding = Sharding::hash;
-  /// Linear-probe budget before an insert reports overflow.
-  int max_probes = 64;
-  /// Value updates carry the atomicity attribute (target-side serializer)
-  /// so concurrent writers to one slot never interleave bytes.
-  bool atomic_puts = true;
 };
 
 enum class KvOutcome : std::uint8_t {
@@ -75,7 +70,7 @@ enum class KvOutcome : std::uint8_t {
   updated,   ///< put overwrote an existing slot's value
   hit,       ///< get found the key
   miss,      ///< get/incr probing ended at an empty slot
-  overflow,  ///< insert exhausted max_probes (shard full around the home)
+  overflow,  ///< insert exhausted kMaxProbes (shard full around the home)
   failed,    ///< the op completed with a non-ok engine status
   lost,      ///< the op failed with replica_lost: the shard window lost
              ///< every copy, so no retry can ever succeed (chaos harness
@@ -105,6 +100,8 @@ class KvStore {
   static constexpr std::uint64_t kMetaBytes = 64;
   /// Byte offset of the shard occupancy word inside the meta region.
   static constexpr std::uint64_t kOccupancyOff = 0;
+  /// Linear-probe budget before an insert reports overflow.
+  static constexpr int kMaxProbes = 64;
 
   /// Collective over the engine's communicator: server ranks allocate and
   /// attach their shard window, everyone receives every handle.

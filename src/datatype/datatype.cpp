@@ -441,12 +441,6 @@ void Datatype::for_each_block(std::uint64_t count, const BlockFn& fn) const {
   if (have) fn(cur);
 }
 
-std::uint64_t Datatype::block_count(std::uint64_t count) const {
-  std::uint64_t blocks = 0;
-  for_each_block(count, [&](const Block&) { ++blocks; });
-  return blocks;
-}
-
 // -------------------------------------------------------------- pack/unpack
 
 void Datatype::pack(const std::byte* base, std::uint64_t count,

@@ -142,9 +142,6 @@ class Datatype {
   /// this type laid out starting at region offset 0, in packed order.
   void for_each_block(std::uint64_t count, const BlockFn& fn) const;
 
-  /// Number of maximal contiguous runs in `count` elements.
-  std::uint64_t block_count(std::uint64_t count) const;
-
   // ----- pack / unpack ------------------------------------------------------
 
   /// Gather `count` elements laid out at `base` into packed bytes at `out`

@@ -148,7 +148,7 @@ class Fabric {
 
   // ----- topology-aware interconnect (src/topo) ---------------------------
 
-  /// Install a physical-topology model built from `cfg`, with unset link
+  /// Install a physical-topology model built from `cfg`, with its link
   /// parameters derived from this fabric's CostModel (bandwidth =
   /// bytes_per_ns; per-hop latency = latency_ns / diameter, so end-to-end
   /// latency across the longest route matches the flat model). From then on
@@ -160,9 +160,7 @@ class Fabric {
   /// Never calling it keeps the legacy full-crossbar path, byte-identical
   /// to builds without the topo subsystem.
   void set_topology(const topo::TopoConfig& cfg);
-  /// The installed model (mutable: tests/benches may override per-link
-  /// parameters before traffic), or nullptr when none is configured.
-  topo::TopologyModel* topology() { return topo_.get(); }
+  /// The installed model, or nullptr when none is configured.
   const topo::TopologyModel* topology() const { return topo_.get(); }
 
   std::uint64_t total_messages() const { return total_messages_; }
@@ -188,7 +186,6 @@ class Fabric {
   bool alive(int node) const {
     return alive_[static_cast<std::size_t>(node)] != 0;
   }
-  int failed_nodes() const { return failed_nodes_; }
   /// Packets destroyed because an endpoint was dead (distinct from random
   /// wire loss, which counts as dropped_packets).
   std::uint64_t blackholed_packets() const { return blackholed_packets_; }

@@ -127,7 +127,7 @@ void LinkReliability::on_retransmit_timer(std::uint64_t key,
   tx.retries += 1;
   const auto backed = static_cast<sim::Time>(
       std::llround(static_cast<double>(tx.rto) * cfg_.backoff_factor));
-  tx.rto = std::min(std::max(backed, tx.rto), cfg_.max_retransmit_timeout_ns);
+  tx.rto = std::min(std::max(backed, tx.rto), kMaxRetransmitTimeoutNs);
   ++tx.timer_gen;
   arm_retransmit(key, tx);
 }

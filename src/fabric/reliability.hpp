@@ -68,6 +68,9 @@ namespace m3rma::fabric {
 
 class Nic;
 
+/// Ceiling for the backed-off retransmission timeout.
+inline constexpr sim::Time kMaxRetransmitTimeoutNs = 2'000'000;
+
 struct ReliabilityConfig {
   /// Master switch. Off = Nic sends/delivers exactly as if this sublayer
   /// did not exist (the Figure 2 benches depend on that).
@@ -76,10 +79,9 @@ struct ReliabilityConfig {
   /// fifth of it), so the ack window can never cause a spurious timeout as
   /// long as the link RTT stays below the other four fifths.
   sim::Time retransmit_timeout_ns = 50'000;
-  /// Timeout multiplier per consecutive unanswered retransmission round.
+  /// Timeout multiplier per consecutive unanswered retransmission round,
+  /// up to kMaxRetransmitTimeoutNs.
   double backoff_factor = 2.0;
-  /// Ceiling for the backed-off timeout.
-  sim::Time max_retransmit_timeout_ns = 2'000'000;
   /// Retransmission rounds allowed per recovery episode before the link is
   /// declared failed (LinkFailure report / TransportError). 0 = the first
   /// timeout is fatal.

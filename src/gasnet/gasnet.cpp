@@ -62,12 +62,6 @@ void Gasnet::attach_segment(std::uint64_t addr, std::uint64_t len) {
   for (const auto& i : infos) segments_.push_back(Segment{i.match, i.base, i.len});
 }
 
-std::uint64_t Gasnet::segment_size(int rank) const {
-  M3RMA_REQUIRE(!segments_.empty(), "attach_segment first");
-  M3RMA_REQUIRE(rank >= 0 && rank < comm_->size(), "rank out of range");
-  return segments_[static_cast<std::size_t>(rank)].len;
-}
-
 // --------------------------------------------------------------- core AMs
 
 void Gasnet::send_am(int dst_world, const AmHdr& h,
@@ -245,8 +239,6 @@ void Gasnet::sync_nb(Handle& h) {
 void Gasnet::sync_all() {
   wait_for([this] { return outstanding_ == 0; });
 }
-
-void Gasnet::poll() { drain(); }
 
 void Gasnet::drain() {
   while (auto ev = eq_.poll()) {

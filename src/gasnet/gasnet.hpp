@@ -79,7 +79,6 @@ class Gasnet {
 
   /// gasnet_attach: collective segment registration.
   void attach_segment(std::uint64_t addr, std::uint64_t len);
-  std::uint64_t segment_size(int rank) const;
 
   // ----- core API -------------------------------------------------------------
 
@@ -114,9 +113,6 @@ class Gasnet {
   void sync_nb(Handle& h);
   /// Wait for all outstanding extended-API ops (gasnet_wait_syncnbi_all).
   void sync_all();
-
-  /// gasnet_AMPoll: drain pending completion events.
-  void poll();
 
   std::uint64_t am_requests_received() const { return ams_received_; }
 

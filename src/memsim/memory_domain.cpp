@@ -14,7 +14,6 @@ constexpr std::uint64_t kNullGuard = 64;  // keep address 0 unallocatable
 
 MemoryDomain::MemoryDomain(DomainConfig cfg) : cfg_(cfg) {
   M3RMA_REQUIRE(cfg_.size >= 2 * kNullGuard, "domain too small");
-  M3RMA_REQUIRE(cfg_.cache_line > 0, "cache line must be nonzero");
   M3RMA_REQUIRE(cfg_.addr_bits >= 16 && cfg_.addr_bits <= 64,
                 "addr_bits out of range");
   if (cfg_.addr_bits < 64) {
@@ -103,16 +102,15 @@ void MemoryDomain::cpu_write(std::uint64_t addr,
   std::memcpy(arena_ + addr, data.data(), data.size());
   if (!noncoherent()) return;
   // Keep this CPU's cached copies consistent with its own writes.
-  const std::uint64_t line_sz = cfg_.cache_line;
-  const std::uint64_t first = addr / line_sz;
-  const std::uint64_t last = (addr + data.size() - 1) / line_sz;
+  const std::uint64_t first = addr / kCacheLine;
+  const std::uint64_t last = (addr + data.size() - 1) / kCacheLine;
   for (std::uint64_t ln = first; ln <= last; ++ln) {
     auto it = cache_.find(ln);
     if (it == cache_.end()) continue;
-    const std::uint64_t line_base = ln * line_sz;
+    const std::uint64_t line_base = ln * kCacheLine;
     const std::uint64_t lo = std::max<std::uint64_t>(line_base, addr);
     const std::uint64_t hi =
-        std::min<std::uint64_t>(line_base + line_sz, addr + data.size());
+        std::min<std::uint64_t>(line_base + kCacheLine, addr + data.size());
     std::memcpy(it->second.data() + (lo - line_base),
                 data.data() + (lo - addr), hi - lo);
   }
@@ -126,15 +124,14 @@ void MemoryDomain::cpu_read(std::uint64_t addr, std::span<std::byte> out) {
   }
   // Scalar path: serve each overlapping line from the cache, loading missing
   // lines from memory (which freezes them until the next fence).
-  const std::uint64_t line_sz = cfg_.cache_line;
-  const std::uint64_t first = addr / line_sz;
-  const std::uint64_t last = (addr + out.size() - 1) / line_sz;
+  const std::uint64_t first = addr / kCacheLine;
+  const std::uint64_t last = (addr + out.size() - 1) / kCacheLine;
   for (std::uint64_t ln = first; ln <= last; ++ln) {
-    const std::uint64_t line_base = ln * line_sz;
+    const std::uint64_t line_base = ln * kCacheLine;
     auto it = cache_.find(ln);
     if (it == cache_.end()) {
       const std::size_t avail =
-          std::min<std::uint64_t>(line_sz, cfg_.size - line_base);
+          std::min<std::uint64_t>(kCacheLine, cfg_.size - line_base);
       std::vector<std::byte> copy(avail);
       std::memcpy(copy.data(), arena_ + line_base, avail);
       it = cache_.emplace(ln, std::move(copy)).first;

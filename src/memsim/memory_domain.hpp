@@ -40,6 +40,9 @@ enum class Coherence : std::uint8_t {
   noncoherent_writethrough,
 };
 
+/// Line width of a non-coherent domain's scalar cache.
+inline constexpr std::uint64_t kCacheLine = 64;
+
 struct DomainConfig {
   std::size_t size = std::size_t{16} << 20;
   Coherence coherence = Coherence::coherent;
@@ -48,7 +51,6 @@ struct DomainConfig {
   /// may be 32-bit while the host is 64-bit). attach() enforces that RMA
   /// buffers are representable.
   int addr_bits = 64;
-  std::size_t cache_line = 64;
   /// Cost of a scalar-cache invalidating memory fence.
   sim::Time fence_cost_ns = 600;
 };

@@ -27,9 +27,10 @@ struct WireInfo {
   std::uint64_t len = 0;
   std::uint8_t endian = 0;
 };
+}  // namespace
 
 /// Deferred-unpack state for gets in flight (completion happens at sync).
-struct GetState {
+struct Win::GetState {
   std::uint32_t pending = 0;
   std::uint64_t dest = 0;
   bool needs_unpack = false;
@@ -40,15 +41,6 @@ struct GetState {
   dt::Datatype target_dt;
   std::uint64_t target_count = 0;
 };
-
-// One live map per Win instance would be cleaner as a member, but GetState
-// must stay header-opaque; key it by Win pointer here.
-}  // namespace
-
-static std::unordered_map<const Win*,
-                          std::unordered_map<std::uint64_t,
-                                             std::shared_ptr<GetState>>>
-    g_get_states;
 
 Win::Win(runtime::Rank& rank, runtime::Comm& comm, std::uint64_t addr,
          std::uint64_t len)
@@ -107,7 +99,6 @@ Win::~Win() {
   rank_->world().fabric().nic(rank_->id()).unregister_protocol(proto_);
   if (me_ != 0) ptl_->me_unlink(me_);
   ptl_->md_release(md_);
-  g_get_states.erase(this);
 }
 
 void Win::end_op(std::uint64_t id) {
@@ -119,10 +110,6 @@ void Win::end_op(std::uint64_t id) {
 
 Win::PerTarget& Win::per(int world_rank) {
   return targets_[static_cast<std::size_t>(world_rank)];
-}
-
-std::uint64_t Win::window_size(int target) const {
-  return remotes_[static_cast<std::size_t>(target)].length;
 }
 
 void Win::validate_transfer(std::uint64_t origin_addr,
@@ -281,7 +268,7 @@ void Win::get(std::uint64_t origin_addr, std::uint64_t origin_count,
     st->target_dt = target_dt;
     st->target_count = target_count;
   }
-  g_get_states[this][id] = st;
+  get_states_[id] = st;
 
   sim::Context& ctx = rank_->ctx();
   auto issue_block = [&](std::uint64_t mem_off, std::uint64_t packed_off,
@@ -301,7 +288,7 @@ void Win::get(std::uint64_t origin_addr, std::uint64_t origin_count,
     });
   }
   if (st->pending == 0) {
-    g_get_states[this].erase(id);
+    get_states_.erase(id);
     if (tl != nullptr) end_op(id);  // zero-length transfer
   }
 }
@@ -336,9 +323,8 @@ void Win::drain() {
         if (per(ev->initiator).pending_replies > 0) {
           per(ev->initiator).pending_replies -= 1;
         }
-        auto& states = g_get_states[this];
-        auto it = states.find(ev->user_ptr);
-        if (it != states.end()) {
+        auto it = get_states_.find(ev->user_ptr);
+        if (it != get_states_.end()) {
           auto st = it->second;
           if (--st->pending == 0) {
             end_op(ev->user_ptr);
@@ -352,7 +338,7 @@ void Win::drain() {
                                    mem.raw(st->origin_addr));
               mem.dealloc(st->dest);
             }
-            states.erase(it);
+            get_states_.erase(it);
           }
         }
         break;

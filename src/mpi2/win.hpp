@@ -95,11 +95,12 @@ class Win {
   // ----- introspection ---------------------------------------------------------
 
   runtime::Comm& comm() { return *comm_; }
-  std::uint64_t window_size(int target) const;
   std::uint64_t ops_issued() const { return ops_issued_; }
 
  private:
   struct CtrlHdr;
+  /// Deferred-unpack state of a get in flight (defined in win.cpp).
+  struct GetState;
   struct RemoteWin {
     std::uint64_t match = 0;
     std::uint64_t length = 0;
@@ -173,6 +174,8 @@ class Win {
   std::uint64_t op_base_ = 0;        // (ctx id + 1) << 28
   std::uint64_t next_op_seq_ = 0;
   std::unordered_map<std::uint64_t, std::uint32_t> ack_pending_;
+  // Gets in flight, by op id; completion happens at synchronization.
+  std::unordered_map<std::uint64_t, std::shared_ptr<GetState>> get_states_;
   std::vector<std::vector<std::uint64_t>> unacked_ops_;  // by world rank
 };
 

@@ -62,8 +62,6 @@ class P2p {
   std::optional<Message> try_recv(int src = kAnySource,
                                   std::int64_t tag = kAnyTag);
 
-  std::size_t unexpected_count() const { return unexpected_.size(); }
-
  private:
   struct WireHdr {
     std::int64_t tag = 0;

@@ -20,7 +20,7 @@ void Context::delay(Time ns) {
   const int pid = pid_;
   e->check_killed(pid);
   e->schedule_in(ns, [e, pid] { e->dispatch(pid); });
-  e->note_block(pid, "delay");
+  e->note_block(pid);
   e->block_current(pid);
 }
 
@@ -30,7 +30,7 @@ void Context::await(Condition& c) {
   M3RMA_ENSURE(c.eng_ == eng_, "Condition belongs to a different engine");
   eng_->check_killed(pid_);
   c.waiters_.push_back(pid_);
-  eng_->note_block(pid_, "await");
+  eng_->note_block(pid_);
   eng_->block_current(pid_);
 }
 
@@ -54,17 +54,11 @@ void Engine::set_tracer(trace::Recorder* t) {
   if (t != nullptr) t->bind_clock(&now_);
 }
 
-void Engine::note_block(int pid, const char* why) {
+void Engine::note_block(int pid) {
   if (tracer_ == nullptr) return;
-  ProcessState& ps = *procs_[static_cast<std::size_t>(pid)];
-  // Snapshot first: the simulation is sequential, so the recorder's most
-  // recent (non-sim) record is what this process was doing when it blocked.
-  ps.last_site = tracer_->last_site();
-  if (auto* tr = trace::want(tracer_, trace::Category::sim)) {
-    if (ps.trace_track < 0) ps.trace_track = tr->track(ps.name);
-    ps.blocked_span =
-        tr->span_begin(ps.trace_track, trace::Category::sim, why);
-  }
+  // The simulation is sequential, so the recorder's most recent record is
+  // what this process was doing when it blocked.
+  procs_[static_cast<std::size_t>(pid)]->last_site = tracer_->last_site();
 }
 
 int Engine::spawn(std::string name, std::function<void(Context&)> fn,
@@ -115,9 +109,6 @@ void Engine::run() {
     events_.pop();
     now_ = ev.t;
     ++events_processed_;
-    if (auto* tr = trace::want(tracer_, trace::Category::sim)) {
-      tr->add_counter(trace::Category::sim, "sim.events");
-    }
     try {
       ev.fn();
     } catch (...) {
@@ -156,10 +147,6 @@ void Engine::dispatch(int pid) {
   ProcessState& ps = *procs_[static_cast<std::size_t>(pid)];
   if (ps.finished) return;
   ps.wake_pending = false;
-  if (tracer_ != nullptr && ps.blocked_span != 0) {
-    tracer_->span_end(ps.blocked_span);
-    ps.blocked_span = 0;
-  }
   ++context_switches_;
   resume(ps, pid);
 }

@@ -94,8 +94,6 @@ class Condition {
   /// or event context.
   void notify_all();
 
-  bool has_waiters() const { return !waiters_.empty(); }
-
  private:
   friend class Context;
   Engine* eng_;
@@ -151,11 +149,11 @@ class Engine {
   int live_process_count() const { return live_nondaemon_; }
 
   /// Attach (or detach, with nullptr) a trace recorder. The engine stamps
-  /// the recorder with its virtual clock, records process block/wake spans
-  /// (Category::sim), and annotates DeadlockError with each blocked
-  /// process's last recorded trace site. Upper layers reach the recorder
-  /// through tracer() — with none attached, instrumentation costs one
-  /// null-pointer check and runs are byte-identical to untraced builds.
+  /// the recorder with its virtual clock and annotates DeadlockError with
+  /// each blocked process's last recorded trace site. Upper layers reach
+  /// the recorder through tracer() — with none attached, instrumentation
+  /// costs one null-pointer check and runs are byte-identical to untraced
+  /// builds.
   void set_tracer(trace::Recorder* t);
   trace::Recorder* tracer() const { return tracer_; }
 
@@ -179,9 +177,7 @@ class Engine {
     bool daemon = false;
     bool wake_pending = false;
     bool killed = false;
-    int trace_track = -1;           // lazily created recorder track
-    std::uint64_t blocked_span = 0;  // open Category::sim "blocked" span
-    std::string last_site;           // last trace site when it blocked
+    std::string last_site;  // last trace site when it blocked
   };
 
   struct Event {
@@ -218,9 +214,9 @@ class Engine {
   /// Teardown: resume every started, unfinished process so ShutdownSignal
   /// unwinds it on its own stack; processes never started just finish.
   void shutdown_all();
-  /// Tracing: snapshot the process's last trace site and open its blocked
-  /// span. Called by the process itself right before it switches out.
-  void note_block(int pid, const char* why);
+  /// Tracing: snapshot the process's last trace site for the deadlock
+  /// report. Called by the process itself right before it switches out.
+  void note_block(int pid);
 
   int running_pid_ = -1;  // -1: the scheduler is running
   bool shutdown_ = false;

@@ -5,8 +5,9 @@
 // transfer crosses, not endpoint cost alone. This subsystem models that
 // layer: a Topology maps ranks to nodes (coordinates), enumerates directed
 // physical links, and computes deterministic dimension-ordered routes; a
-// TopologyModel adds per-link bandwidth/latency parameters and mutable
-// occupancy state (store-and-forward queuing, byte/message accounting).
+// TopologyModel adds the links' bandwidth/latency parameters (one set,
+// shared by every link) and mutable per-link occupancy state
+// (store-and-forward queuing, byte/message accounting).
 //
 // The fabric consults an optional TopologyModel (Fabric::set_topology):
 // each packet then traverses its hop chain as scheduled events, queuing on
@@ -43,7 +44,6 @@ enum class Kind : std::uint8_t {
   mesh2d,    ///< 2D mesh, no wraparound; dimension order x then y
   torus3d,   ///< 3D torus; dimension order x,y,z; shortest wrap direction
 };
-const char* kind_name(Kind k);
 
 /// How ranks are laid out on physical nodes and which wires exist.
 /// Immutable after construction; all queries are pure.
@@ -115,11 +115,11 @@ class Topology {
   std::vector<int> link_by_pair_;  // src*nodes+dst -> LinkId or -1
 };
 
-/// Declarative topology selection, carried by runtime::WorldConfig. The
-/// zero values for link parameters mean "derive from the fabric CostModel
-/// when installed": bandwidth = CostModel::bytes_per_ns, per-hop latency =
-/// CostModel::latency_ns / diameter (so end-to-end latency across the
-/// longest route matches the flat model's wire latency).
+/// Declarative topology selection, carried by runtime::WorldConfig. Link
+/// parameters are derived from the fabric CostModel: bandwidth =
+/// CostModel::bytes_per_ns, per-hop latency = CostModel::latency_ns /
+/// diameter (so end-to-end latency across the longest route matches the
+/// flat model's wire latency).
 struct TopoConfig {
   Kind kind = Kind::torus3d;
   /// Grid extents. ring uses dim_x; mesh2d uses dim_x*dim_y; torus3d uses
@@ -128,10 +128,6 @@ struct TopoConfig {
   int dim_x = 0;
   int dim_y = 1;
   int dim_z = 1;
-  /// Per-physical-link one-way latency; 0 = derive (see above).
-  Time hop_latency_ns = 0;
-  /// Per-physical-link serialization bandwidth; 0 = derive.
-  double link_bytes_per_ns = 0.0;
 };
 
 struct LinkParams {
@@ -139,22 +135,21 @@ struct LinkParams {
   double bytes_per_ns = 1.0;
 };
 
-/// Topology + per-link parameters + mutable per-link occupancy/accounting
+/// Topology + link parameters + mutable per-link occupancy/accounting
 /// state. Owned by the Fabric; every mutation happens from fabric events,
 /// which the simulator serializes.
 class TopologyModel {
  public:
-  TopologyModel(Topology topo, LinkParams defaults);
-  /// Build from declarative config for a `nodes`-rank world, resolving the
-  /// zero "derive" parameters against the given flat-model values.
+  TopologyModel(Topology topo, LinkParams params);
+  /// Build from declarative config for a `nodes`-rank world, deriving the
+  /// link parameters from the given flat-model values.
   static TopologyModel build(const TopoConfig& cfg, int nodes,
                              Time flat_latency_ns, double flat_bytes_per_ns);
 
   const Topology& topology() const { return topo_; }
 
-  const LinkParams& params(LinkId l) const;
-  /// Override one physical link (e.g. a slow or asymmetric wire).
-  void set_link_params(LinkId l, LinkParams p);
+  /// Parameters of every physical link.
+  const LinkParams& params() const { return params_; }
 
   struct LinkState {
     Time busy_until = 0;       ///< end of the last reserved xmit window
@@ -181,9 +176,8 @@ class TopologyModel {
 
  private:
   Topology topo_;
-  LinkParams defaults_;
-  std::vector<LinkParams> params_;  // per link
-  std::vector<LinkState> state_;    // per link
+  LinkParams params_;
+  std::vector<LinkState> state_;  // per link
 };
 
 }  // namespace m3rma::topo

@@ -11,8 +11,6 @@ namespace m3rma::trace {
 
 const char* category_name(Category c) {
   switch (c) {
-    case Category::sim:
-      return "sim";
     case Category::fabric:
       return "fabric";
     case Category::reliability:
@@ -33,15 +31,7 @@ const char* category_name(Category c) {
   return "?";
 }
 
-Recorder::Recorder() {
-  // Everything on except the engine-internal category: block/wake spans are
-  // the chattiest records by an order of magnitude, and mostly useful when
-  // debugging the scheduler itself.
-  category_mask_ = 0;
-  for (int i = 0; i < kCategoryCount; ++i) category_mask_ |= 1u << i;
-  set_category(Category::sim, false);
-  procs_.push_back(Process{"m3rma", {}, {}});
-}
+Recorder::Recorder() { procs_.push_back(Process{"m3rma", {}, {}}); }
 
 void Recorder::set_category(Category c, bool on) {
   const auto bit = 1u << static_cast<unsigned>(c);
@@ -73,11 +63,8 @@ int Recorder::track(const std::string& name) {
   return id;
 }
 
-void Recorder::note_site(Category cat, const std::string& name, Time t) {
+void Recorder::note_site(const std::string& name, Time t) {
   max_ts_ = std::max(max_ts_, t);
-  // Engine-internal records would make every "last site" read "blocked";
-  // keep the last *meaningful* record for the deadlock report instead.
-  if (cat == Category::sim) return;
   last_name_ = name;
   last_time_ = t;
 }
@@ -86,7 +73,7 @@ SpanHandle Recorder::span_begin(int track, Category cat, std::string name,
                                 std::string args) {
   if (!enabled(cat)) return 0;
   const Time t = now();
-  note_site(cat, name, t);
+  note_site(name, t);
   Rec r;
   r.kind = Rec::Kind::span;
   r.pid = cur_pid_;
@@ -116,7 +103,7 @@ void Recorder::span_at(int track, Category cat, std::string name, Time t0,
                        Time t1, std::string args) {
   if (!enabled(cat)) return;
   M3RMA_ENSURE(t1 >= t0, "span_at interval must not be inverted");
-  note_site(cat, name, t1);
+  note_site(name, t1);
   Rec r;
   r.kind = Rec::Kind::span;
   r.pid = cur_pid_;
@@ -133,7 +120,7 @@ void Recorder::instant(int track, Category cat, std::string name,
                        std::string args) {
   if (!enabled(cat)) return;
   const Time t = now();
-  note_site(cat, name, t);
+  note_site(name, t);
   Rec r;
   r.kind = Rec::Kind::instant;
   r.pid = cur_pid_;

@@ -23,9 +23,9 @@
 //     insertion-ordered or sorted, and timestamps are formatted with
 //     integer math only, so the same seed produces byte-identical exports.
 //
-// Every record carries a category; disabled categories (Category::sim by
-// default — per-process block/wake spans are voluminous) are dropped at the
-// recording call site before any strings are built.
+// Every record carries a category; all are recorded by default, and a
+// disabled category is dropped at the recording call site before any
+// strings are built.
 //
 // Timestamps are plain std::uint64_t nanoseconds (== sim::Time) so this
 // library sits below simtime and depends only on m3rma_common; the engine
@@ -54,7 +54,6 @@ using Time = std::uint64_t;
 Time nearest_rank(const std::vector<Time>& sorted, double pct);
 
 enum class Category : std::uint8_t {
-  sim,          ///< engine internals: process block/wake, event dispatch
   fabric,       ///< raw network: per-link packet flights, drops
   reliability,  ///< reliable sublayer: retransmits, dups, acks
   portals,      ///< portals transport: EQ event posts
@@ -64,7 +63,7 @@ enum class Category : std::uint8_t {
   runtime,      ///< collectives and world-level milestones
   apps,         ///< application-layer workloads (src/apps): KV ops, shards
 };
-inline constexpr int kCategoryCount = 9;
+inline constexpr int kCategoryCount = 8;
 const char* category_name(Category c);
 
 /// Opaque handle returned by span_begin; 0 means "not recorded" and makes
@@ -132,7 +131,7 @@ class Recorder {
 
   // ----- introspection ------------------------------------------------------
 
-  /// The most recent non-sim record ("rma.complete @184200ns"), used by the
+  /// The most recent record ("rma.complete @184200ns"), used by the
   /// engine to annotate DeadlockError with each process's last trace site.
   bool has_last_site() const { return !last_name_.empty(); }
   std::string last_site() const;
@@ -206,7 +205,7 @@ class Recorder {
     Kind kind = Kind::span;
     int pid = 0;
     int track = 0;
-    Category cat = Category::sim;
+    Category cat = Category::fabric;
     std::string name;
     std::string args;
     Time t0 = 0;
@@ -214,11 +213,11 @@ class Recorder {
     bool open = false;  // span never ended (still live at export)
   };
 
-  void note_site(Category cat, const std::string& name, Time t);
+  void note_site(const std::string& name, Time t);
 
   const Time* clock_ = nullptr;
   OpTimeline* op_timeline_ = nullptr;
-  std::uint32_t category_mask_;
+  std::uint32_t category_mask_ = (1u << kCategoryCount) - 1;  // all on
   std::vector<Process> procs_;
   int cur_pid_ = 0;
   std::vector<Rec> recs_;

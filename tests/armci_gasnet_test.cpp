@@ -113,6 +113,34 @@ TEST(ArmciTest, StridedPutPlacesBlocks) {
   });
 }
 
+TEST(ArmciTest, StridedGetGathersBlocks) {
+  World w(wcfg(2));
+  w.run([](Rank& r) {
+    armci::Armci a(r, r.comm_world());
+    a.malloc_shared(512);
+    if (r.id() == 1) {
+      std::vector<std::uint8_t> v(512);
+      std::iota(v.begin(), v.end(), std::uint8_t{0});
+      store(r, a.local_base(), v);
+    }
+    a.barrier();
+    if (r.id() == 0) {
+      auto dst = r.alloc(256);
+      store(r, dst.addr, std::vector<std::uint8_t>(256, 0xee));
+      // 4 blocks of 16 bytes from remote stride 64 into local stride 32.
+      a.get_strided(dst.addr, 32, 1, 8, 64, 16, 4);
+      auto got = load<std::uint8_t>(r, dst.addr, 128);
+      for (int b = 0; b < 4; ++b) {
+        for (int i = 0; i < 16; ++i) {
+          EXPECT_EQ(got[static_cast<std::size_t>(32 * b + i)], 8 + 64 * b + i);
+        }
+        EXPECT_EQ(got[static_cast<std::size_t>(32 * b + 16)], 0xee);
+      }
+    }
+    a.barrier();
+  });
+}
+
 TEST(ArmciTest, VectorPutScattersPairs) {
   World w(wcfg(2));
   w.run([](Rank& r) {
@@ -288,6 +316,45 @@ TEST(GasnetTest, ReplyFromHandler) {
       // Wait for the reply to land.
       r.ctx().delay(200000);
       EXPECT_EQ(reply_val, 42u);
+    }
+    r.comm_world().barrier();
+  });
+}
+
+TEST(GasnetTest, MediumReplyCarriesPayloadBack) {
+  World w(wcfg(2));
+  w.run([](Rank& r) {
+    gasnet::Gasnet gn(r, r.comm_world());
+    std::vector<std::byte> echoed;
+    std::uint64_t echoed_a0 = 0, echoed_a1 = 0;
+    // Handler 0: request — echoes the payload reversed via handler 1.
+    gn.register_handler([&gn](gasnet::Token& tok,
+                              std::span<const std::byte> pl,
+                              std::uint64_t a0, std::uint64_t a1) {
+      std::vector<std::byte> back(pl.rbegin(), pl.rend());
+      gn.reply_medium(tok, 1, back, a0 + 1, a1 + 1);
+    });
+    gn.register_handler([&](gasnet::Token& tok, std::span<const std::byte> pl,
+                            std::uint64_t a0, std::uint64_t a1) {
+      EXPECT_EQ(tok.source(), 1);
+      echoed.assign(pl.begin(), pl.end());
+      echoed_a0 = a0;
+      echoed_a1 = a1;
+    });
+    r.comm_world().barrier();
+    if (r.id() == 0) {
+      std::vector<std::byte> data(48);
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<std::byte>(i);
+      }
+      gn.am_medium(1, 0, data, 7, 9);
+      r.ctx().delay(200000);
+      ASSERT_EQ(echoed.size(), data.size());
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        EXPECT_EQ(echoed[i], data[data.size() - 1 - i]);
+      }
+      EXPECT_EQ(echoed_a0, 8u);
+      EXPECT_EQ(echoed_a1, 10u);
     }
     r.comm_world().barrier();
   });

@@ -153,6 +153,36 @@ TEST(CoreBasic, NonBlockingRequestCompletesOnWait) {
   });
 }
 
+TEST(CoreBasic, RequestTestPollsUntilDone) {
+  World w(cfg_with(2));
+  w.run([](Rank& r) {
+    RmaEngine eng(r, r.comm_world());
+    auto buf = r.alloc(64);
+    auto mems = eng.exchange_all(eng.attach(buf.addr, buf.size));
+    if (r.id() == 0) {
+      auto src = r.alloc(64);
+      store<std::uint8_t>(r, src.addr, std::vector<std::uint8_t>(64, 9));
+      Request req = eng.put_bytes(src.addr, mems[1], 0, 64, 1,
+                                  Attrs(RmaAttr::remote_completion));
+      // test() progresses the engine on every call; the ack arrives only
+      // after a round trip, so the first polls report not done.
+      int polls = 0;
+      while (!req.test()) {
+        ++polls;
+        r.ctx().delay(500);
+      }
+      EXPECT_GT(polls, 0);
+      EXPECT_TRUE(req.done());
+      EXPECT_FALSE(req.failed());
+    }
+    eng.complete_collective();
+    if (r.id() == 1) {
+      EXPECT_EQ(load<std::uint8_t>(r, buf.addr, 64),
+                std::vector<std::uint8_t>(64, 9));
+    }
+  });
+}
+
 TEST(CoreBasic, LocalCompletionIsImmediateOnEagerPath) {
   World w(cfg_with(2));
   w.run([](Rank& r) {

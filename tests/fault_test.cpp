@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/rma_engine.hpp"
@@ -299,6 +300,51 @@ TEST(FaultInjection, OpsToKnownDeadTargetFailFast) {
   });
   EXPECT_TRUE(checked);
 }
+
+// A blocking RMW whose unreplicated target dies after the request left but
+// before the reply came back throws, whichever mechanism carried it: the
+// NIC's fetch-atomic, the serializer's RMW active message, or the coarse
+// lock's locked get-modify-put.
+struct RmwMech {
+  const char* name;
+  bool native_atomics;
+  SerializerKind serializer;
+};
+
+class RmwTargetDiesBeforeReplying : public ::testing::TestWithParam<RmwMech> {
+};
+
+TEST_P(RmwTargetDiesBeforeReplying, BlockingRmwThrows) {
+  WorldConfig cfg;
+  cfg.ranks = 2;
+  cfg.seed = 21;
+  cfg.caps.native_atomics = GetParam().native_atomics;
+  World w(cfg);
+  bool checked = false;
+  w.run([&](Rank& r) {
+    EngineConfig ec;
+    ec.serializer = GetParam().serializer;
+    RmaEngine eng(r, r.comm_world(), ec);
+    auto [buf, mems] = eng.allocate_shared(64);
+    if (r.id() == 0) {
+      // Rank 1 dies while the first message of the RMW is on the wire.
+      w.engine().schedule_in(1000, [&w] { w.kill_rank(1); });
+      EXPECT_THROW(eng.fetch_add(mems[1], 0, 1, 1), RankFailedError);
+      EXPECT_TRUE(eng.target_failed(1));
+      checked = true;
+    }
+    eng.complete_collective();
+  });
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(w.failed_ranks(), std::vector<int>{1});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mechanisms, RmwTargetDiesBeforeReplying,
+    ::testing::Values(RmwMech{"nic", true, SerializerKind::comm_thread},
+                      RmwMech{"am", false, SerializerKind::comm_thread},
+                      RmwMech{"lock", false, SerializerKind::coarse_lock}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // Silent crash (announce=false): nobody tells the survivors, so detection
 // must come endogenously from the reliable transport's retry budget, and

@@ -144,6 +144,43 @@ TEST(KvStore, PutGetIncrRoundTrip) {
   EXPECT_EQ(client_stats.failed, 0u);
 }
 
+TEST(KvStore, FullShardReportsOverflowAfterProbeBudget) {
+  // One 16-slot shard: 16 inserts fill it, after which an insert of a new
+  // key probes KvStore::kMaxProbes slots (wrapping around the full shard)
+  // and reports overflow, through put and through incr alike.
+  World w(world_cfg(2, 5));
+  bool checked = false;
+  w.run([&](Rank& r) {
+    core::RmaEngine eng(r, r.comm_world());
+    KvConfig kc;
+    kc.servers = 1;
+    kc.slots_per_shard = 16;
+    kc.key_space = 64;
+    kc.value_bytes = 8;
+    KvStore kv(r, eng, kc);
+    if (r.id() == 1) {
+      for (std::uint64_t k = 0; k < 16; ++k) {
+        ASSERT_EQ(kv.put(k, val_of(k, 8)), KvOutcome::inserted) << k;
+      }
+      EXPECT_EQ(kv.shard_occupancy(0), 16u);
+      const apps::KvStats before = kv.stats();
+      EXPECT_EQ(kv.put(40, val_of(40, 8)), KvOutcome::overflow);
+      EXPECT_EQ(kv.stats().cas_conflicts - before.cas_conflicts,
+                static_cast<std::uint64_t>(KvStore::kMaxProbes));
+      EXPECT_FALSE(kv.incr(41, 1).has_value());
+      EXPECT_EQ(kv.stats().overflows, 2u);
+      EXPECT_EQ(kv.get(42), KvOutcome::miss);  // no empty slot ends the probe
+      // The full shard still serves the keys it holds.
+      std::vector<std::byte> out(8);
+      EXPECT_EQ(kv.get(7, out), KvOutcome::hit);
+      EXPECT_EQ(out, val_of(7, 8));
+      EXPECT_EQ(kv.shard_occupancy(0), 16u);
+      checked = true;
+    }
+  });
+  EXPECT_TRUE(checked);
+}
+
 TEST(KvStore, ConcurrentCasInsertContention) {
   // Five clients race to insert the same 24 keys into one shard. The CAS
   // protocol must elect exactly one claimer per key; everyone else must

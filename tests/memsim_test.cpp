@@ -245,9 +245,7 @@ TEST(NonCoherentDomain, OwnWritesAlwaysVisibleToSelf) {
 }
 
 TEST(NonCoherentDomain, StalenessHasCacheLineGranularity) {
-  DomainConfig c = sx_cfg();
-  c.cache_line = 64;
-  MemoryDomain d(c);
+  MemoryDomain d(sx_cfg());
   auto addr = d.alloc(256, 64);
   d.cpu_write(addr, std::vector<std::byte>(256, std::byte{1}));
   // Cache only the first line.

@@ -171,6 +171,58 @@ TEST(RmiTest, UnregisteredHandlerIsAFailure) {
                Panic);
 }
 
+// Fail-stop contract for RMI: a blocking invoke whose target dies before
+// replying throws, and a signal to a target already known dead completes
+// at once with target_failed without touching the wire.
+TEST(RmiTest, InvokeThrowsWhenTargetDiesBeforeReplying) {
+  World w(wcfg(2));
+  bool checked = false;
+  w.run([&](Rank& r) {
+    RmaEngine eng(r, r.comm_world());
+    eng.register_rmi(0, [](int, std::span<const std::byte> args) {
+      return std::vector<std::byte>(args.begin(), args.end());
+    });
+    r.comm_world().barrier();
+    if (r.id() == 0) {
+      // The request is on the wire when rank 1 dies; no reply comes back.
+      w.engine().schedule_in(1000, [&w] { w.kill_rank(1); });
+      EXPECT_THROW((void)eng.invoke(1, 0, bytes_of("ping")), RankFailedError);
+      EXPECT_TRUE(eng.target_failed(1));
+      checked = true;
+    }
+    eng.complete_collective();
+  });
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(w.failed_ranks(), std::vector<int>{1});
+}
+
+TEST(RmiTest, SignalToKnownDeadTargetFailsFast) {
+  World w(wcfg(2));
+  bool checked = false;
+  w.run([&](Rank& r) {
+    RmaEngine eng(r, r.comm_world());
+    eng.register_rmi(0, [](int, std::span<const std::byte>) {
+      return std::vector<std::byte>{};
+    });
+    r.comm_world().barrier();
+    if (r.id() == 0) {
+      w.kill_rank(1);
+      r.ctx().delay(1000);  // let the death announcement land
+      ASSERT_TRUE(eng.target_failed(1));
+      const std::uint64_t fast_before = eng.stats().failed_fast;
+      const std::uint64_t wire_before = w.fabric().total_messages();
+      Request req = eng.signal(1, 0, bytes_of("late"));
+      EXPECT_TRUE(req.done());
+      EXPECT_EQ(req.status(), OpStatus::target_failed);
+      EXPECT_EQ(eng.stats().failed_fast, fast_before + 1);
+      EXPECT_EQ(w.fabric().total_messages(), wire_before);
+      checked = true;
+    }
+    eng.complete_collective();
+  });
+  EXPECT_TRUE(checked);
+}
+
 // ------------------------------------------------------ allocate_shared
 
 TEST(AllocateShared, CollectiveAllocationHandsOutAllHandles) {

@@ -60,8 +60,8 @@ TEST(RecorderTest, DisabledCategoryIsDropped) {
   EXPECT_EQ(rec.record_count(), 0u);
   EXPECT_EQ(rec.counter("c"), 0u);
   EXPECT_FALSE(rec.histogram("h").has_value());
-  // sim is off by default; want() reflects the mask.
-  EXPECT_EQ(want(&rec, Category::sim), nullptr);
+  // want() reflects the mask.
+  EXPECT_EQ(want(&rec, Category::rma), nullptr);
   EXPECT_NE(want(&rec, Category::fabric), nullptr);
   EXPECT_EQ(want(static_cast<Recorder*>(nullptr), Category::fabric), nullptr);
 }
@@ -112,12 +112,12 @@ TEST(RecorderTest, LastSiteTracksMeaningfulRecords) {
   Recorder rec;
   Time clock = 0;
   rec.bind_clock(&clock);
-  rec.set_category(Category::sim, true);
   const int t = rec.track("rank0");
   clock = 700;
   rec.instant(t, Category::rma, "rma.put");
+  rec.set_category(Category::fabric, false);
   clock = 900;
-  rec.span_begin(t, Category::sim, "delay");  // engine-internal: not a site
+  rec.instant(t, Category::fabric, "drop");  // not recorded: not a site
   ASSERT_TRUE(rec.has_last_site());
   EXPECT_EQ(rec.last_site(), "rma.put @700ns");
 }
