@@ -151,6 +151,11 @@ SplitMix64& Fabric::link_rng(std::uint64_t key) {
   return it->second;
 }
 
+std::uint64_t Fabric::pair_key(int src, int dst) const {
+  return static_cast<std::uint64_t>(src) * static_cast<std::uint64_t>(nodes()) +
+         static_cast<std::uint64_t>(dst);
+}
+
 void Fabric::route(Packet&& p) {
   // Dead endpoints blackhole before any counter or rng touch, so a run with
   // no failed nodes draws exactly the same loss/jitter sequence as one
@@ -160,9 +165,7 @@ void Fabric::route(Packet&& p) {
     blackhole(p, "inject");
     return;
   }
-  const std::uint64_t key = static_cast<std::uint64_t>(p.src) *
-                                static_cast<std::uint64_t>(nodes()) +
-                            static_cast<std::uint64_t>(p.dst);
+  const std::uint64_t key = pair_key(p.src, p.dst);
   p.seq = next_seq_[key]++;
   p.injected_at = eng_->now();
   total_messages_ += 1;
@@ -178,26 +181,7 @@ void Fabric::route(Packet&& p) {
   if (topo_ != nullptr && p.src != p.dst) {
     // Physical-topology path: traverse the dimension-ordered hop chain.
     // Self-sends stay on the loopback path below — they never touch wires.
-    std::vector<topo::LinkId> path = topo_->topology().route(p.src, p.dst);
-    if (failed_nodes_ > 0 && path_transits_dead(path, 0, p.dst)) {
-      // Dimension-ordered routing would carry this packet through a
-      // quarantined router; divert onto the minimal-adaptive fallback. A
-      // severed pair keeps the original path and blackholes at the dead
-      // hop, exactly as before the fallback existed.
-      const std::vector<topo::LinkId>& alt = fallback_route(p.src, p.dst);
-      if (!alt.empty()) {
-        ++rerouted_packets_;
-        if (tr != nullptr) {
-          tr->instant(tr->track(link_name(p.src, p.dst)),
-                      trace::Category::fabric, "reroute",
-                      "at=inject proto=" + std::to_string(p.protocol) +
-                          " hops=" + std::to_string(alt.size()));
-          tr->add_counter(trace::Category::fabric, "fabric.reroutes");
-        }
-        path = alt;
-      }
-    }
-    topo_hop(std::move(p), std::move(path), 0, eng_->now());
+    forward(std::move(p), topo_->topology().route(p.src, p.dst), 0, p.src);
     return;
   }
 
@@ -213,28 +197,11 @@ void Fabric::route(Packet&& p) {
     return;  // failure injection: the packet vanishes on the wire
   }
 
-  const sim::Time uncontended =
-      eng_->now() + transfer_time(p.src, p.dst, p.wire_size());
-  sim::Time arrival = uncontended;
-  if (caps_.ordered_delivery || p.src == p.dst) {
-    // FIFO per pair: a packet never overtakes an earlier one.
-    auto& last = last_arrival_[key];
-    if (arrival <= last) arrival = last + 1;
-    last = arrival;
-  } else if (costs_.jitter_ns > 0) {
-    // Adaptive routing: deterministic pseudo-random spread allows
-    // overtaking.
-    arrival += link_rng(key).next_below(costs_.jitter_ns + 1);
-  }
-
-  Nic* target = nics_[static_cast<std::size_t>(p.dst)].get();
-  if (costs_.delivery_occupancy_ns > 0) {
-    // The receive pipeline is a serial resource: converging traffic queues.
-    if (arrival < target->rx_busy_until_) arrival = target->rx_busy_until_;
-    target->rx_busy_until_ = arrival + costs_.delivery_occupancy_ns;
-    if (caps_.ordered_delivery || p.src == p.dst) {
-      last_arrival_[key] = std::max(last_arrival_[key], arrival);
-    }
+  // Adaptive routing on an unordered network: a deterministic pseudo-random
+  // spread lets a packet overtake an earlier one (never a self-send).
+  sim::Time jitter = 0;
+  if (!caps_.ordered_delivery && p.src != p.dst && costs_.jitter_ns > 0) {
+    jitter = link_rng(key).next_below(costs_.jitter_ns + 1);
   }
   trace::SpanHandle wire_span = 0;
   if (tr != nullptr) {
@@ -243,33 +210,36 @@ void Fabric::route(Packet&& p) {
         "proto=" + std::to_string(p.protocol) +
             " bytes=" + std::to_string(p.wire_size()));
   }
-  if (auto* tl = trace::timeline(eng_->tracer()); tl != nullptr &&
-                                                  tl->tracks(p.op)) {
-    // Decompose the flat-path flight: serialization + link latency is wire,
-    // the NIC processing tail is delivery, and whatever the FIFO / jitter /
-    // rx-occupancy clamps added on top is contention stall.
-    const sim::Time wire_end = uncontended - costs_.delivery_overhead_ns;
-    tl->add(p.op, leg(p, trace::Segment::wire), eng_->now(), wire_end);
-    tl->add(p.op, leg(p, trace::Segment::delivery), wire_end, uncontended);
-    if (arrival > uncontended) {
-      tl->add(p.op, leg(p, trace::Segment::contention), uncontended, arrival);
+  const sim::Time wire_end = eng_->now() +
+                             transfer_time(p.src, p.dst, p.wire_size()) -
+                             costs_.delivery_overhead_ns;
+  endpoint(std::move(p), wire_end, jitter, wire_span);
+}
+
+void Fabric::forward(Packet&& p, std::vector<topo::LinkId>&& path,
+                     std::size_t idx, int here) {
+  if (failed_nodes_ > 0 && path_transits_dead(path, idx, p.dst)) {
+    // The rest of the dimension-ordered chain enters a quarantined router
+    // (dead at injection, or died while the packet was in flight): adapt
+    // from the current, live router onto the minimal-adaptive fallback. A
+    // severed pair keeps its route and blackholes at the dead hop.
+    const std::vector<topo::LinkId>& alt = fallback_route(here, p.dst);
+    if (!alt.empty()) {
+      ++rerouted_packets_;
+      if (auto* tr = trace::want(eng_->tracer(), trace::Category::fabric)) {
+        tr->instant(tr->track(link_name(p.src, p.dst)),
+                    trace::Category::fabric, "reroute",
+                    (idx == 0 ? std::string("at=inject")
+                              : "at=node" + std::to_string(here)) +
+                        " proto=" + std::to_string(p.protocol) +
+                        " hops=" + std::to_string(alt.size()));
+        tr->add_counter(trace::Category::fabric, "fabric.reroutes");
+      }
+      path = alt;
+      idx = 0;
     }
   }
-  eng_->schedule_at(
-      arrival, [this, wire_span, target, pkt = std::move(p)]() mutable {
-        if (wire_span != 0 && eng_->tracer() != nullptr) {
-          eng_->tracer()->span_end(wire_span);
-        }
-        // Fail-stop is a power-off: a packet in flight when either endpoint
-        // dies is lost at delivery time (the dead NIC can neither receive
-        // nor have usefully sent it).
-        if (alive_[static_cast<std::size_t>(pkt.src)] == 0 ||
-            alive_[static_cast<std::size_t>(pkt.dst)] == 0) {
-          blackhole(pkt, "in_flight");
-          return;
-        }
-        target->deliver(std::move(pkt));
-      });
+  topo_hop(std::move(p), std::move(path), idx, eng_->now());
 }
 
 void Fabric::topo_hop(Packet&& p, std::vector<topo::LinkId>&& path,
@@ -341,31 +311,12 @@ void Fabric::topo_hop(Packet&& p, std::vector<topo::LinkId>&& path,
       return;
     }
     if (idx + 1 == pth.size()) {
-      topo_deliver(std::move(pkt));
+      // Whole at the destination router: the hops already reported their
+      // flight and drew their jitter.
+      endpoint(std::move(pkt), eng_->now(), 0, 0);
       return;
     }
-    if (failed_nodes_ > 0 && path_transits_dead(pth, idx + 1, pkt.dst)) {
-      // A router further down this packet's chain died while it was in
-      // flight: adapt from the current (live) router instead of carrying
-      // the packet into the blackhole. Severed pairs fall through and die
-      // at the dead hop, as before.
-      const std::vector<topo::LinkId>& alt = fallback_route(here, pkt.dst);
-      if (!alt.empty()) {
-        ++rerouted_packets_;
-        if (auto* rt = trace::want(eng_->tracer(), trace::Category::fabric)) {
-          rt->instant(rt->track(link_name(pkt.src, pkt.dst)),
-                      trace::Category::fabric, "reroute",
-                      "at=node" + std::to_string(here) +
-                          " proto=" + std::to_string(pkt.protocol) +
-                          " hops=" + std::to_string(alt.size()));
-          rt->add_counter(trace::Category::fabric, "fabric.reroutes");
-        }
-        topo_hop(std::move(pkt), std::vector<topo::LinkId>(alt), 0,
-                 eng_->now());
-        return;
-      }
-    }
-    topo_hop(std::move(pkt), std::move(pth), idx + 1, eng_->now());
+    forward(std::move(pkt), std::move(pth), idx + 1, here);
   });
 }
 
@@ -382,9 +333,7 @@ bool Fabric::path_transits_dead(const std::vector<topo::LinkId>& path,
 }
 
 const std::vector<topo::LinkId>& Fabric::fallback_route(int from, int dst) {
-  const std::uint64_t key = static_cast<std::uint64_t>(from) *
-                                static_cast<std::uint64_t>(nodes()) +
-                            static_cast<std::uint64_t>(dst);
+  const std::uint64_t key = pair_key(from, dst);
   auto it = fallback_routes_.find(key);
   if (it == fallback_routes_.end()) {
     it = fallback_routes_
@@ -395,42 +344,54 @@ const std::vector<topo::LinkId>& Fabric::fallback_route(int from, int dst) {
   return it->second;
 }
 
-void Fabric::topo_deliver(Packet&& p) {
-  // Endpoint tail, identical to the flat path: target NIC processing cost,
-  // per-(src,dst) FIFO on ordered networks, receive-pipeline occupancy.
-  const std::uint64_t key = static_cast<std::uint64_t>(p.src) *
-                                static_cast<std::uint64_t>(nodes()) +
-                            static_cast<std::uint64_t>(p.dst);
-  const sim::Time uncontended = eng_->now() + costs_.delivery_overhead_ns;
-  sim::Time arrival = uncontended;
-  if (caps_.ordered_delivery) {
+void Fabric::endpoint(Packet&& p, sim::Time wire_end, sim::Time jitter,
+                      std::uint64_t wire_span) {
+  const std::uint64_t key = pair_key(p.src, p.dst);
+  const bool fifo = caps_.ordered_delivery || p.src == p.dst;
+  const sim::Time uncontended = wire_end + costs_.delivery_overhead_ns;
+  sim::Time arrival = uncontended + jitter;
+  if (fifo) {
+    // FIFO per pair: a packet never overtakes an earlier one.
     auto& last = last_arrival_[key];
     if (arrival <= last) arrival = last + 1;
     last = arrival;
   }
   Nic* target = nics_[static_cast<std::size_t>(p.dst)].get();
   if (costs_.delivery_occupancy_ns > 0) {
+    // The receive pipeline is a serial resource: converging traffic queues.
     if (arrival < target->rx_busy_until_) arrival = target->rx_busy_until_;
     target->rx_busy_until_ = arrival + costs_.delivery_occupancy_ns;
-    if (caps_.ordered_delivery) {
-      last_arrival_[key] = std::max(last_arrival_[key], arrival);
-    }
+    if (fifo) last_arrival_[key] = std::max(last_arrival_[key], arrival);
   }
   if (auto* tl = trace::timeline(eng_->tracer()); tl != nullptr &&
                                                   tl->tracks(p.op)) {
-    tl->add(p.op, leg(p, trace::Segment::delivery), eng_->now(), uncontended);
+    // Serialization + link latency still ahead is wire (the flat path;
+    // the topology path reported each hop), the NIC processing tail is
+    // delivery, and whatever the FIFO / jitter / rx-occupancy clamps added
+    // on top is contention stall.
+    if (wire_end > eng_->now()) {
+      tl->add(p.op, leg(p, trace::Segment::wire), eng_->now(), wire_end);
+    }
+    tl->add(p.op, leg(p, trace::Segment::delivery), wire_end, uncontended);
     if (arrival > uncontended) {
       tl->add(p.op, leg(p, trace::Segment::contention), uncontended, arrival);
     }
   }
-  eng_->schedule_at(arrival, [this, target, pkt = std::move(p)]() mutable {
-    if (alive_[static_cast<std::size_t>(pkt.src)] == 0 ||
-        alive_[static_cast<std::size_t>(pkt.dst)] == 0) {
-      blackhole(pkt, "in_flight");
-      return;
-    }
-    target->deliver(std::move(pkt));
-  });
+  eng_->schedule_at(
+      arrival, [this, wire_span, target, pkt = std::move(p)]() mutable {
+        if (wire_span != 0 && eng_->tracer() != nullptr) {
+          eng_->tracer()->span_end(wire_span);
+        }
+        // Fail-stop is a power-off: a packet in flight when either endpoint
+        // dies is lost at delivery time (the dead NIC can neither receive
+        // nor have usefully sent it).
+        if (alive_[static_cast<std::size_t>(pkt.src)] == 0 ||
+            alive_[static_cast<std::size_t>(pkt.dst)] == 0) {
+          blackhole(pkt, "in_flight");
+          return;
+        }
+        target->deliver(std::move(pkt));
+      });
 }
 
 void Fabric::blackhole(const Packet& p, const char* where) {

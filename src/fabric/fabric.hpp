@@ -216,15 +216,27 @@ class Fabric {
  private:
   friend class Nic;
   void route(Packet&& p);
+  /// Topology path: send `p` on from router `here` along path[idx..],
+  /// diverted onto the fallback route first when that rest of the path
+  /// transits a dead router (idx 0: at injection; else mid-flight).
+  void forward(Packet&& p, std::vector<topo::LinkId>&& path,
+               std::size_t idx, int here);
   /// Topology path: move `p` across hop `idx` of `path`, ready to start
-  /// serializing at `ready`; schedules the next hop (or final delivery) as
-  /// an event at the store-and-forward arrival time.
+  /// serializing at `ready`; schedules the next hop (or the endpoint stage)
+  /// as an event at the store-and-forward arrival time.
   void topo_hop(Packet&& p, std::vector<topo::LinkId>&& path,
                 std::size_t idx, sim::Time ready);
-  /// Topology path tail: endpoint delivery at the destination node, with
-  /// the same per-(src,dst) FIFO clamp and receive-occupancy queuing as the
-  /// flat path.
-  void topo_deliver(Packet&& p);
+  /// Endpoint stage, the end of both send paths: `p` is whole at the
+  /// destination NIC at `wire_end` (the flat path passes its link latency
+  /// plus serialization, the topology path its last hop's arrival) and is
+  /// delivered after the target NIC's processing cost plus `jitter`, the
+  /// per-(src,dst) FIFO clamp on ordered networks and self-sends, and
+  /// receive-occupancy queuing. `wire_span` (a trace::SpanHandle, 0 =
+  /// none) is closed at delivery.
+  void endpoint(Packet&& p, sim::Time wire_end, sim::Time jitter,
+                std::uint64_t wire_span);
+  /// Key of a (src,dst) node pair in the per-pair maps.
+  std::uint64_t pair_key(int src, int dst) const;
   /// Derived rng stream for loss/jitter draws, keyed by endpoint pair on
   /// the flat path and by physical link id (see topo_link_key) with a
   /// topology: traffic on one link cannot change which packets drop or how

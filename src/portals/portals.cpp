@@ -8,6 +8,17 @@
 
 namespace m3rma::portals {
 
+namespace {
+
+/// Key of matched_counts_: (pt_index, src).
+std::uint64_t count_key(int pt_index, int src) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(pt_index))
+          << 32) |
+         static_cast<std::uint32_t>(src);
+}
+
+}  // namespace
+
 struct Portals::WireHdr {
   enum class Op : std::uint8_t {
     put,
@@ -119,11 +130,7 @@ void Portals::fire_notify(int initiator, std::uint64_t match,
 }
 
 std::uint64_t Portals::received_data_ops(int pt_index, int src) const {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(pt_index))
-       << 32) |
-      static_cast<std::uint32_t>(src);
-  auto it = matched_counts_.find(key);
+  auto it = matched_counts_.find(count_key(pt_index, src));
   return it == matched_counts_.end() ? 0 : it->second;
 }
 
@@ -199,8 +206,38 @@ void Portals::put(sim::Context& ctx, MdHandle md, std::uint64_t local_off,
                   std::uint64_t match, std::uint64_t remote_off,
                   std::uint64_t user_ptr, bool want_ack, bool notify,
                   std::uint32_t ntag) {
+  WireHdr hdr;
+  hdr.op = WireHdr::Op::put;
+  send_data(ctx, hdr, md, local_off, length, target, pt_index, match,
+            remote_off, user_ptr, want_ack, notify, ntag);
+}
+
+void Portals::atomic(sim::Context& ctx, AccOp op, NumType nt, MdHandle md,
+                     std::uint64_t local_off, std::uint64_t length,
+                     int target, int pt_index, std::uint64_t match,
+                     std::uint64_t remote_off, std::uint64_t user_ptr,
+                     bool want_ack, bool notify, std::uint32_t ntag) {
+  M3RMA_REQUIRE(supports_atomics(),
+                "network has no native atomics; use a serializer");
+  M3RMA_REQUIRE(length % num_size(nt) == 0,
+                "atomic length not a multiple of the element size");
+  WireHdr hdr;
+  hdr.op = WireHdr::Op::atomic;
+  hdr.acc_op = op;
+  hdr.num_type = nt;
+  send_data(ctx, hdr, md, local_off, length, target, pt_index, match,
+            remote_off, user_ptr, want_ack, notify, ntag);
+}
+
+void Portals::send_data(sim::Context& ctx, WireHdr& hdr, MdHandle md,
+                        std::uint64_t local_off, std::uint64_t length,
+                        int target, int pt_index, std::uint64_t match,
+                        std::uint64_t remote_off, std::uint64_t user_ptr,
+                        bool want_ack, bool notify, std::uint32_t ntag) {
   Md& m = md_ref(md);
-  M3RMA_REQUIRE(local_off + length <= m.length, "put exceeds MD bounds");
+  M3RMA_REQUIRE(local_off + length <= m.length,
+                hdr.op == WireHdr::Op::put ? "put exceeds MD bounds"
+                                           : "atomic exceeds MD bounds");
   // Attribution: user_ptr is the issuing layer's request id, so (node,
   // user_ptr) is the op's globally unique tag; untracked ids drop out at
   // the timeline.
@@ -209,8 +246,6 @@ void Portals::put(sim::Context& ctx, MdHandle md, std::uint64_t local_off,
   std::vector<std::byte> data(length);
   if (length > 0) mem_->nic_read(m.base + local_off, data);
 
-  WireHdr hdr;
-  hdr.op = WireHdr::Op::put;
   hdr.want_ack = want_ack ? 1 : 0;
   hdr.notify = notify ? 1 : 0;
   hdr.ntag = ntag;
@@ -252,44 +287,6 @@ void Portals::get(sim::Context& ctx, MdHandle md, std::uint64_t local_off,
   send_to(target, hdr, {}, tag);
 }
 
-void Portals::atomic(sim::Context& ctx, AccOp op, NumType nt, MdHandle md,
-                     std::uint64_t local_off, std::uint64_t length,
-                     int target, int pt_index, std::uint64_t match,
-                     std::uint64_t remote_off, std::uint64_t user_ptr,
-                     bool want_ack, bool notify, std::uint32_t ntag) {
-  M3RMA_REQUIRE(supports_atomics(),
-                "network has no native atomics; use a serializer");
-  M3RMA_REQUIRE(length % num_size(nt) == 0,
-                "atomic length not a multiple of the element size");
-  Md& m = md_ref(md);
-  M3RMA_REQUIRE(local_off + length <= m.length, "atomic exceeds MD bounds");
-  const std::uint64_t tag = trace::op_tag(node(), user_ptr);
-  charge_inject(ctx, tag);
-  std::vector<std::byte> data(length);
-  if (length > 0) mem_->nic_read(m.base + local_off, data);
-
-  WireHdr hdr;
-  hdr.op = WireHdr::Op::atomic;
-  hdr.acc_op = op;
-  hdr.num_type = nt;
-  hdr.want_ack = want_ack ? 1 : 0;
-  hdr.notify = notify ? 1 : 0;
-  hdr.ntag = ntag;
-  hdr.pt_index = pt_index;
-  hdr.match = match;
-  hdr.remote_off = remote_off;
-  hdr.length = length;
-  hdr.user_ptr = user_ptr;
-  hdr.md = md;
-  send_to(target, hdr, std::move(data), tag);
-
-  if (m.eq != nullptr) {
-    post_send_event(Event{EventType::send, node(), match, remote_off,
-                          length, user_ptr},
-                    md, length);
-  }
-}
-
 void Portals::fetch_atomic(sim::Context& ctx, RmwOp op, NumType nt,
                            MdHandle md, std::uint64_t local_off,
                            std::uint64_t fetch_off, int target, int pt_index,
@@ -327,8 +324,27 @@ void Portals::fetch_atomic(sim::Context& ctx, RmwOp op, NumType nt,
 
 void Portals::deliver(fabric::Packet&& p) {
   const auto hdr = fabric::get_header<WireHdr>(p);
+  // The ack or reply answering this request, `length` bytes long. For a
+  // notified op it echoes the tag and, in remote_off, the fire time.
+  const auto answer = [&](WireHdr::Op op, std::uint64_t length) {
+    WireHdr a;
+    a.op = op;
+    a.md = hdr.md;
+    a.local_off = hdr.local_off;
+    a.user_ptr = hdr.user_ptr;
+    a.match = hdr.match;
+    a.length = length;
+    if (hdr.notify != 0) {
+      a.notify = 1;
+      a.ntag = hdr.ntag;
+      a.remote_off = nic_->fabric().engine().now();  // fire time
+    }
+    return a;
+  };
   switch (hdr.op) {
-    case WireHdr::Op::put: {
+    case WireHdr::Op::put:
+    case WireHdr::Op::atomic: {
+      const bool is_put = hdr.op == WireHdr::Op::put;
       Me* me = match_me(hdr.pt_index, hdr.match, hdr.remote_off, hdr.length);
       if (me == nullptr) {
         note_dropped(p.src, hdr.match, hdr.remote_off, hdr.length,
@@ -336,16 +352,19 @@ void Portals::deliver(fabric::Packet&& p) {
         return;
       }
       if (hdr.length > 0) {
-        mem_->nic_write(me->base + hdr.remote_off, p.payload);
+        if (is_put) {
+          mem_->nic_write(me->base + hdr.remote_off, p.payload);
+        } else {
+          apply_acc(hdr.acc_op, hdr.num_type,
+                    mem_->raw(me->base + hdr.remote_off), p.payload.data(),
+                    hdr.length, mem_->config().endian);
+        }
       }
-      matched_counts_[(static_cast<std::uint64_t>(
-                           static_cast<std::uint32_t>(hdr.pt_index))
-                       << 32) |
-                      static_cast<std::uint32_t>(p.src)] += 1;
+      matched_counts_[count_key(hdr.pt_index, p.src)] += 1;
       if (me->eq != nullptr) {
-        const Event ev{EventType::put, p.src, hdr.match, hdr.remote_off,
-                       hdr.length, hdr.user_ptr};
-        trace_eq("put", ev);
+        const Event ev{is_put ? EventType::put : EventType::atomic, p.src,
+                       hdr.match, hdr.remote_off, hdr.length, hdr.user_ptr};
+        trace_eq(is_put ? "put" : "atomic", ev);
         me->eq->post(ev);
       }
       if (hdr.notify != 0) {
@@ -353,18 +372,8 @@ void Portals::deliver(fabric::Packet&& p) {
                     hdr.user_ptr, hdr.ntag);
       }
       if (hdr.want_ack && supports_ack_events()) {
-        WireHdr ack;
-        ack.op = WireHdr::Op::ack;
-        ack.md = hdr.md;
-        ack.user_ptr = hdr.user_ptr;
-        ack.match = hdr.match;
-        ack.length = hdr.length;
-        if (hdr.notify != 0) {
-          ack.notify = 1;
-          ack.ntag = hdr.ntag;
-          ack.remote_off = nic_->fabric().engine().now();  // fire time
-        }
-        send_to(p.src, ack, {}, p.op);  // return leg keeps the op tag
+        // The return leg keeps the op tag.
+        send_to(p.src, answer(WireHdr::Op::ack, hdr.length), {}, p.op);
       }
       break;
     }
@@ -388,61 +397,8 @@ void Portals::deliver(fabric::Packet&& p) {
         fire_notify(p.src, hdr.match, hdr.remote_off, hdr.length,
                     hdr.user_ptr, hdr.ntag);
       }
-      WireHdr reply;
-      reply.op = WireHdr::Op::reply;
-      reply.md = hdr.md;
-      reply.local_off = hdr.local_off;
-      reply.user_ptr = hdr.user_ptr;
-      reply.match = hdr.match;
-      reply.length = hdr.length;
-      if (hdr.notify != 0) {
-        reply.notify = 1;
-        reply.ntag = hdr.ntag;
-        reply.remote_off = nic_->fabric().engine().now();  // fire time
-      }
-      send_to(p.src, reply, std::move(data), p.op);
-      break;
-    }
-    case WireHdr::Op::atomic: {
-      Me* me = match_me(hdr.pt_index, hdr.match, hdr.remote_off, hdr.length);
-      if (me == nullptr) {
-        note_dropped(p.src, hdr.match, hdr.remote_off, hdr.length,
-                     hdr.user_ptr);
-        return;
-      }
-      if (hdr.length > 0) {
-        apply_acc(hdr.acc_op, hdr.num_type,
-                  mem_->raw(me->base + hdr.remote_off), p.payload.data(),
-                  hdr.length, mem_->config().endian);
-      }
-      matched_counts_[(static_cast<std::uint64_t>(
-                           static_cast<std::uint32_t>(hdr.pt_index))
-                       << 32) |
-                      static_cast<std::uint32_t>(p.src)] += 1;
-      if (me->eq != nullptr) {
-        const Event ev{EventType::atomic, p.src, hdr.match, hdr.remote_off,
-                       hdr.length, hdr.user_ptr};
-        trace_eq("atomic", ev);
-        me->eq->post(ev);
-      }
-      if (hdr.notify != 0) {
-        fire_notify(p.src, hdr.match, hdr.remote_off, hdr.length,
-                    hdr.user_ptr, hdr.ntag);
-      }
-      if (hdr.want_ack && supports_ack_events()) {
-        WireHdr ack;
-        ack.op = WireHdr::Op::ack;
-        ack.md = hdr.md;
-        ack.user_ptr = hdr.user_ptr;
-        ack.match = hdr.match;
-        ack.length = hdr.length;
-        if (hdr.notify != 0) {
-          ack.notify = 1;
-          ack.ntag = hdr.ntag;
-          ack.remote_off = nic_->fabric().engine().now();
-        }
-        send_to(p.src, ack, {}, p.op);
-      }
+      send_to(p.src, answer(WireHdr::Op::reply, hdr.length), std::move(data),
+              p.op);
       break;
     }
     case WireHdr::Op::fetch_atomic: {
@@ -461,29 +417,24 @@ void Portals::deliver(fabric::Packet&& p) {
         trace_eq("atomic", ev);
         me->eq->post(ev);
       }
-      WireHdr reply;
-      reply.op = WireHdr::Op::reply;
-      reply.md = hdr.md;
-      reply.local_off = hdr.local_off;
-      reply.user_ptr = hdr.user_ptr;
-      reply.match = hdr.match;
-      reply.length = elem;
-      send_to(p.src, reply, std::move(old), p.op);
+      send_to(p.src, answer(WireHdr::Op::reply, elem), std::move(old), p.op);
       break;
     }
-    case WireHdr::Op::reply: {
+    case WireHdr::Op::reply:
+    case WireHdr::Op::ack: {
+      const bool is_reply = hdr.op == WireHdr::Op::reply;
       auto it = mds_.find(hdr.md);
       if (it == mds_.end()) {
-        // MD released while the reply was in flight.
+        // MD released while the reply or ack was in flight.
         note_dropped(p.src, hdr.match, 0, hdr.length, hdr.user_ptr);
         return;
       }
-      if (hdr.length > 0) {
+      if (is_reply && hdr.length > 0) {
         mem_->nic_write(it->second.base + hdr.local_off, p.payload);
       }
       if (hdr.notify != 0) {
         // remote_off echoes the target-side fire time: attribute the
-        // notification leg [fire, reply-arrival] to the op's tag.
+        // notification leg [fire, arrival] to the op's tag.
         if (auto* tl = trace::timeline(nic_->fabric().engine().tracer());
             tl != nullptr && tl->tracks(p.op)) {
           tl->add(p.op, trace::Segment::notify, hdr.remote_off,
@@ -491,30 +442,9 @@ void Portals::deliver(fabric::Packet&& p) {
         }
       }
       if (it->second.eq != nullptr) {
-        const Event ev{EventType::reply, p.src, hdr.match, 0, hdr.length,
-                       hdr.user_ptr};
-        trace_eq("reply", ev);
-        it->second.eq->post(ev);
-      }
-      break;
-    }
-    case WireHdr::Op::ack: {
-      auto it = mds_.find(hdr.md);
-      if (it == mds_.end()) {
-        note_dropped(p.src, hdr.match, 0, hdr.length, hdr.user_ptr);
-        return;
-      }
-      if (hdr.notify != 0) {
-        if (auto* tl = trace::timeline(nic_->fabric().engine().tracer());
-            tl != nullptr && tl->tracks(p.op)) {
-          tl->add(p.op, trace::Segment::notify, hdr.remote_off,
-                  nic_->fabric().engine().now());
-        }
-      }
-      if (it->second.eq != nullptr) {
-        const Event ev{EventType::ack, p.src, hdr.match, 0, hdr.length,
-                       hdr.user_ptr};
-        trace_eq("ack", ev);
+        const Event ev{is_reply ? EventType::reply : EventType::ack, p.src,
+                       hdr.match, 0, hdr.length, hdr.user_ptr};
+        trace_eq(is_reply ? "reply" : "ack", ev);
         it->second.eq->post(ev);
       }
       break;

@@ -219,6 +219,14 @@ class Portals {
   void post_send_event(const Event& ev, MdHandle md, std::uint64_t bytes);
   /// Tracing: record an EQ post of `type` on this node's rank track.
   void trace_eq(const char* type, const Event& ev);
+  /// Initiator side of put and atomic, which differ only in the header's
+  /// op (plus acc_op/num_type for an atomic): read `length` bytes at
+  /// md/local_off, send them, and post SEND when the DMA completes.
+  void send_data(sim::Context& ctx, WireHdr& hdr, MdHandle md,
+                 std::uint64_t local_off, std::uint64_t length, int target,
+                 int pt_index, std::uint64_t match, std::uint64_t remote_off,
+                 std::uint64_t user_ptr, bool want_ack, bool notify,
+                 std::uint32_t ntag);
   /// `op` is the attribution tag stamped on the packet (0 = untagged).
   void send_to(int target, const WireHdr& hdr, std::vector<std::byte> payload,
                std::uint64_t op = 0);

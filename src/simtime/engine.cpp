@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "simtime/fiber.hpp"
-#include "trace/recorder.hpp"
 
 namespace m3rma::sim {
 
@@ -58,7 +57,7 @@ void Engine::note_block(int pid) {
   if (tracer_ == nullptr) return;
   // The simulation is sequential, so the recorder's most recent record is
   // what this process was doing when it blocked.
-  procs_[static_cast<std::size_t>(pid)]->last_site = tracer_->last_site();
+  procs_[static_cast<std::size_t>(pid)]->site = tracer_->site();
 }
 
 int Engine::spawn(std::string name, std::function<void(Context&)> fn,
@@ -97,8 +96,8 @@ void Engine::run() {
       for (const auto& p : procs_) {
         if (!p->finished) {
           os << " " << p->name;
-          if (tracer_ != nullptr && !p->last_site.empty()) {
-            os << " (last: " << p->last_site << ")";
+          if (tracer_ != nullptr && p->site.rec != 0) {
+            os << " (last: " << tracer_->site_text(p->site) << ")";
           }
         }
       }

@@ -31,10 +31,7 @@
 
 #include "common/diagnostics.hpp"
 #include "common/rng.hpp"
-
-namespace m3rma::trace {
-class Recorder;
-}
+#include "trace/recorder.hpp"
 
 namespace m3rma::sim {
 
@@ -177,7 +174,7 @@ class Engine {
     bool daemon = false;
     bool wake_pending = false;
     bool killed = false;
-    std::string last_site;  // last trace site when it blocked
+    trace::Recorder::Site site;  // last trace site when it blocked
   };
 
   struct Event {

@@ -63,17 +63,15 @@ int Recorder::track(const std::string& name) {
   return id;
 }
 
-void Recorder::note_site(const std::string& name, Time t) {
+void Recorder::note_site(Time t) {
   max_ts_ = std::max(max_ts_, t);
-  last_name_ = name;
-  last_time_ = t;
+  last_site_ = Site{recs_.size(), t};
 }
 
 SpanHandle Recorder::span_begin(int track, Category cat, std::string name,
                                 std::string args) {
   if (!enabled(cat)) return 0;
   const Time t = now();
-  note_site(name, t);
   Rec r;
   r.kind = Rec::Kind::span;
   r.pid = cur_pid_;
@@ -85,6 +83,7 @@ SpanHandle Recorder::span_begin(int track, Category cat, std::string name,
   r.t1 = t;
   r.open = true;
   recs_.push_back(std::move(r));
+  note_site(t);
   return recs_.size();  // index + 1
 }
 
@@ -103,7 +102,6 @@ void Recorder::span_at(int track, Category cat, std::string name, Time t0,
                        Time t1, std::string args) {
   if (!enabled(cat)) return;
   M3RMA_ENSURE(t1 >= t0, "span_at interval must not be inverted");
-  note_site(name, t1);
   Rec r;
   r.kind = Rec::Kind::span;
   r.pid = cur_pid_;
@@ -114,13 +112,13 @@ void Recorder::span_at(int track, Category cat, std::string name, Time t0,
   r.t0 = t0;
   r.t1 = t1;
   recs_.push_back(std::move(r));
+  note_site(t1);
 }
 
 void Recorder::instant(int track, Category cat, std::string name,
                        std::string args) {
   if (!enabled(cat)) return;
   const Time t = now();
-  note_site(name, t);
   Rec r;
   r.kind = Rec::Kind::instant;
   r.pid = cur_pid_;
@@ -131,6 +129,7 @@ void Recorder::instant(int track, Category cat, std::string name,
   r.t0 = t;
   r.t1 = t;
   recs_.push_back(std::move(r));
+  note_site(t);
 }
 
 void Recorder::add_counter(Category cat, const std::string& name,
@@ -144,9 +143,9 @@ void Recorder::record_value(Category cat, const std::string& name, Time v) {
   hists_[name].push_back(v);
 }
 
-std::string Recorder::last_site() const {
-  if (last_name_.empty()) return {};
-  return last_name_ + " @" + std::to_string(last_time_) + "ns";
+std::string Recorder::site_text(Site s) const {
+  if (s.rec == 0 || s.rec > recs_.size()) return {};
+  return recs_[s.rec - 1].name + " @" + std::to_string(s.t) + "ns";
 }
 
 std::uint64_t Recorder::counter(const std::string& name) const {

@@ -131,10 +131,18 @@ class Recorder {
 
   // ----- introspection ------------------------------------------------------
 
-  /// The most recent record ("rma.complete @184200ns"), used by the
-  /// engine to annotate DeadlockError with each process's last trace site.
-  bool has_last_site() const { return !last_name_.empty(); }
-  std::string last_site() const;
+  /// A trace site: the most recent span or instant (1-based record index,
+  /// 0 = none) and the time it was recorded at. The engine keeps one per
+  /// process each time it blocks, to annotate DeadlockError; it is only
+  /// formatted, by site_text ("rma.complete @184200ns"), for that message.
+  struct Site {
+    std::size_t rec = 0;
+    Time t = 0;
+  };
+  Site site() const { return last_site_; }
+  std::string site_text(Site s) const;
+  bool has_last_site() const { return last_site_.rec != 0; }
+  std::string last_site() const { return site_text(last_site_); }
 
   std::uint64_t counter(const std::string& name) const;
 
@@ -213,7 +221,8 @@ class Recorder {
     bool open = false;  // span never ended (still live at export)
   };
 
-  void note_site(const std::string& name, Time t);
+  /// The record just pushed, stamped `t`, is the latest site.
+  void note_site(Time t);
 
   const Time* clock_ = nullptr;
   OpTimeline* op_timeline_ = nullptr;
@@ -223,8 +232,7 @@ class Recorder {
   std::vector<Rec> recs_;
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, std::vector<Time>> hists_;
-  std::string last_name_;
-  Time last_time_ = 0;
+  Site last_site_;
   Time max_ts_ = 0;  // closes still-open spans at export
 };
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "fabric/fabric.hpp"
@@ -41,6 +43,31 @@ TEST(Packet, HeaderSizeMismatchDetected) {
 class FabricTest : public ::testing::Test {
  protected:
   sim::Engine eng{12345};
+};
+
+// The endpoint stage (delivery cost, per-pair FIFO, receive occupancy)
+// ends both send paths: the flat crossbar path and the last hop of the
+// topology path. Unordered jitter is drawn per pair on the flat path and
+// per hop on the topology path. Each case below runs on both.
+enum class Net { flat, ring, torus };
+
+class EndpointStageTest : public ::testing::TestWithParam<Net> {
+ protected:
+  Fabric& make(int nodes, Capabilities caps, CostModel costs) {
+    f.emplace(eng, nodes, caps, costs);
+    if (GetParam() != Net::flat) {
+      topo::TopoConfig tc;
+      tc.kind =
+          GetParam() == Net::ring ? topo::Kind::ring : topo::Kind::torus3d;
+      tc.dim_x = GetParam() == Net::torus && nodes % 2 == 0 ? 2 : nodes;
+      tc.dim_y = nodes / tc.dim_x;
+      f->set_topology(tc);
+    }
+    return *f;
+  }
+
+  sim::Engine eng{12345};
+  std::optional<Fabric> f;
 };
 
 TEST_F(FabricTest, DeliversPacketToRegisteredHandler) {
@@ -100,12 +127,12 @@ TEST_F(FabricTest, OrderedFabricPreservesInjectionOrder) {
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2}));
 }
 
-TEST_F(FabricTest, UnorderedFabricCanReorder) {
+TEST_P(EndpointStageTest, UnorderedFabricCanReorder) {
   Capabilities caps;
   caps.ordered_delivery = false;
   CostModel costs;
   costs.jitter_ns = 50000;
-  Fabric f(eng, 2, caps, costs);
+  Fabric& f = make(2, caps, costs);
   std::vector<int> got;
   f.nic(1).register_protocol(1, [&](Packet&& p) {
     got.push_back(get_header<TestHdr>(p).id);
@@ -141,12 +168,12 @@ TEST_F(FabricTest, UnorderedReorderingIsDeterministicPerSeed) {
   EXPECT_NE(run_once(5), run_once(6));
 }
 
-TEST_F(FabricTest, SelfSendIsFifoEvenWhenUnordered) {
+TEST_P(EndpointStageTest, SelfSendIsFifoEvenWhenUnordered) {
   Capabilities caps;
   caps.ordered_delivery = false;
   CostModel costs;
   costs.jitter_ns = 50000;
-  Fabric f(eng, 2, caps, costs);
+  Fabric& f = make(2, caps, costs);
   std::vector<int> got;
   f.nic(0).register_protocol(1, [&](Packet&& p) {
     got.push_back(get_header<TestHdr>(p).id);
@@ -158,10 +185,10 @@ TEST_F(FabricTest, SelfSendIsFifoEvenWhenUnordered) {
   EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
 }
 
-TEST_F(FabricTest, DeliveryOccupancySpacesConvergingTraffic) {
+TEST_P(EndpointStageTest, DeliveryOccupancySpacesConvergingTraffic) {
   CostModel costs;
   costs.delivery_occupancy_ns = 1000;
-  Fabric f(eng, 4, Capabilities{}, costs);
+  Fabric& f = make(4, Capabilities{}, costs);
   std::vector<sim::Time> arrivals;
   f.nic(3).register_protocol(1, [&](Packet&&) {
     arrivals.push_back(eng.now());
@@ -179,12 +206,12 @@ TEST_F(FabricTest, DeliveryOccupancySpacesConvergingTraffic) {
   }
 }
 
-TEST_F(FabricTest, OccupancyPreservesPerPairFifo) {
+TEST_P(EndpointStageTest, OccupancyPreservesPerPairFifo) {
   Capabilities caps;
   caps.ordered_delivery = true;
   CostModel costs;
   costs.delivery_occupancy_ns = 700;
-  Fabric f(eng, 3, caps, costs);
+  Fabric& f = make(3, caps, costs);
   std::vector<std::pair<int, int>> got;
   f.nic(2).register_protocol(1, [&](Packet&& p) {
     got.emplace_back(p.src, get_header<TestHdr>(p).id);
@@ -261,6 +288,21 @@ TEST_F(FabricTest, OrderingHoldsPerPairNotGlobally) {
   // Node 1's small packet may arrive before node 0's large one.
   EXPECT_EQ(got.front().first, 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, EndpointStageTest,
+    ::testing::Values(Net::flat, Net::ring, Net::torus),
+    [](const ::testing::TestParamInfo<Net>& info) {
+      switch (info.param) {
+        case Net::flat:
+          return std::string("flat");
+        case Net::ring:
+          return std::string("ring");
+        case Net::torus:
+          return std::string("torus");
+      }
+      return std::string("?");
+    });
 
 }  // namespace
 }  // namespace m3rma::fabric

@@ -144,6 +144,48 @@ TEST(KvStore, PutGetIncrRoundTrip) {
   EXPECT_EQ(client_stats.failed, 0u);
 }
 
+TEST(KvStore, SecondClientIncrFindsKeyInsertedByAnother) {
+  // Rank 2 inserts key 5 through incr; rank 3 has never touched it, so its
+  // location cache misses and incr must find the slot by probing the shard
+  // (locate's hit), not claim a second one.
+  World w(world_cfg(4, 7));
+  std::uint64_t occupancy = 0;
+  std::array<apps::KvStats, 4> stats{};
+  std::array<std::uint64_t, 2> seen{};
+  core::OpStats before, after;
+  w.run([&](Rank& r) {
+    core::RmaEngine eng(r, r.comm_world());
+    KvConfig kc;
+    kc.servers = 2;
+    kc.key_space = 32;
+    KvStore kv(r, eng, kc);
+    if (r.id() == 2) {
+      EXPECT_EQ(kv.incr(5, 7).value(), 0u);
+    }
+    r.comm_world().barrier();
+    if (r.id() == 3) {
+      before = eng.stats();
+      seen[0] = kv.incr(5, 3).value();  // not cached here: locate
+      seen[1] = kv.incr(5, 0).value();  // now cached
+      after = eng.stats();
+      occupancy = kv.shard_occupancy(0) + kv.shard_occupancy(1);
+    }
+    stats[static_cast<std::size_t>(r.id())] = kv.stats();
+  });
+  EXPECT_EQ(seen[0], 7u);
+  EXPECT_EQ(seen[1], 10u);
+  EXPECT_EQ(occupancy, 1u);
+  EXPECT_EQ(stats[2].inserts, 1u);
+  EXPECT_EQ(stats[3].inserts, 0u);
+  EXPECT_EQ(stats[3].incrs, 2u);
+  EXPECT_EQ(stats[3].cache_hits, 1u);
+  EXPECT_EQ(stats[3].cas_conflicts, 0u);
+  // Found by reading the slot's tag (one get), not by a claim CAS: the
+  // only RMWs are the two fetch_adds.
+  EXPECT_EQ(after.gets - before.gets, 1u);
+  EXPECT_EQ(after.rmws - before.rmws, 2u);
+}
+
 TEST(KvStore, FullShardReportsOverflowAfterProbeBudget) {
   // One 16-slot shard: 16 inserts fill it, after which an insert of a new
   // key probes KvStore::kMaxProbes slots (wrapping around the full shard)

@@ -12,6 +12,8 @@
 #include "memsim/memory_domain.hpp"
 #include "portals/portals.hpp"
 #include "simtime/engine.hpp"
+#include "trace/attribution.hpp"
+#include "trace/recorder.hpp"
 
 namespace m3rma::portals {
 namespace {
@@ -69,6 +71,71 @@ TEST_F(PortalsTest, PutWritesTargetMemory) {
   EXPECT_EQ(ev->type, EventType::put);
   EXPECT_EQ(ev->initiator, 0);
   EXPECT_EQ(ev->length, 32u);
+}
+
+TEST_F(PortalsTest, AtomicPostsTargetEventCountsAndAcks) {
+  // The atomic twin of PutWritesTargetMemory: the matched ME's EQ sees an
+  // ATOMIC event with the initiator's identity, the op counts as one
+  // matched data op from node 0, and the initiator gets SEND then ACK.
+  build();
+  const auto src = mem0->alloc(16);
+  const auto dst = mem1->alloc(16);
+  EventQueue eq(eng);
+  EventQueue target_eq(eng);
+  const auto md = p0->md_bind(src, 16, &eq);
+  p1->me_append(kPt, kMatch, 0, dst, 16, &target_eq);
+  const std::int64_t add[2] = {3, 4};
+  mem0->cpu_write(src, std::span(reinterpret_cast<const std::byte*>(add), 16));
+
+  eng.spawn("origin", [&](sim::Context& ctx) {
+    p0->atomic(ctx, AccOp::sum, NumType::i64, md, 0, 16, 1, kPt, kMatch, 0,
+               42, /*want_ack=*/true);
+    Event s = eq.wait(ctx);
+    EXPECT_EQ(s.type, EventType::send);
+    Event a = eq.wait(ctx);
+    EXPECT_EQ(a.type, EventType::ack);
+    EXPECT_EQ(a.initiator, 1);
+    EXPECT_EQ(a.user_ptr, 42u);
+    EXPECT_EQ(a.length, 16u);
+  });
+  eng.run();
+
+  auto ev = target_eq.poll();
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->type, EventType::atomic);
+  EXPECT_EQ(ev->initiator, 0);
+  EXPECT_EQ(ev->match_bits, kMatch);
+  EXPECT_EQ(ev->length, 16u);
+  EXPECT_EQ(ev->user_ptr, 42u);
+  EXPECT_FALSE(target_eq.poll().has_value());
+  EXPECT_EQ(p1->received_data_ops(kPt, 0), 1u);
+  std::int64_t got[2];
+  mem1->cpu_read(dst, std::span(reinterpret_cast<std::byte*>(got), 16));
+  EXPECT_EQ(got[0], 3);
+  EXPECT_EQ(got[1], 4);
+}
+
+TEST_F(PortalsTest, DataOpsCountedPerPortalAndSource) {
+  // received_data_ops counts matched puts and atomics per (portal, source);
+  // gets and dropped messages do not count.
+  build();
+  const auto src = mem0->alloc(8);
+  const auto dst = mem1->alloc(8);
+  const auto md = p0->md_bind(src, 8, nullptr);
+  p1->me_append(kPt, kMatch, 0, dst, 8, nullptr);
+  eng.spawn("origin", [&](sim::Context& ctx) {
+    p0->put(ctx, md, 0, 8, 1, kPt, kMatch, 0, 0, false);
+    p0->atomic(ctx, AccOp::sum, NumType::i64, md, 0, 8, 1, kPt, kMatch, 0, 0,
+               false);
+    p0->get(ctx, md, 0, 8, 1, kPt, kMatch, 0, 0);
+    p0->atomic(ctx, AccOp::sum, NumType::i64, md, 0, 8, 1, kPt + 1, kMatch,
+               0, 0, false);  // no ME on this portal: dropped
+  });
+  eng.run();
+  EXPECT_EQ(p1->received_data_ops(kPt, 0), 2u);
+  EXPECT_EQ(p1->received_data_ops(kPt + 1, 0), 0u);
+  EXPECT_EQ(p1->received_data_ops(kPt, 1), 0u);
+  EXPECT_EQ(p1->dropped_messages(), 1u);
 }
 
 TEST_F(PortalsTest, SendEventModelsLocalDmaCompletion) {
@@ -186,6 +253,43 @@ TEST_F(PortalsTest, UnmatchedMessageIsDroppedAndCounted) {
   });
   eng.run();
   EXPECT_EQ(p1->dropped_messages(), 1u);
+}
+
+TEST_F(PortalsTest, UnmatchedAtomicIsDroppedAndCounted) {
+  // An atomic with no matching ME is dropped like a put: a dropped event
+  // with its coordinates, no memory touched, no matched data op, no ACK.
+  build();
+  const auto src = mem0->alloc(8);
+  EventQueue eq(eng);
+  const auto md = p0->md_bind(src, 8, &eq);
+  EventQueue drop_eq(eng);
+  p1->set_drop_eq(&drop_eq);
+  const auto elsewhere = mem1->alloc(8);
+  p1->me_append(kPt + 1, kMatch, 0, elsewhere, 8, nullptr);
+  const std::int64_t one = 1;
+  mem0->cpu_write(src, std::span(reinterpret_cast<const std::byte*>(&one), 8));
+  eng.spawn("origin", [&](sim::Context& ctx) {
+    p0->atomic(ctx, AccOp::sum, NumType::i64, md, 0, 8, 1, kPt, kMatch, 0,
+               88, /*want_ack=*/true);
+    Event s = eq.wait(ctx);
+    EXPECT_EQ(s.type, EventType::send);
+    ctx.delay(1000000);  // plenty of time: no ACK for a dropped atomic
+    EXPECT_EQ(eq.pending(), 0u);
+  });
+  eng.run();
+  EXPECT_EQ(p1->dropped_messages(), 1u);
+  EXPECT_EQ(p1->received_data_ops(kPt, 0), 0u);
+  auto ev = drop_eq.poll();
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->type, EventType::dropped);
+  EXPECT_EQ(ev->initiator, 0);
+  EXPECT_EQ(ev->match_bits, kMatch);
+  EXPECT_EQ(ev->length, 8u);
+  EXPECT_EQ(ev->user_ptr, 88u);
+  std::int64_t untouched = -1;
+  mem1->cpu_read(elsewhere,
+                 std::span(reinterpret_cast<std::byte*>(&untouched), 8));
+  EXPECT_EQ(untouched, 0);
 }
 
 TEST_F(PortalsTest, UnmatchedMessagePostsDroppedEvent) {
@@ -343,6 +447,58 @@ TEST_F(PortalsTest, NotifySinkReceivesTagAfterApply) {
   EXPECT_EQ(fired[0].tag, 7u);
   EXPECT_EQ(fired[0].length, 16u);
   EXPECT_EQ(at_fire, data);
+}
+
+TEST_F(PortalsTest, NotifiedAckEchoesFireTime) {
+  // The ACK of a notified put or atomic carries the target-side fire time,
+  // and the initiator attributes [fire, ack arrival] to the op's notify
+  // segment. Nothing else on the op outranks notify in that window (the
+  // ACK's own flight is completion), so the segment equals it exactly.
+  for (const bool use_atomic : {false, true}) {
+    SCOPED_TRACE(use_atomic ? "atomic" : "put");
+    sim::Engine e(7);
+    trace::Recorder rec;
+    trace::OpTimeline tl;
+    rec.set_op_timeline(&tl);
+    e.set_tracer(&rec);
+    fabric::Fabric f(e, 2, fabric::Capabilities{}, fabric::CostModel{});
+    memsim::MemoryDomain m0{memsim::DomainConfig{}}, m1{memsim::DomainConfig{}};
+    Portals q0(f.nic(0), m0), q1(f.nic(1), m1);
+    const auto src = m0.alloc(8);
+    const auto dst = m1.alloc(8);
+    EventQueue eq(e);
+    const auto md = q0.md_bind(src, 8, &eq);
+    q1.me_append(kPt, kMatch, 0, dst, 8, nullptr);
+    sim::Time fired_at = 0;
+    q1.set_notify_sink(kMatch, [&](const Event&) { fired_at = e.now(); });
+    constexpr std::uint64_t kReq = 5;
+    const std::uint64_t tag = trace::op_tag(0, kReq);
+    sim::Time acked_at = 0;
+    e.spawn("origin", [&](sim::Context& ctx) {
+      tl.op_begin(tag, "op", "", "test", ctx.now());
+      // An idle gap before the issue: nothing but an echoed fire time that
+      // is too early could claim it as notify.
+      ctx.delay(1000);
+      if (use_atomic) {
+        q0.atomic(ctx, AccOp::sum, NumType::i64, md, 0, 8, 1, kPt, kMatch, 0,
+                  kReq, /*want_ack=*/true, /*notify=*/true, /*ntag=*/3);
+      } else {
+        q0.put(ctx, md, 0, 8, 1, kPt, kMatch, 0, kReq, /*want_ack=*/true,
+               /*notify=*/true, /*ntag=*/3);
+      }
+      EXPECT_EQ(eq.wait(ctx).type, EventType::send);
+      EXPECT_EQ(eq.wait(ctx).type, EventType::ack);
+      acked_at = ctx.now();
+      tl.op_end(tag, acked_at);
+    });
+    e.run();
+    ASSERT_GT(fired_at, 0u);
+    ASSERT_GT(acked_at, fired_at);
+    ASSERT_EQ(tl.ops().size(), 1u);
+    const auto& seg = tl.ops()[0].seg;
+    EXPECT_EQ(seg[static_cast<std::size_t>(trace::Segment::notify)],
+              acked_at - fired_at);
+  }
 }
 
 TEST_F(PortalsTest, UnregisteredNotifyPostsDroppedEvent) {
@@ -610,6 +766,22 @@ TEST_F(PortalsTest, MdBoundsEnforced) {
                  UsageError);
   });
   eng.run();
+}
+
+TEST_F(PortalsTest, AtomicMdBoundsEnforced) {
+  build();
+  const auto src = mem0->alloc(16);
+  const auto md = p0->md_bind(src, 16, nullptr);
+  eng.spawn("origin", [&](sim::Context& ctx) {
+    EXPECT_THROW(p0->atomic(ctx, AccOp::sum, NumType::i64, md, 8, 16, 1, kPt,
+                            kMatch, 0, 0, false),
+                 UsageError);
+    EXPECT_THROW(p0->atomic(ctx, AccOp::sum, NumType::i64, md, 0, 12, 1, kPt,
+                            kMatch, 0, 0, false),
+                 UsageError);  // not a whole number of elements
+  });
+  eng.run();
+  EXPECT_EQ(fab->total_messages(), 0u);
 }
 
 TEST_F(PortalsTest, MdReleaseInvalidatesHandle) {
