@@ -51,6 +51,9 @@ struct AmHdr {
                            // is on the wire to the backup (or was
                            // dropped); releases mirrors the origin held
                            // for ordering
+    repl_detach,      // owner -> every member: the window is detached;
+                      // once the owner dies, ops on it fail (replica_lost)
+                      // instead of failing over to a copy
     bye,              // teardown handshake: sender has entered quiesce
     notify_fire,      // origin -> surviving copy: re-arm the notification
                       // of a rescued notified op (mem_id = window, offset

@@ -56,6 +56,17 @@ int Replication::attach(std::uint64_t mem_id, std::uint64_t length) {
   return backup;
 }
 
+void Replication::detach(std::uint64_t mem_id) {
+  if (windows_.erase(mem_id) == 0) return;  // never replicated
+  detached_.insert(mem_id);
+  AmHdr h;
+  h.kind = AmHdr::Kind::repl_detach;
+  h.mem_id = mem_id;
+  for (const int m : eng_.comm_->members()) {
+    if (m != eng_.rank_->id() && !eng_.dead(m)) eng_.send_am(m, h, {});
+  }
+}
+
 void Replication::host_replica(std::uint64_t mem_id, std::uint64_t length,
                                int materializing_from) {
   const std::uint64_t buf =
@@ -150,7 +161,9 @@ OpStatus Replication::resolve(const TargetMem& mem, TargetMem* eff) {
   // by construction (registered at attach); any later member holds a
   // re-replicated copy and must be probed for completeness.
   for (;;) {
-    if (lost_windows_.count(mem.id) != 0) break;
+    if (lost_windows_.count(mem.id) != 0 || detached_.count(mem.id) != 0) {
+      break;
+    }
     const int p = chain_next_alive(mem.id);
     if (p < 0) break;
     if (p != mem.owner && p != mem.backup && !probe_replica(p, mem.id)) {
@@ -183,7 +196,7 @@ void Replication::failover_sync(int backup) {
 
 bool Replication::rescue(Request::State& st, int dead) {
   if (st.repl_backup < 0 || st.repl_backup == dead ||
-      eng_.dead(st.repl_backup)) {
+      eng_.dead(st.repl_backup) || detached_.count(st.repl_mem.id) != 0) {
     return false;
   }
   if (!st.is_get && st.counts_send && st.flush_threshold == 0) {
@@ -732,7 +745,7 @@ void Replication::update_roles() {
   if (eng_.disposed_ || windows_.empty()) return;
   const int me = eng_.rank_->id();
   for (auto& [mem_id, w] : windows_) {  // std::map: ascending window id
-    if (w.lost) continue;
+    if (w.lost || detached_.count(mem_id) != 0) continue;
     if (w.materializing_from >= 0 && eng_.dead(w.materializing_from)) {
       // Half-built copy whose snapshot source died: nothing can ever
       // complete it (adoption refuses an existing attachment, third-party
@@ -917,6 +930,9 @@ void Replication::on_am(const AmHdr& h, fabric::Packet& p) {
       release_hold(b);
       break;
     }
+    case AmHdr::Kind::repl_detach:
+      detached_.insert(h.mem_id);
+      break;
     case AmHdr::Kind::bye:
       bye_seen_[static_cast<std::size_t>(p.src)] = 1;
       break;

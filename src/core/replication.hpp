@@ -52,7 +52,10 @@ class Replication {
   /// attach(): register a replica of window `mem_id` at its backup
   /// (repl_create round trip). The backup's world rank, or -1.
   int attach(std::uint64_t mem_id, std::uint64_t length);
-  void detach(std::uint64_t mem_id) { windows_.erase(mem_id); }
+  /// detach() on the owner: forget a replicated window and tell every
+  /// other live member (repl_detach), so that none fails an op on it over
+  /// to a copy.
+  void detach(std::uint64_t mem_id);
   /// `*eff`: `mem`, or after its owner's death the live copy along the
   /// succession chain. The error to report when no copy can serve.
   OpStatus resolve(const TargetMem& mem, TargetMem* eff);
@@ -208,6 +211,10 @@ class Replication {
   // that rank dies); windows verified lost short-circuit to replica_lost.
   std::map<std::uint64_t, int> probe_ok_;
   std::set<std::uint64_t> lost_windows_;
+  // Windows their owner detached: after the owner's death an op on one
+  // fails with replica_lost, and a copy hosted here is never re-replicated
+  // (it stays exposed, applying and acking mirrors, until teardown).
+  std::set<std::uint64_t> detached_;
   // Region-repair ordering: outstanding repl_region_fwd requests by serving
   // primary (FIFO per fabric pair keeps confirmations aligned with their
   // request; each entry is the backup stream held for that request, -1 =

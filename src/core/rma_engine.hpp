@@ -79,8 +79,9 @@ enum class OpStatus : std::uint8_t {
   ok,
   target_failed,  ///< the target rank died before the op was confirmed
   replica_lost,   ///< the window was replicated but neither the primary nor
-                  ///< the backup could serve the op (both dead, or the
-                  ///< backup died mid-failover)
+                  ///< the backup could serve the op (both dead, the
+                  ///< backup died mid-failover, or the primary died after
+                  ///< detaching the window)
 };
 
 /// Operation counters for observability (tests, benches, tracing).

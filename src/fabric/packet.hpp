@@ -23,9 +23,11 @@ namespace m3rma::fabric {
 inline constexpr std::size_t kWireFramingBytes = 64;
 
 /// Extra framing carried by packets that participate in the reliable
-/// transport sublayer (fabric/reliability.hpp): stream sequence number,
-/// cumulative ack, flags. Only counted when rel_flags is nonzero, so runs
-/// with reliability disabled are byte-identical to a build without it.
+/// transport sublayer (fabric/reliability.hpp): a 32-bit stream sequence
+/// number, a 32-bit cumulative ack, the flags and a 32-bit send timestamp
+/// (injected_at, which the receiver's delayed-ack rule reads; the simulated
+/// NICs share the engine clock). Only counted when rel_flags is nonzero, so
+/// runs with reliability disabled are byte-identical to a build without it.
 inline constexpr std::size_t kReliabilityFramingBytes = 20;
 
 /// Packet::rel_flags bits.

@@ -305,12 +305,13 @@ void LinkReliability::on_receive(Packet&& p) {
         nic_->fabric().engine().now() >= rx.quick_ack_until) {
       ack_now(src, protocol, rx);
     } else {
-      arm_delayed_ack(src, protocol, rx);
+      arm_delayed_ack(src, protocol, rx, p.injected_at);
     }
     return;
   }
   if (p.rel_seq > rx.delivered + 1) {
     const std::uint64_t seq = p.rel_seq;
+    const sim::Time sent_at = p.injected_at;
     if (rx.ooo.emplace(seq, std::move(p)).second) {
       ++stats_.out_of_order_buffered;
       // On a FIFO fabric a packet overtaking its predecessor means the
@@ -325,7 +326,7 @@ void LinkReliability::on_receive(Packet&& p) {
       // hole is filled, so an immediate ack would tell the sender nothing.
       note_duplicate(src, seq);
     }
-    arm_delayed_ack(src, protocol, rx);
+    arm_delayed_ack(src, protocol, rx, sent_at);
     return;
   }
   // In order. Arm the delayed ack before each dispatch, so a reply the
@@ -335,7 +336,7 @@ void LinkReliability::on_receive(Packet&& p) {
   bool drained = false;
   for (;;) {
     rx.delivered += 1;
-    arm_delayed_ack(src, protocol, rx);
+    arm_delayed_ack(src, protocol, rx, p.injected_at);
     nic_->dispatch(std::move(p));
     auto next = rx.ooo.find(rx.delivered + 1);
     if (next == rx.ooo.end()) break;
@@ -360,13 +361,19 @@ void LinkReliability::note_duplicate(int src, std::uint64_t seq) {
   }
 }
 
-void LinkReliability::arm_delayed_ack(int peer, int protocol, RxStream& rx) {
+void LinkReliability::arm_delayed_ack(int peer, int protocol, RxStream& rx,
+                                      sim::Time sent_at) {
   if (rx.ack_pending) return;
   rx.ack_pending = true;
   ++stats_.ack_arms;
   const std::uint64_t gen = ++rx.ack_gen;
-  nic_->fabric().engine().schedule_in(
-      ack_window(),
+  // Rule 2: hold the ack until half an RTO after the arming packet was sent,
+  // which leaves the other half for the ack's own trip; a packet that was
+  // slow to arrive still gets a full ack window after its arrival.
+  sim::Engine& eng = nic_->fabric().engine();
+  eng.schedule_at(
+      std::max(eng.now() + ack_window(),
+               sent_at + cfg_.retransmit_timeout_ns / 2),
       [this, peer, protocol, gen] { on_ack_timer(peer, protocol, gen); });
 }
 

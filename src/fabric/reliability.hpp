@@ -13,9 +13,13 @@
 //          dispatched, so a reply the handler sends to the peer carries the
 //          ack and absorbs it (piggybacking);
 //       2. otherwise a standalone ack-only packet goes out when the
-//          delayed-ack window closes. The window is derived from the
-//          retransmission timeout (retransmit_timeout_ns / 5), so it
-//          coalesces acks without ever approaching a spurious timeout;
+//          delayed ack falls due: half a retransmission timeout after the
+//          arming packet was sent (its framing carries the send time), but
+//          never sooner than one ack window (retransmit_timeout_ns / 5)
+//          after its arrival. A packet that arrives fast thus waits longer
+//          for reverse data to carry its ack, and its ack still leaves half
+//          the RTO for the return trip; a slow one, under overload, is
+//          acked one window after arrival;
 //       3. the receiver acks at once, without the window, when it sees the
 //          sender recovering: a duplicate of a delivered packet (the sender
 //          timed out) or an in-order arrival that drains the reorder buffer
@@ -75,9 +79,12 @@ struct ReliabilityConfig {
   /// Master switch. Off = Nic sends/delivers exactly as if this sublayer
   /// did not exist (the Figure 2 benches depend on that).
   bool enabled = false;
-  /// Initial retransmission timeout. Also sets the delayed-ack window (a
-  /// fifth of it), so the ack window can never cause a spurious timeout as
-  /// long as the link RTT stays below the other four fifths.
+  /// Initial retransmission timeout. Also sets when a delayed ack falls
+  /// due (rule 2): half of it after the arming packet was sent, and at
+  /// least a fifth of it (the ack window) after its arrival. A delayed ack
+  /// therefore never causes a spurious timeout as long as the ack's trip
+  /// back takes less than half the RTO and the data's one-way delay less
+  /// than two fifths of it.
   sim::Time retransmit_timeout_ns = 50'000;
   /// Timeout multiplier per consecutive unanswered retransmission round,
   /// up to kMaxRetransmitTimeoutNs.
@@ -201,9 +208,13 @@ class LinkReliability {
                 const char* what, const std::string& detail);
   /// Count and trace a suppressed re-delivery from `src`.
   void note_duplicate(int src, std::uint64_t seq);
-  /// Delayed-ack window (rule 2).
+  /// Shortest delay of an ack after the arrival it acks (rule 2), and the
+  /// quick-ack window (rule 3).
   sim::Time ack_window() const { return cfg_.retransmit_timeout_ns / 5; }
-  void arm_delayed_ack(int peer, int protocol, RxStream& rx);
+  /// Open a delayed-ack window unless one is open. `sent_at` is the arming
+  /// packet's injected_at, from which rule 2 sets when the ack falls due.
+  void arm_delayed_ack(int peer, int protocol, RxStream& rx,
+                       sim::Time sent_at);
   void on_ack_timer(int peer, int protocol, std::uint64_t gen);
   /// Standalone ack of rx.delivered right now (rule 3), resolving the
   /// pending delayed ack if one is armed; opens a quick-ack window.

@@ -97,7 +97,7 @@ void Portals::me_unlink(MeHandle me) {
   std::erase(me_order_, me);
 }
 
-Portals::Md& Portals::md_ref(MdHandle md) {
+Portals::Md Portals::md_copy(MdHandle md) const {
   auto it = mds_.find(md);
   M3RMA_REQUIRE(it != mds_.end(), "operation on unknown MD handle");
   return it->second;
@@ -234,7 +234,7 @@ void Portals::send_data(sim::Context& ctx, WireHdr& hdr, MdHandle md,
                         int target, int pt_index, std::uint64_t match,
                         std::uint64_t remote_off, std::uint64_t user_ptr,
                         bool want_ack, bool notify, std::uint32_t ntag) {
-  Md& m = md_ref(md);
+  const Md m = md_copy(md);
   M3RMA_REQUIRE(local_off + length <= m.length,
                 hdr.op == WireHdr::Op::put ? "put exceeds MD bounds"
                                            : "atomic exceeds MD bounds");
@@ -268,7 +268,7 @@ void Portals::get(sim::Context& ctx, MdHandle md, std::uint64_t local_off,
                   std::uint64_t length, int target, int pt_index,
                   std::uint64_t match, std::uint64_t remote_off,
                   std::uint64_t user_ptr, bool notify, std::uint32_t ntag) {
-  Md& m = md_ref(md);
+  const Md m = md_copy(md);
   M3RMA_REQUIRE(local_off + length <= m.length, "get exceeds MD bounds");
   const std::uint64_t tag = trace::op_tag(node(), user_ptr);
   charge_inject(ctx, tag);
@@ -294,7 +294,7 @@ void Portals::fetch_atomic(sim::Context& ctx, RmwOp op, NumType nt,
                            std::uint64_t user_ptr) {
   M3RMA_REQUIRE(supports_atomics(),
                 "network has no native atomics; use a serializer");
-  Md& m = md_ref(md);
+  const Md m = md_copy(md);
   const std::uint64_t payload_len =
       op == RmwOp::compare_swap ? 2 * num_size(nt) : num_size(nt);
   M3RMA_REQUIRE(local_off + payload_len <= m.length,

@@ -210,7 +210,10 @@ class Portals {
   void fire_notify(int initiator, std::uint64_t match,
                    std::uint64_t remote_off, std::uint64_t length,
                    std::uint64_t user_ptr, std::uint32_t ntag);
-  Md& md_ref(MdHandle md);
+  /// A copy of `md`'s fields, not a reference: the initiator routines read
+  /// them after charge_inject, whose delay lets another process of this
+  /// node release the MD and so erase its entry.
+  Md md_copy(MdHandle md) const;
   /// Pay the NIC injection overhead; when `op` is a tracked attribution tag
   /// the interval is reported as the op's inject segment.
   void charge_inject(sim::Context& ctx, std::uint64_t op = 0);

@@ -24,8 +24,9 @@ constexpr std::uint64_t kMatch = 0xfeed;
 /// Two-node fixture: node 0 initiates, node 1 is the target.
 class PortalsTest : public ::testing::Test {
  protected:
-  void build(fabric::Capabilities caps = {}) {
-    fab.emplace(eng, 2, caps, fabric::CostModel{});
+  void build(fabric::Capabilities caps = {},
+             fabric::CostModel costs = {}) {
+    fab.emplace(eng, 2, caps, costs);
     mem0.emplace(memsim::DomainConfig{});
     mem1.emplace(memsim::DomainConfig{});
     p0.emplace(fab->nic(0), *mem0);
@@ -782,6 +783,54 @@ TEST_F(PortalsTest, AtomicMdBoundsEnforced) {
   });
   eng.run();
   EXPECT_EQ(fab->total_messages(), 0u);
+}
+
+TEST_F(PortalsTest, MdReleasedDuringInjectDelay) {
+  // put and fetch_atomic read their MD after paying the inject overhead,
+  // during which another process of the node runs. Here one releases the
+  // MD then and binds a new one over other bytes, which may reuse the
+  // released entry's storage: each op still sends the bytes of the MD it
+  // was issued on, and the fetch's reply, with no MD left to land in,
+  // surfaces as a dropped event.
+  fabric::CostModel costs;
+  costs.inject_overhead_ns = 1'200;  // the XT5 preset's
+  build({}, costs);
+  const auto src = mem0->alloc(8);
+  const auto other = mem0->alloc(8);
+  const auto dst = mem1->alloc(16);
+  EventQueue drop_eq(eng);
+  p0->set_drop_eq(&drop_eq);
+  p1->me_append(kPt, kMatch, 0, dst, 16, nullptr);
+  const std::int64_t operand = 5;
+  const std::int64_t wrong = 900;
+  mem0->cpu_write(src, std::span(reinterpret_cast<const std::byte*>(&operand),
+                                 8));
+  mem0->cpu_write(other,
+                  std::span(reinterpret_cast<const std::byte*>(&wrong), 8));
+  MdHandle md = p0->md_bind(src, 8, nullptr);
+  eng.spawn("origin", [&](sim::Context& ctx) {
+    p0->put(ctx, md, 0, 8, 1, kPt, kMatch, 0, 1, /*want_ack=*/false);
+    md = p0->md_bind(src, 8, nullptr);
+    p0->fetch_atomic(ctx, RmwOp::fetch_add, NumType::i64, md, 0, 0, 1, kPt,
+                     kMatch, 8, 2);
+  });
+  eng.spawn("releaser", [&](sim::Context& ctx) {
+    for (int op = 0; op < 2; ++op) {
+      ctx.delay(costs.inject_overhead_ns / 2);  // mid-inject
+      p0->md_release(md);
+      (void)p0->md_bind(other, 8, nullptr);
+      ctx.delay(costs.inject_overhead_ns / 2);
+    }
+  });
+  eng.run();
+  std::int64_t got[2] = {0, 0};
+  mem1->cpu_read(dst, std::span(reinterpret_cast<std::byte*>(got), 16));
+  EXPECT_EQ(got[0], operand) << "put";
+  EXPECT_EQ(got[1], operand) << "fetch_add onto 0";
+  auto ev = drop_eq.poll();
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->type, EventType::dropped);
+  EXPECT_EQ(ev->user_ptr, 2u);
 }
 
 TEST_F(PortalsTest, MdReleaseInvalidatesHandle) {

@@ -1,6 +1,7 @@
 // Reliable transport sublayer (fabric/reliability.hpp): ack/retransmit with
 // exponential backoff, the three ack rules (piggyback on handler replies,
-// an RTO-derived delayed-ack window, immediate acks during recovery),
+// a delayed ack due half an RTO after its packet was sent and at least an
+// RTO/5 window after its arrival, immediate acks during recovery),
 // gap-triggered fast retransmit on ordered fabrics, duplicate suppression,
 // in-order delivery, and bounded-retry degradation to TransportError.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "fabric/fabric.hpp"
 #include "simtime/engine.hpp"
 #include "trace/recorder.hpp"
@@ -165,9 +167,10 @@ TEST(Reliability, ReverseTrafficPiggybacksAcks) {
 }
 
 TEST(Reliability, AckWindowNeverCausesASpuriousTimeout) {
-  // The delayed-ack window is a fifth of the RTO, so even at Table S9's
+  // A delayed ack falls due half an RTO after its packet was sent, which
+  // leaves the other half for the ack's trip back, so even at Table S9's
   // shortest RTO a lossless one-way stream is acked before its timer fires,
-  // and the window still coalesces several deliveries into one ack.
+  // and the hold still coalesces several deliveries into one ack.
   constexpr int kPackets = 200;
   sim::Engine eng(1);
   Fabric f(eng, 2, Capabilities{}, reliable_costs(0.0, 10, /*rto=*/20'000));
@@ -185,7 +188,7 @@ TEST(Reliability, AckWindowNeverCausesASpuriousTimeout) {
   EXPECT_EQ(rx.duplicates_suppressed, 0u);
   EXPECT_GT(rx.acks_sent, 0u);
   EXPECT_LT(rx.acks_sent, static_cast<std::uint64_t>(kPackets) / 4)
-      << "a 4 us window spans 8 deliveries";
+      << "a 10 us hold from the send spans 20 deliveries";
   EXPECT_EQ(f.nic(0).reliability()->unacked(1, 1), 0u);
 }
 
@@ -231,8 +234,9 @@ TEST(Reliability, FilledHoleIsAckedAtOnce) {
   // buffered, the gap ack triggers a fast copy, and the copy's arrival
   // drains the reorder buffer. The receiver acks that at once, so the
   // sender's window is clear one trip after the hole is filled, not when
-  // the delayed ack the first buffered packet armed expires (40 us at this
-  // RTO, well after the fast copy's round trip).
+  // the delayed ack the first buffered packet armed falls due (100 us after
+  // that packet was sent, half this RTO: well after the fast copy's round
+  // trip).
   const AckTiming a = run_acked_burst(1, 0.1, 8, 200'000);
   ASSERT_EQ(a.drops, 1u);
   EXPECT_GT(a.rx.out_of_order_buffered, 0u);
@@ -270,14 +274,120 @@ TEST(Reliability, GoBackAllRoundGetsOneImmediateReack) {
   EXPECT_EQ(a.rx.ack_arms, a.rx.acks_sent + a.rx.acks_piggybacked);
   EXPECT_LE(a.all_acked, kRto + a.rtt + kPoll);
 
-  // Seed 169 also drops the immediate re-ack. The delayed ack covers it
-  // one window later, before the sender's next (backed-off) round.
+  // Seed 169 also drops the immediate re-ack. The round's copies were all
+  // sent at kRto, so the delayed ack the second copy armed falls due half an
+  // RTO later (its arrival's window closes sooner) and covers the lost
+  // re-ack before the sender's next round, backed off to 2 * kRto.
   const AckTiming b = run_acked_burst(169, 0.2, 4, kRto);
   ASSERT_EQ(b.drops, 2u);
   EXPECT_EQ(b.tx.retransmits, 4u) << "no second timer round";
   EXPECT_EQ(b.rx.duplicates_suppressed, 4u);
   EXPECT_EQ(b.rx.acks_sent, 3u);
-  EXPECT_LE(b.all_acked, kRto + kRto / 5 + b.rtt + kPoll);
+  EXPECT_GT(b.all_acked, kRto + kRto / 2);
+  EXPECT_LE(b.all_acked, kRto + kRto / 2 + b.rtt + kPoll);
+}
+
+TEST(Reliability, SlowPacketIsAckedOneWindowAfterArrival) {
+  // A packet whose one-way delay exceeds 3/10 of the RTO arrives after its
+  // send time + RTO/2 - RTO/5, so its delayed ack waits one full RTO/5
+  // window from the arrival (the floor of rule 2, which sets the timing
+  // under overload) rather than leaving half an RTO after the send.
+  constexpr sim::Time kRto = 100'000;
+  sim::Engine eng(1);
+  CostModel costs = reliable_costs(0.0, 10, kRto);
+  costs.latency_ns = 35'000;
+  Fabric f(eng, 2, Capabilities{}, costs);
+  sim::Time sent = 0;
+  sim::Time arrived = 0;
+  sim::Time acked = 0;
+  f.nic(1).register_protocol(1, [&](Packet&&) { arrived = eng.now(); });
+  eng.spawn("s", [&](sim::Context& ctx) {
+    sent = ctx.now();
+    f.nic(0).send(1, make_packet(1, 0));
+    while (f.nic(0).reliability()->unacked(1, 1) != 0) ctx.delay(kPoll);
+    acked = ctx.now();
+  });
+  eng.run();
+  ASSERT_GT(arrived - sent, 3 * kRto / 10);
+  EXPECT_EQ(f.nic(0).reliability()->stats().retransmits, 0u);
+  EXPECT_EQ(f.nic(1).reliability()->stats().acks_sent, 1u);
+  // The ack left kRto / 5 after the arrival and spent one latency or more
+  // on the wire; leaving at sent + kRto / 2 would have it back 5 us sooner.
+  EXPECT_GE(acked - arrived, kRto / 5 + costs.latency_ns);
+  EXPECT_LE(acked - arrived, kRto / 5 + (arrived - sent) + kPoll);
+}
+
+// Closed-loop many-to-few fan-in on a loss-free wire, the shape of
+// perfbench's notify_fanin_lossy: every producer keeps kWindow items in
+// flight, each to a consumer drawn from the seed, and reuses a slot when the
+// consumer's completion comes back. The consumer sends that completion from
+// inside the delivery, as Portals sends its ACK, so it carries the
+// consumer's ack; the producer's ack of the completion has to wait for the
+// producer's next item to the same consumer or go out alone.
+struct FanIn {
+  int completed = 0;
+  std::uint64_t messages = 0;
+  ReliabilityStats totals;
+};
+
+FanIn run_fanin(int consumers, int producers, int items) {
+  constexpr int kWindow = 8;
+  constexpr std::size_t kItemBytes = 256;
+  sim::Engine eng(1);
+  Fabric f(eng, consumers + producers, Capabilities{}, reliable_costs(0.0));
+  FanIn out;
+  std::vector<int> inflight(static_cast<std::size_t>(producers), 0);
+  sim::Condition completion(eng);
+  for (int c = 0; c < consumers; ++c) {
+    f.nic(c).register_protocol(1, [&f, c](Packet&& p) {
+      f.nic(c).send(p.src, make_packet(1, get_header<TestHdr>(p).id, 0));
+    });
+  }
+  for (int p = 0; p < producers; ++p) {
+    f.nic(consumers + p).register_protocol(1, [&, p](Packet&&) {
+      --inflight[static_cast<std::size_t>(p)];
+      ++out.completed;
+      completion.notify_all();
+    });
+    eng.spawn("producer", [&, p](sim::Context& ctx) {
+      int& mine = inflight[static_cast<std::size_t>(p)];
+      SplitMix64 rng(mix64(static_cast<std::uint64_t>(p)));
+      for (int i = 0; i < items; ++i) {
+        ctx.await_until(completion, [&] { return mine < kWindow; });
+        ++mine;
+        const auto c = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(consumers)));
+        f.nic(consumers + p).send(c, make_packet(1, i, kItemBytes));
+      }
+    });
+  }
+  eng.run();
+  out.messages = f.total_messages();
+  out.totals = f.reliability_totals();
+  return out;
+}
+
+TEST(Reliability, FanInProducersHoldAcksForTheirNextItem) {
+  // Rule 1 folds each consumer's ack into its completion, and rule 2 holds
+  // the producer's ack of that completion until half an RTO after the
+  // consumer sent it: long enough, at this window, for the producer's next
+  // item to that consumer to carry it. Standalone acks, which land on the
+  // consumers' receive pipelines, stay a small share of the traffic, and
+  // the longer hold never lets a timer fire.
+  constexpr int kConsumers = 4;
+  constexpr int kProducers = 28;
+  constexpr int kItems = 400;
+  const FanIn r = run_fanin(kConsumers, kProducers, kItems);
+  EXPECT_EQ(r.completed, kProducers * kItems);
+  EXPECT_EQ(r.totals.retransmits, 0u);
+  EXPECT_EQ(r.totals.duplicates_suppressed, 0u);
+  EXPECT_EQ(r.totals.ack_arms,
+            r.totals.acks_sent + r.totals.acks_piggybacked);
+  // The last completion each producer gets from each consumer is always
+  // acked alone: 112 of about 22,500 packets. Acking one RTO/5 window after
+  // the completion's arrival instead sends 183 more (14 per 1,000).
+  EXPECT_LT(r.totals.acks_sent * 1000, r.messages * 10)
+      << "standalone acks per 1,000 packets";
 }
 
 TEST(Reliability, RetryBudgetZeroFailsFastWithLinkName) {

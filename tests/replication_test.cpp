@@ -237,6 +237,74 @@ TEST(Replication, InFlightOpsRescuedOrReissuedAtCrash) {
   EXPECT_GT(rescued + reissued, 0u);
 }
 
+// A window its owner detached is gone, even though its backup still holds
+// the copy mirrored before the detach: once the owner dies, an op on the
+// detached window fails instead of being served from that stale copy,
+// whether it was in flight at the death (the owner dropped it) or issued
+// after.
+TEST(Replication, DetachedWindowIsNotServedFromItsBackup) {
+  WorldConfig cfg = repl_cfg(4, 23);
+  cfg.faults.schedule = {{/*rank=*/1, /*at=*/400'000}};
+  World w(cfg);
+  OpStatus in_flight_status = OpStatus::ok;
+  OpStatus get_status = OpStatus::ok;
+  std::vector<std::uint64_t> in_flight_got;
+  std::vector<std::uint64_t> got;
+  std::uint64_t retargeted = 0;
+  std::uint64_t backup_rereplications = 1;
+  bool finished = false;
+  w.run([&](Rank& r) {
+    const int me = r.id();
+    RmaEngine eng(r, r.comm_world());
+    auto buf = r.alloc(64);
+    const TargetMem mine = eng.attach(buf);
+    const auto mems = eng.exchange_all(mine);
+    auto src = r.alloc(16);
+    if (me == 0) {
+      // Mirrored to rank 1's backup, rank 2, before the detach.
+      store<std::uint64_t>(r, src.addr, {41, 42});
+      eng.put_bytes(src.addr, mems[1], 0, 16, 1,
+                    Attrs(RmaAttr::blocking) | RmaAttr::remote_completion);
+    }
+    eng.complete_collective();
+    if (me == 1) {
+      eng.detach(mine);
+      r.ctx().delay(2'000'000);  // idles until death
+      return;
+    }
+    if (me == 2) {  // the backup outlives the owner, not re-replicating
+      r.ctx().delay(700'000);
+      backup_rereplications = eng.stats().rereplications;
+    }
+    if (me != 0) return;
+    r.ctx().delay(100'000);  // the detach has reached every rank
+    auto early = r.alloc(16);
+    store<std::uint64_t>(r, early.addr, {0, 0});
+    core::Request pending = eng.get_bytes(early.addr, mems[1], 0, 16, 1);
+    pending.wait();  // dropped at the owner: ends with the owner's death
+    in_flight_status = pending.status();
+    in_flight_got = load<std::uint64_t>(r, early.addr, 2);
+    r.ctx().delay(200'000);
+    ASSERT_TRUE(eng.target_failed(1));
+    store<std::uint64_t>(r, src.addr, {0, 0});
+    core::Request g =
+        eng.get_bytes(src.addr, mems[1], 0, 16, 1, Attrs(RmaAttr::blocking));
+    get_status = g.status();
+    got = load<std::uint64_t>(r, src.addr, 2);
+    retargeted = eng.stats().retargeted_ops;
+    finished = true;
+  });
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(in_flight_status, OpStatus::replica_lost);
+  EXPECT_EQ(in_flight_got, (std::vector<std::uint64_t>{0, 0}))
+      << "re-driven at the backup";
+  EXPECT_EQ(get_status, OpStatus::replica_lost);
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{0, 0}))
+      << "served from the backup's copy";
+  EXPECT_EQ(retargeted, 0u);
+  EXPECT_EQ(backup_rereplications, 0u);
+}
+
 // ---------------------------------------------------- adversarial orders
 
 // An exhausted succession chain still degrades to replica_lost: with
