@@ -317,6 +317,14 @@ KvOutcome KvStore::finish(AsyncOp& op, std::span<std::byte> out) {
   return KvOutcome::hit;
 }
 
+std::size_t KvStore::wait_any(std::span<const AsyncOp> ops) {
+  wait_reqs_.clear();
+  for (const AsyncOp& op : ops) wait_reqs_.push_back(op.req);
+  const std::size_t i = eng_->wait_any(wait_reqs_);
+  wait_reqs_.clear();
+  return i;
+}
+
 std::uint64_t KvStore::shard_occupancy(int shard) {
   M3RMA_REQUIRE(shard >= 0 && shard < cfg_.servers,
                 "shard_occupancy: no such shard");

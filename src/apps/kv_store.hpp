@@ -149,6 +149,10 @@ class KvStore {
   /// blocking path performs, so a crash mid-flight never trips the tag
   /// check on a failure-drained read.
   KvOutcome finish(AsyncOp& op, std::span<std::byte> out = {});
+  /// RmaEngine::wait_any over the ops' requests: block until one of `ops`
+  /// is done (failed counts) and return the lowest such index; finish() it
+  /// next. `ops` must not be empty.
+  std::size_t wait_any(std::span<const AsyncOp> ops);
 
   // ----- introspection ------------------------------------------------------
 
@@ -188,6 +192,7 @@ class KvStore {
   runtime::Rank::Buffer shard_buf_;      // server side; empty on clients
   std::unordered_map<std::uint64_t, Loc> cache_;
   std::vector<std::uint64_t> scratch_free_;  // slot-sized pool buffers
+  std::vector<core::Request> wait_reqs_;     // wait_any's request list
   KvStats stats_;
 };
 

@@ -1,7 +1,6 @@
 #include "apps/workload.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/diagnostics.hpp"
 
@@ -49,14 +48,17 @@ void WorkloadGen::warm() {
   }
 }
 
-void WorkloadGen::retire(Inflight& f) {
-  const KvOutcome o = kv_->finish(f.op);
+void WorkloadGen::record(const Issued& f, KvOutcome o) {
   Completion c;
   c.done_at = rank_->ctx().now();
   c.latency = c.done_at - f.issued_at;
   c.kind = f.kind;
   c.shard = f.shard;
-  if (o == KvOutcome::hit || o == KvOutcome::updated) ++ok_;
+  c.outcome = o;
+  if (o == KvOutcome::hit || o == KvOutcome::inserted ||
+      o == KvOutcome::updated) {
+    ++ok_;
+  }
   if (sink_ != nullptr) {
     sink_->record_latency(c.kind, c.latency);
     sink_->count_shard_op(c.shard);
@@ -65,58 +67,67 @@ void WorkloadGen::retire(Inflight& f) {
 }
 
 std::uint64_t WorkloadGen::run() {
-  std::deque<Inflight> inflight;
+  // The ops in flight, in issue order, and what each one was.
+  std::vector<KvStore::AsyncOp> ops;
+  std::vector<Issued> issued;
+  const auto window = static_cast<std::size_t>(cfg_.window);
+  ops.reserve(window);
+  issued.reserve(window);
   done_.reserve(done_.size() + cfg_.ops);
+  // Test every op in flight and retire the done ones, in issue order, each
+  // stamped now.
+  const auto retire_done = [&] {
+    std::size_t kept = 0;
+    for (std::size_t j = 0; j < ops.size(); ++j) {
+      if (ops[j].req.test()) {
+        record(issued[j], kv_->finish(ops[j]));
+      } else {
+        if (kept != j) {
+          ops[kept] = std::move(ops[j]);
+          issued[kept] = issued[j];
+        }
+        ++kept;
+      }
+    }
+    ops.resize(kept);
+    issued.resize(kept);
+  };
   for (std::uint64_t i = 0; i < cfg_.ops; ++i) {
     const std::uint64_t key = keys_.next();
     const auto kind = static_cast<OpKind>(mix_.next());
     const auto shard = static_cast<std::uint16_t>(kv_->shard_of(key));
+    retire_done();
     if (kind == OpKind::rmw || !kv_->location_cached(key)) {
+      const Issued f{rank_->ctx().now(), kind, shard};
       // Blocking path: NIC-executed RMW, or a cold key that still needs its
-      // probe walk. Counts against the budget as a full drain.
-      const trace::Time t0 = rank_->ctx().now();
-      bool okay = false;
+      // probe walk. Ops in flight retire once it returns.
+      KvOutcome o = KvOutcome::miss;
       if (kind == OpKind::rmw) {
-        okay = kv_->incr(key, 1).has_value();
+        o = kv_->incr(key, 1) ? KvOutcome::updated : KvOutcome::overflow;
       } else if (kind == OpKind::put) {
         std::fill(valbuf_.begin(), valbuf_.end(), value_byte(key));
-        const KvOutcome o = kv_->put(key, valbuf_);
-        okay = o == KvOutcome::inserted || o == KvOutcome::updated;
+        o = kv_->put(key, valbuf_);
       } else {
-        okay = kv_->get(key) == KvOutcome::hit;
+        o = kv_->get(key);
       }
-      Completion c;
-      c.done_at = rank_->ctx().now();
-      c.latency = c.done_at - t0;
-      c.kind = kind;
-      c.shard = shard;
-      if (okay) ++ok_;
-      if (sink_ != nullptr) {
-        sink_->record_latency(c.kind, c.latency);
-        sink_->count_shard_op(c.shard);
-      }
-      done_.push_back(c);
+      record(f, o);
       continue;
     }
-    if (static_cast<int>(inflight.size()) >= cfg_.window) {
-      retire(inflight.front());
-      inflight.pop_front();
+    if (ops.size() >= window) {
+      kv_->wait_any(ops);
+      retire_done();
     }
-    Inflight f;
-    f.issued_at = rank_->ctx().now();
-    f.kind = kind;
-    f.shard = shard;
+    issued.push_back({rank_->ctx().now(), kind, shard});
     if (kind == OpKind::get) {
-      f.op = kv_->start_get(key);
+      ops.push_back(kv_->start_get(key));
     } else {
       std::fill(valbuf_.begin(), valbuf_.end(), value_byte(key));
-      f.op = kv_->start_put(key, valbuf_);
+      ops.push_back(kv_->start_put(key, valbuf_));
     }
-    inflight.push_back(std::move(f));
   }
-  while (!inflight.empty()) {
-    retire(inflight.front());
-    inflight.pop_front();
+  while (!ops.empty()) {
+    kv_->wait_any(ops);
+    retire_done();
   }
   return ok_;
 }

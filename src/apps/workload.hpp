@@ -4,14 +4,21 @@
 // Each client rank owns one generator seeded from (seed, client index): keys
 // come from a ZipfSampler over the store's key space (s = 0 is uniform), op
 // kinds from a MixSampler over the get/put/rmw fractions. The driver keeps
-// at most `window` nonblocking ops outstanding (closed loop with an
-// outstanding-op budget): it issues via KvStore::start_get/start_put until
-// the window fills, then retires the oldest in FIFO order, stamping each
-// completed op's virtual-time latency into an apps::StatsSink histogram and
-// its completion time into a local log for timeline bucketing
-// (bench/tab_kvstore's --csv). RMW ops are engine-native blocking fetch_adds
-// and count against the window as a full drain (the NIC executes them
-// synchronously; paper §III-C).
+// at most `window` nonblocking ops in flight (closed loop with an
+// outstanding-op budget), issued via KvStore::start_get/start_put. RMW ops
+// (engine-native fetch_adds, executed by the NIC; paper §III-C) and ops on
+// a key whose slot location is not cached yet run blocking.
+//
+// Ops retire in completion order. Before each op is issued, run()
+// tests every op in flight (Request::test, which polls progress, as
+// MPI_Test does) and retires the done ones; when the window is full it
+// blocks in KvStore::wait_any (MPI_Waitany) until one is done, then retires
+// every done op. A blocking op holds retirement until it returns. A
+// retired op is stamped with the current virtual time, so its latency runs
+// from its issue to the first point the client sees it done; ops seen done
+// together are recorded in issue order.
+// Each completion's latency goes into an apps::StatsSink histogram and the
+// completion into a local log (bench/tab_kvstore's --csv timeline).
 //
 // Everything downstream of the seed is deterministic: two runs of the same
 // configuration produce identical op sequences, identical virtual-time
@@ -50,6 +57,9 @@ class WorkloadGen {
     trace::Time latency = 0;
     OpKind kind = OpKind::get;
     std::uint16_t shard = 0;
+    /// hit/inserted/updated on success; an RMW reports updated, or
+    /// overflow when its key found no slot.
+    KvOutcome outcome = KvOutcome::hit;
   };
 
   /// `sink` may be null (latencies still accumulate in completions()).
@@ -64,22 +74,26 @@ class WorkloadGen {
   /// Blocking-get every key once so the location cache covers the whole
   /// key space and run() measures the steady-state one-op data path.
   void warm();
-  /// The measured closed loop: cfg.ops issued, window-limited. Returns the
-  /// number of ops that completed with a success outcome.
+  /// The measured closed loop: cfg.ops issued, window-limited, each retired
+  /// once into completions(). Returns the number of ops that completed with
+  /// a success outcome. An op on a dead unreplicated shard retires failed;
+  /// an RMW on one throws RankFailedError, as a blocking fetch_add
+  /// does.
   std::uint64_t run();
 
   const std::vector<Completion>& completions() const { return done_; }
   const WorkloadConfig& config() const { return cfg_; }
 
  private:
-  struct Inflight {
-    KvStore::AsyncOp op;
+  /// When and what an op was, recorded at its issue.
+  struct Issued {
     trace::Time issued_at = 0;
     OpKind kind = OpKind::get;
     std::uint16_t shard = 0;
   };
 
-  void retire(Inflight& f);
+  /// Append `f`'s completion with `o`, stamped now.
+  void record(const Issued& f, KvOutcome o);
   std::byte value_byte(std::uint64_t key) const;
 
   runtime::Rank* rank_;

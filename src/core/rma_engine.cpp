@@ -1171,6 +1171,20 @@ void RmaEngine::progress() {
   if (repl_) repl_->progress();
 }
 
+std::size_t RmaEngine::wait_any(std::span<const Request> reqs) {
+  M3RMA_REQUIRE(!reqs.empty(), "wait_any needs at least one request");
+  const auto first_done = [reqs] {
+    std::size_t i = 0;
+    while (i < reqs.size() && !reqs[i].done()) ++i;
+    return i;
+  };
+  std::size_t i = first_done();
+  if (i == reqs.size()) {
+    progress_until([&] { return (i = first_done()) < reqs.size(); });
+  }
+  return i;
+}
+
 void RmaEngine::progress_poll(sim::Time duration, sim::Time interval) {
   const sim::Time until = rank_->ctx().now() + duration;
   while (rank_->ctx().now() < until) {

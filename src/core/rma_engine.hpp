@@ -6,6 +6,7 @@
 //                                engine default ("at the level of a
 //                                communicator")
 //   request + MPI_Wait/Test   -> Request::wait() / test()
+//   MPI_Waitany               -> wait_any(requests)
 //   MPI_RMA_complete          -> complete(rank) / complete(kAllRanks)
 //   MPI_RMA_complete_collective -> complete_collective()
 //   MPI_RMA_order             -> order(rank) / order(kAllRanks)
@@ -37,6 +38,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -264,6 +266,12 @@ class RmaEngine {
   /// issued before it, per target (free on ordered networks).
   void order(int target_rank = kAllRanks);
   void order_collective();
+  /// MPI_Waitany over requests of this engine: drive progress until at
+  /// least one of `reqs` is done (a failed request is done; an invalid one
+  /// is done already) and return the lowest index among the done ones.
+  /// Returns without progressing or advancing time when one is done
+  /// already. `reqs` must not be empty.
+  std::size_t wait_any(std::span<const Request> reqs);
 
   // ----- read-modify-write (§V, 64-bit) -------------------------------------
 

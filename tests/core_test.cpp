@@ -251,6 +251,101 @@ TEST(CoreBasic, OverlappingConcurrentPutsArePermitted) {
 
 // ----------------------------------------------------- argument validation
 
+// ---------------------------------------------------------------- wait_any
+
+TEST(CoreWaitAny, ReturnsTheRequestThatCompletesFirst) {
+  // A 64 KiB get issued first still finishes after an 8 B get issued next
+  // to another rank: wait_any returns the later index, then the lowest
+  // index once both are done.
+  World w(cfg_with(3));
+  w.run([](Rank& r) {
+    RmaEngine eng(r, r.comm_world());
+    auto buf = r.alloc(64 * 1024);
+    auto mems = eng.exchange_all(eng.attach(buf.addr, buf.size));
+    if (r.id() == 0) {
+      auto dst = r.alloc(64 * 1024);
+      std::vector<Request> reqs = {
+          eng.get_bytes(dst.addr, mems[1], 0, 64 * 1024, 1),
+          eng.get_bytes(dst.addr, mems[2], 0, 8, 2)};
+      EXPECT_EQ(eng.wait_any(reqs), 1u);
+      EXPECT_FALSE(reqs[0].done());
+      EXPECT_TRUE(reqs[1].done());
+      EXPECT_FALSE(reqs[1].failed());
+      reqs[0].wait();
+      EXPECT_EQ(eng.wait_any(reqs), 0u);
+    }
+    eng.complete_collective();
+  });
+}
+
+TEST(CoreWaitAny, ReturnsAtOnceWhenARequestIsDone) {
+  World w(cfg_with(2));
+  w.run([](Rank& r) {
+    RmaEngine eng(r, r.comm_world());
+    auto buf = r.alloc(64);
+    auto mems = eng.exchange_all(eng.attach(buf.addr, buf.size));
+    if (r.id() == 0) {
+      auto src = r.alloc(64);
+      Request first = eng.put_bytes(src.addr, mems[1], 0, 64, 1,
+                                    Attrs(RmaAttr::remote_completion));
+      first.wait();
+      std::vector<Request> reqs = {
+          eng.put_bytes(src.addr, mems[1], 0, 64, 1,
+                        Attrs(RmaAttr::remote_completion)),
+          first};
+      const sim::Time t = r.ctx().now();
+      EXPECT_EQ(eng.wait_any(reqs), 1u);
+      EXPECT_EQ(r.ctx().now(), t) << "a done request must not wait";
+      EXPECT_FALSE(reqs[0].done());
+      // An invalid request is done already, as Request::done() says.
+      const std::vector<Request> none = {Request{}};
+      EXPECT_EQ(eng.wait_any(none), 0u);
+      reqs[0].wait();
+    }
+    eng.complete_collective();
+  });
+}
+
+TEST(CoreWaitAny, TargetDeathEndsTheWait) {
+  // With the progress serializer an atomic put waits until its target
+  // enters the library. Rank 1 does so only at 400 us; rank 2 never does
+  // and dies at 100 us, which drains the put to it as target_failed. That
+  // failure, not rank 1's progress, ends the wait.
+  WorldConfig cfg = cfg_with(3);
+  cfg.faults.schedule = {{/*rank=*/2, /*at=*/100'000}};
+  World w(cfg);
+  bool waited = false;
+  w.run([&](Rank& r) {
+    EngineConfig ec;
+    ec.serializer = SerializerKind::progress;
+    RmaEngine eng(r, r.comm_world(), ec);
+    auto buf = r.alloc(8);
+    auto mems = eng.exchange_all(eng.attach(buf.addr, buf.size));
+    if (r.id() == 2) {
+      r.ctx().delay(1'000'000);  // dies at 100 us
+      return;
+    }
+    if (r.id() == 1) r.ctx().delay(400'000);
+    if (r.id() == 0) {
+      auto src = r.alloc(8);
+      const Attrs a = Attrs(RmaAttr::atomicity) | RmaAttr::remote_completion;
+      std::vector<Request> reqs = {
+          eng.put_bytes(src.addr, mems[1], 0, 8, 1, a),
+          eng.put_bytes(src.addr, mems[2], 0, 8, 2, a)};
+      EXPECT_EQ(eng.wait_any(reqs), 1u);
+      EXPECT_GE(r.ctx().now(), 100'000u);
+      EXPECT_LT(r.ctx().now(), 400'000u);
+      EXPECT_EQ(reqs[1].status(), OpStatus::target_failed);
+      EXPECT_FALSE(reqs[0].done());
+      reqs[0].wait();
+      EXPECT_FALSE(reqs[0].failed());
+      waited = true;
+    }
+    eng.complete_collective();
+  });
+  EXPECT_TRUE(waited);
+}
+
 TEST(CoreValidation, WrongRankForMemRejected) {
   World w(cfg_with(3));
   w.run([](Rank& r) {

@@ -10,8 +10,12 @@
 //  * Zipfian traffic hammers the hot shard under range sharding, and
 //    counter totals reconcile exactly with the RMWs issued;
 //  * the whole workload replays byte-identically under the seed discipline;
+//  * the closed loop retires ops in completion order: an op to an idle
+//    shard retires before older ops queued at a hot one;
 //  * a server crash mid-insert-storm on a replicated window fails over
-//    transparently: no lost values, no failed ops (PR 6 plumbing).
+//    transparently: no lost values, no failed ops;
+//  * an unreplicated server's death fails exactly its shard's ops, and the
+//    closed loop still retires every issued op once.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -394,6 +398,59 @@ TEST(KvStore, DeterministicDoubleRun) {
   EXPECT_TRUE(a == b) << "same seed must replay the workload byte-for-byte";
 }
 
+TEST(KvStore, OpsRetireInCompletionOrder) {
+  // Range sharding with a steep Zipf head: shard 0 is hot, shard 1 nearly
+  // idle. An op to the idle shard finishes while older ops queue at the hot
+  // shard's serializer, and it retires first.
+  World w(world_cfg(6, 11));
+  std::vector<std::vector<WorkloadGen::Completion>> done(4);
+  w.run([&](Rank& r) {
+    core::RmaEngine eng(r, r.comm_world());
+    KvConfig kc;
+    kc.servers = 2;
+    kc.key_space = 64;
+    kc.value_bytes = 256;
+    kc.sharding = Sharding::range;
+    KvStore kv(r, eng, kc);
+    WorkloadConfig wc;
+    wc.zipf_s = 1.2;
+    wc.get_frac = 0.5;
+    wc.put_frac = 0.5;
+    wc.rmw_frac = 0.0;
+    wc.ops = 300;
+    wc.seed = 23;
+    WorkloadGen gen(r, kv, wc);
+    if (!kv.is_server()) {
+      gen.preload(static_cast<std::uint64_t>(r.id() - 2), 4);
+      r.comm_world().barrier();
+      gen.warm();
+      EXPECT_EQ(gen.run(), 300u);
+      done[static_cast<std::size_t>(r.id() - 2)] = gen.completions();
+    } else {
+      r.comm_world().barrier();
+    }
+  });
+  std::uint64_t overtakes = 0;
+  for (const auto& log : done) {
+    ASSERT_EQ(log.size(), 300u);
+    for (std::size_t i = 1; i < log.size(); ++i) {
+      EXPECT_LE(log[i - 1].done_at, log[i].done_at)
+          << "completions must be logged in retire order";
+    }
+    // An idle-shard op retired before a hot-shard op issued earlier.
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      const trace::Time issued = log[i].done_at - log[i].latency;
+      for (std::size_t j = i + 1; j < log.size(); ++j) {
+        if (log[i].shard == 1 && log[j].shard == 0 &&
+            log[j].done_at - log[j].latency < issued) {
+          ++overtakes;
+        }
+      }
+    }
+  }
+  EXPECT_GT(overtakes, 0u);
+}
+
 // ------------------------------------------------------------------ faults
 
 TEST(KvStore, CrashDuringInsertStormFailsOverReplicatedShard) {
@@ -453,6 +510,117 @@ TEST(KvStore, CrashDuringInsertStormFailsOverReplicatedShard) {
   for (const auto& s : stats) {
     EXPECT_EQ(s.failed, 0u) << "failover must be transparent to the app";
     EXPECT_EQ(s.overflows, 0u);
+  }
+}
+
+TEST(KvStore, UnreplicatedServerDeathFailsItsOpsAndRunEnds) {
+  // Server 1 dies mid-run with no replica: ops to its shard retire failed
+  // (drained in flight, or failed fast once the death is known), ops to
+  // shard 0 are untouched, and every issued op retires exactly once. RMW
+  // is left out of the mix: a blocking fetch_add on a dead target throws.
+  // The blocking ops afterwards reach every other failure drain.
+  constexpr std::uint64_t kOps = 400;
+  WorldConfig cfg = world_cfg(4, 13);
+  cfg.faults.schedule = {{/*rank=*/1, /*at=*/1'750'000}};
+  World w(cfg);
+  std::array<std::uint64_t, 2> ok{};
+  std::array<std::vector<WorkloadGen::Completion>, 2> done;
+  std::array<apps::KvStats, 2> stats{};
+  std::array<KvOutcome, 2> put_after{}, get_after{};
+  std::array<sim::Time, 2> run_from{}, run_to{};
+  std::array<core::OpStats, 2> eng_stats{};
+  KvOutcome cold_get = KvOutcome::hit;
+  std::uint64_t cold_failed = 0;
+  w.run([&](Rank& r) {
+    core::RmaEngine eng(r, r.comm_world());
+    KvConfig kc;
+    kc.servers = 2;
+    kc.key_space = 64;
+    kc.value_bytes = 32;
+    kc.sharding = Sharding::range;  // keys 32..63 live on the doomed shard
+    KvStore kv(r, eng, kc);
+    WorkloadConfig wc;
+    wc.zipf_s = 0.5;
+    wc.get_frac = 0.7;
+    wc.put_frac = 0.3;
+    wc.rmw_frac = 0.0;
+    wc.ops = kOps;
+    wc.seed = 31;
+    WorkloadGen gen(r, kv, wc);
+    if (r.id() == 1) {
+      r.comm_world().barrier();
+      r.ctx().delay(10'000'000);  // dies mid-run
+      return;
+    }
+    if (r.id() == 0) {
+      // Rank 0 never cached a location: after the death its get walks the
+      // probe chain and fails; an incr fails to locate the key, then
+      // throws at the claim's compare_swap.
+      r.comm_world().barrier();
+      r.ctx().delay(2'000'000);
+      cold_get = kv.get(40);
+      EXPECT_THROW(kv.incr(41, 1), RankFailedError);
+      cold_failed = kv.stats().failed;
+      return;
+    }
+    const auto me = static_cast<std::size_t>(r.id() - 2);
+    gen.preload(me, 2);
+    r.comm_world().barrier();
+    gen.warm();
+    run_from[me] = r.ctx().now();
+    ok[me] = gen.run();
+    run_to[me] = r.ctx().now();
+    done[me] = gen.completions();
+    // The blocking ops drain the same way once the shard is gone.
+    put_after[me] = kv.put(40, val_of(40, 32));
+    get_after[me] = kv.get(40);
+    stats[me] = kv.stats();
+    eng_stats[me] = eng.stats();
+  });
+  EXPECT_EQ(w.failed_ranks(), std::vector<int>{1});
+  EXPECT_EQ(cold_get, KvOutcome::failed);
+  EXPECT_EQ(cold_failed, 2u);
+  for (std::size_t me = 0; me < 2; ++me) {
+    EXPECT_LT(run_from[me], 1'750'000u);
+    EXPECT_GT(run_to[me], 1'750'000u) << "the server must die during run()";
+    EXPECT_GT(eng_stats[me].drained_ops, 0u) << "some ops were in flight";
+    const auto& log = done[me];
+    ASSERT_EQ(log.size(), kOps) << "every issued op retires once";
+    std::uint64_t good = 0, failed = 0, good_on_1 = 0;
+    std::map<std::pair<int, int>, std::uint64_t> retired;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      const auto& c = log[i];
+      if (i > 0) {
+        EXPECT_LE(log[i - 1].done_at, c.done_at);
+      }
+      retired[{static_cast<int>(c.kind), c.shard}] += 1;
+      if (c.outcome == KvOutcome::failed) {
+        EXPECT_EQ(c.shard, 1) << "only the dead shard's ops fail";
+        ++failed;
+      } else {
+        EXPECT_TRUE(c.outcome == KvOutcome::hit ||
+                    c.outcome == KvOutcome::updated);
+        ++good;
+        if (c.shard == 1) ++good_on_1;
+      }
+    }
+    EXPECT_GT(failed, 0u);
+    EXPECT_GT(good_on_1, 0u) << "shard 1 served ops before it died";
+    EXPECT_EQ(ok[me], good) << "run() must not count failed ops";
+    EXPECT_EQ(stats[me].failed, failed + 2) << "each failed op drains once";
+    EXPECT_EQ(put_after[me], KvOutcome::failed);
+    EXPECT_EQ(get_after[me], KvOutcome::failed);
+    // The issued stream, recounted from the seeded samplers, is exactly
+    // the retired one.
+    const std::uint64_t rank = me + 2;
+    ZipfSampler keys(64, 0.5, mix64(31ull ^ (0xC11E57ull + rank)));
+    MixSampler mix({0.7, 0.3, 0.0}, mix64(31ull ^ (0x0FF5E7ull + rank)));
+    std::map<std::pair<int, int>, std::uint64_t> issued;
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+      const std::uint64_t k = keys.next();
+      issued[{static_cast<int>(mix.next()), k < 32 ? 0 : 1}] += 1;
+    }
+    EXPECT_EQ(retired, issued);
   }
 }
 
