@@ -286,14 +286,13 @@ inline m3rma::sim::Time run_world_traced(
 }
 
 /// Write the Chrome trace JSON to `path` (load it in Perfetto /
-/// chrome://tracing) and print the plain-text metrics summary to stdout.
+/// chrome://tracing).
 inline void export_trace(const m3rma::trace::Recorder& rec,
                          const std::string& path) {
   std::ofstream os(path, std::ios::binary);
   rec.write_chrome_trace(os);
   std::printf("\ntrace: %zu records -> %s\n", rec.record_count(),
               path.c_str());
-  std::fputs(rec.metrics_text().c_str(), stdout);
 }
 
 /// Write the flame-style aggregation ("stack total_ns count" lines, see

@@ -146,26 +146,30 @@ int main(int argc, char** argv) {
       benchutil::flame_flag(argc, argv, "fig2_attribute_cost.flame");
   if (!trace_file.empty() || !flame_file.empty()) {
     trace::Recorder rec;
+    trace::OpTimeline tl;
+    rec.set_op_timeline(&tl);
     for (const Series& s : series) {
       run_fig2(s, 64, &rec, std::string("fig2 64B ") + s.name);
     }
     if (!trace_file.empty()) benchutil::export_trace(rec, trace_file);
     if (!flame_file.empty()) benchutil::export_flame(rec, flame_file);
-    // Per-op tail latency by attribute set, through the recorder's
-    // nearest-rank percentile accessor: serializer queueing shows up as a
-    // fat tail long before it moves the median. Histograms are keyed by
-    // attrs, so the two atomicity serializers pool into one line.
+    // Per-op tail latency by attribute set, from the op timeline's
+    // nearest-rank percentiles: serializer queueing shows up as a fat tail
+    // long before it moves the median. Ops are keyed by attrs, so the two
+    // atomicity serializers pool into one line.
     std::printf("\nput tail latency by attrs (virtual us, 64 B):\n");
     std::set<std::string> seen;
     for (const Series& s : series) {
-      const std::string hist =
+      const std::string key =
           "rma.put[" + (s.attrs | core::RmaAttr::blocking).describe() + "]";
-      if (!seen.insert(hist).second) continue;
-      if (auto p50 = rec.percentile(hist, 50.0)) {
-        std::printf("  %-40s: p50=%s p99=%s p99.9=%s\n", hist.c_str(),
+      if (!seen.insert(key).second) continue;
+      if (auto p50 = tl.latency_percentile(50.0, key)) {
+        const auto p99 = tl.latency_percentile(99.0, key);
+        const auto p999 = tl.latency_percentile(99.9, key);
+        std::printf("  %-40s: p50=%s p99=%s p99.9=%s\n", key.c_str(),
                     benchutil::fmt_us(*p50).c_str(),
-                    benchutil::fmt_us(*rec.percentile(hist, 99.0)).c_str(),
-                    benchutil::fmt_us(*rec.percentile(hist, 99.9)).c_str());
+                    benchutil::fmt_us(*p99).c_str(),
+                    benchutil::fmt_us(*p999).c_str());
       }
     }
   }

@@ -20,11 +20,12 @@
 // effect from the interconnect effect.
 //
 // Reported per config: throughput, nearest-rank p50/p99/p99.9 over all ops
-// (trace::Recorder::percentile via apps::StatsSink), the hot shard's share
-// of ops, and the hottest physical link's utilization. --csv=FILE appends a
-// per-bucket completion timeline (config, bucket start, ops, hot-shard ops)
-// for plotting the hot-shard wave. All numbers are virtual time under seed
-// 20090922: two runs produce byte-identical tables and CSV.
+// (trace::nearest_rank over the clients' completion logs), the hot shard's
+// share of ops, and the hottest physical link's utilization. --csv=FILE
+// appends a per-bucket completion timeline (config, bucket start, ops,
+// hot-shard ops) for plotting the hot-shard wave. All numbers are virtual
+// time under seed 20090922: two runs produce byte-identical tables and CSV.
+// --trace attaches a Recorder to every config's run and writes its trace.
 //
 //   build/bench/tab_kvstore [--csv[=FILE]] [--trace[=FILE]]
 #include <algorithm>
@@ -35,7 +36,6 @@
 #include <vector>
 
 #include "apps/kv_store.hpp"
-#include "apps/stats_sink.hpp"
 #include "apps/workload.hpp"
 #include "bench/bench_util.hpp"
 #include "topo/topology.hpp"
@@ -55,6 +55,13 @@ constexpr std::uint64_t kOpsPerClient = 13'000;
 constexpr int kWindow = 8;
 constexpr sim::Time kBucket = 2'000'000;  // csv timeline resolution (2 ms)
 
+/// Nearest-rank latency percentiles, virtual ns.
+struct Tail {
+  sim::Time p50 = 0;
+  sim::Time p99 = 0;
+  sim::Time p999 = 0;
+};
+
 struct RunResult {
   std::string label;
   sim::Time duration = 0;     // whole run, virtual
@@ -63,8 +70,7 @@ struct RunResult {
   std::uint64_t ok = 0;       // ...with a success outcome
   std::array<std::uint64_t, kServers> shard_ops{};
   std::array<std::uint64_t, kServers> occupancy{};
-  apps::StatsSink::Tail tail{};       // over all op kinds
-  apps::StatsSink::Tail tail_get{};   // gets alone
+  Tail tail;                          // over all op kinds
   std::vector<apps::WorkloadGen::Completion> completions;
   std::string hot_link;               // hottest physical link by busy time
   std::uint64_t hot_link_bp = 0;      // its utilization, basis points
@@ -82,16 +88,19 @@ std::string fmt_pct(std::uint64_t bp) {
   return buf;
 }
 
+/// `rec` (may be null) records the run's trace, one process per config.
 RunResult run_config(const topo::TopoConfig& tc, double zipf_s,
-                     const std::string& label, trace::Recorder& rec) {
+                     const std::string& label, trace::Recorder* rec) {
   auto cfg = benchutil::xt5_config(kRanks);
   cfg.topo = tc;
   RunResult res;
   res.label = label;
   std::vector<sim::Time> started(kRanks, 0);
   runtime::World w(std::move(cfg));
-  rec.begin_process(label);
-  w.engine().set_tracer(&rec);
+  if (rec != nullptr) {
+    rec->begin_process(label);
+    w.engine().set_tracer(rec);
+  }
   w.run([&](runtime::Rank& r) {
     core::RmaEngine eng(r, r.comm_world());
     apps::KvConfig kc;
@@ -101,7 +110,6 @@ RunResult run_config(const topo::TopoConfig& tc, double zipf_s,
     kc.key_space = kKeySpace;
     kc.sharding = apps::Sharding::range;  // the Zipf head lands on shard 0
     apps::KvStore kv(r, eng, kc);
-    apps::StatsSink sink(r.world().engine().tracer(), label);
     apps::WorkloadConfig wc;
     wc.zipf_s = zipf_s;
     wc.get_frac = 0.70;
@@ -110,7 +118,7 @@ RunResult run_config(const topo::TopoConfig& tc, double zipf_s,
     wc.ops = kOpsPerClient;
     wc.window = kWindow;
     wc.seed = 20090922;
-    apps::WorkloadGen gen(r, kv, wc, &sink);
+    apps::WorkloadGen gen(r, kv, wc);
     if (!kv.is_server()) {
       const auto idx = static_cast<std::uint64_t>(r.id() - kServers);
       gen.preload(idx, kClients);
@@ -141,11 +149,16 @@ RunResult run_config(const topo::TopoConfig& tc, double zipf_s,
   const sim::Time t0 = *std::min_element(started.begin() + kServers,
                                          started.end());
   sim::Time t1 = t0;
-  for (const auto& c : res.completions) t1 = std::max(t1, c.done_at);
+  std::vector<sim::Time> lat;
+  lat.reserve(res.completions.size());
+  for (const auto& c : res.completions) {
+    t1 = std::max(t1, c.done_at);
+    lat.push_back(c.latency);
+  }
   res.phase_ns = t1 - t0;
-  apps::StatsSink sink(&rec, label);
-  res.tail = sink.tail_all().value();
-  res.tail_get = sink.tail(apps::OpKind::get).value();
+  std::sort(lat.begin(), lat.end());
+  res.tail = {trace::nearest_rank(lat, 50.0), trace::nearest_rank(lat, 99.0),
+              trace::nearest_rank(lat, 99.9)};
   const topo::TopologyModel* model = w.fabric().topology();
   const topo::Topology& t = model->topology();
   for (int l = 0; l < t.link_count(); ++l) {
@@ -205,7 +218,10 @@ void write_csv(std::ostream& os, const RunResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string trace_file =
+      benchutil::trace_flag(argc, argv, "tab_kvstore_trace.json");
   trace::Recorder rec;
+  trace::Recorder* const tracer = trace_file.empty() ? nullptr : &rec;
   topo::TopoConfig crossbar;
   crossbar.kind = topo::Kind::crossbar;
   topo::TopoConfig torus;
@@ -214,10 +230,12 @@ int main(int argc, char** argv) {
   torus.dim_y = 2;
   torus.dim_z = 2;
 
-  const RunResult xu = run_config(crossbar, 0.0, "kv-crossbar-uniform", rec);
-  const RunResult xz = run_config(crossbar, 0.99, "kv-crossbar-zipf99", rec);
-  const RunResult tu = run_config(torus, 0.0, "kv-torus-uniform", rec);
-  const RunResult tz = run_config(torus, 0.99, "kv-torus-zipf99", rec);
+  const RunResult xu =
+      run_config(crossbar, 0.0, "kv-crossbar-uniform", tracer);
+  const RunResult xz =
+      run_config(crossbar, 0.99, "kv-crossbar-zipf99", tracer);
+  const RunResult tu = run_config(torus, 0.0, "kv-torus-uniform", tracer);
+  const RunResult tz = run_config(torus, 0.99, "kv-torus-zipf99", tracer);
   const RunResult* runs[] = {&xu, &xz, &tu, &tz};
 
   Table t;
@@ -287,9 +305,7 @@ int main(int argc, char** argv) {
     std::printf("\ntimeline csv: -> %s\n", csv_file.c_str());
   }
 
-  const std::string trace_file =
-      benchutil::trace_flag(argc, argv, "tab_kvstore_trace.json");
-  if (!trace_file.empty()) benchutil::export_trace(rec, trace_file);
+  if (tracer != nullptr) benchutil::export_trace(rec, trace_file);
   benchutil::MetricsJson mj{
       "tab_kvstore", benchutil::metrics_json_flag(argc, argv, "tab_kvstore"),
       {}, {}};

@@ -210,24 +210,26 @@ int main(int argc, char** argv) {
   }
 
   // Optional trace pass: one lossy case with the recorder attached, showing
-  // wire spans, retransmit/dup instants, and per-link counters. Off the
-  // table path so the numbers above never move.
+  // wire spans and retransmit/dup instants. Off the table path so the
+  // numbers above never move.
   const std::string trace_file =
       benchutil::trace_flag(argc, argv, "tab_reliability_trace.json");
   if (!trace_file.empty()) {
     trace::Recorder rec;
+    trace::OpTimeline tl;
+    rec.set_op_timeline(&tl);
     run_case(true, 0.05, 50'000, &rec, "reliability loss=0.05 rto=50us");
     benchutil::export_trace(rec, trace_file);
-    // Per-op tail latency of the traced lossy case, through the recorder's
-    // nearest-rank percentile accessor: retransmit stalls live in the tail,
-    // not the median.
-    const std::string hist = "rma.put[remote_completion]";
-    if (auto p50 = rec.percentile(hist, 50.0)) {
+    // Per-op tail latency of the traced lossy case, from the op timeline's
+    // nearest-rank percentiles: retransmit stalls live in the tail, not the
+    // median.
+    const std::string key = "rma.put[remote_completion]";
+    if (auto p50 = tl.latency_percentile(50.0, key)) {
       std::printf("put latency (loss=0.05): p50=%s us p99=%s us "
                   "p99.9=%s us\n",
                   benchutil::fmt_us(*p50).c_str(),
-                  benchutil::fmt_us(*rec.percentile(hist, 99.0)).c_str(),
-                  benchutil::fmt_us(*rec.percentile(hist, 99.9)).c_str());
+                  benchutil::fmt_us(*tl.latency_percentile(99.0, key)).c_str(),
+                  benchutil::fmt_us(*tl.latency_percentile(99.9, key)).c_str());
     }
   }
   benchutil::MetricsJson mj{

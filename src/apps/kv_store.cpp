@@ -85,6 +85,11 @@ KvOutcome KvStore::drain_failure(const core::Request& req) {
   return KvOutcome::failed;
 }
 
+KvOutcome KvStore::count_failure() {
+  stats_.failed += 1;
+  return KvOutcome::failed;
+}
+
 std::optional<std::uint32_t> KvStore::locate(std::uint64_t key) {
   const int shard = shard_of(key);
   const std::uint64_t home = home_slot(key);

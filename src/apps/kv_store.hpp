@@ -159,6 +159,10 @@ class KvStore {
   /// One-sided read of a shard's occupancy word (claimed slots).
   std::uint64_t shard_occupancy(int shard);
   const KvStats& stats() const { return stats_; }
+  /// Account a blocking op that threw RankFailedError (a fetch_add or
+  /// compare_swap on a dead shard) as failed, as drain_failure does for a
+  /// non-ok completion.
+  KvOutcome count_failure();
   std::uint64_t cached_locations() const { return cache_.size(); }
 
  private:

@@ -6,12 +6,10 @@
 
 namespace m3rma::apps {
 
-WorkloadGen::WorkloadGen(runtime::Rank& rank, KvStore& kv, WorkloadConfig cfg,
-                         StatsSink* sink)
+WorkloadGen::WorkloadGen(runtime::Rank& rank, KvStore& kv, WorkloadConfig cfg)
     : rank_(&rank),
       kv_(&kv),
       cfg_(cfg),
-      sink_(sink),
       keys_(kv.config().key_space, cfg.zipf_s,
             mix64(cfg.seed ^ (0xC11E57ull + static_cast<std::uint64_t>(
                                                 rank.id())))),
@@ -59,10 +57,6 @@ void WorkloadGen::record(const Issued& f, KvOutcome o) {
       o == KvOutcome::updated) {
     ++ok_;
   }
-  if (sink_ != nullptr) {
-    sink_->record_latency(c.kind, c.latency);
-    sink_->count_shard_op(c.shard);
-  }
   done_.push_back(c);
 }
 
@@ -100,15 +94,20 @@ std::uint64_t WorkloadGen::run() {
     if (kind == OpKind::rmw || !kv_->location_cached(key)) {
       const Issued f{rank_->ctx().now(), kind, shard};
       // Blocking path: NIC-executed RMW, or a cold key that still needs its
-      // probe walk. Ops in flight retire once it returns.
+      // probe walk. Ops in flight retire once it returns. A fetch_add or
+      // claim on a dead shard throws; that op retires failed.
       KvOutcome o = KvOutcome::miss;
-      if (kind == OpKind::rmw) {
-        o = kv_->incr(key, 1) ? KvOutcome::updated : KvOutcome::overflow;
-      } else if (kind == OpKind::put) {
-        std::fill(valbuf_.begin(), valbuf_.end(), value_byte(key));
-        o = kv_->put(key, valbuf_);
-      } else {
-        o = kv_->get(key);
+      try {
+        if (kind == OpKind::rmw) {
+          o = kv_->incr(key, 1) ? KvOutcome::updated : KvOutcome::overflow;
+        } else if (kind == OpKind::put) {
+          std::fill(valbuf_.begin(), valbuf_.end(), value_byte(key));
+          o = kv_->put(key, valbuf_);
+        } else {
+          o = kv_->get(key);
+        }
+      } catch (const RankFailedError&) {
+        o = kv_->count_failure();
       }
       record(f, o);
       continue;

@@ -17,8 +17,9 @@
 // retired op is stamped with the current virtual time, so its latency runs
 // from its issue to the first point the client sees it done; ops seen done
 // together are recorded in issue order.
-// Each completion's latency goes into an apps::StatsSink histogram and the
-// completion into a local log (bench/tab_kvstore's --csv timeline).
+// Each completion, with its latency, goes into a local log, completions():
+// the one source of the workload's tail latencies and per-shard counts
+// (bench/tab_kvstore's table and --csv timeline).
 //
 // Everything downstream of the seed is deterministic: two runs of the same
 // configuration produce identical op sequences, identical virtual-time
@@ -29,10 +30,12 @@
 #include <vector>
 
 #include "apps/kv_store.hpp"
-#include "apps/stats_sink.hpp"
 #include "common/rng.hpp"
 
 namespace m3rma::apps {
+
+/// The three KV data-path op kinds WorkloadGen issues.
+enum class OpKind : std::uint8_t { get, put, rmw };
 
 struct WorkloadConfig {
   /// Zipf exponent for key popularity; 0 = uniform over the key space.
@@ -62,9 +65,7 @@ class WorkloadGen {
     KvOutcome outcome = KvOutcome::hit;
   };
 
-  /// `sink` may be null (latencies still accumulate in completions()).
-  WorkloadGen(runtime::Rank& rank, KvStore& kv, WorkloadConfig cfg,
-              StatsSink* sink = nullptr);
+  WorkloadGen(runtime::Rank& rank, KvStore& kv, WorkloadConfig cfg);
 
   /// Blocking-insert this client's share of the key space: keys with
   /// key % num_clients == client_index, round-robin, deterministic values.
@@ -76,9 +77,9 @@ class WorkloadGen {
   void warm();
   /// The measured closed loop: cfg.ops issued, window-limited, each retired
   /// once into completions(). Returns the number of ops that completed with
-  /// a success outcome. An op on a dead unreplicated shard retires failed;
-  /// an RMW on one throws RankFailedError, as a blocking fetch_add
-  /// does.
+  /// a success outcome. An op on a dead unreplicated shard retires failed,
+  /// a blocking one (an RMW, or a claim on a cold key) included, so run()
+  /// outlives the shard.
   std::uint64_t run();
 
   const std::vector<Completion>& completions() const { return done_; }
@@ -99,7 +100,6 @@ class WorkloadGen {
   runtime::Rank* rank_;
   KvStore* kv_;
   WorkloadConfig cfg_;
-  StatsSink* sink_;
   ZipfSampler keys_;
   MixSampler mix_;
   std::vector<std::byte> valbuf_;

@@ -114,10 +114,8 @@ struct Request::State {
   std::uint64_t rmw_value = 0;
   // rmi reply payload
   std::vector<std::byte> rmi_reply;
-  // tracing: open rma span (0 = untraced), issue time, histogram key
+  // tracing: open rma span (0 = untraced)
   std::uint64_t trace_span = 0;
-  std::uint64_t trace_t0 = 0;
-  std::string trace_hist;
   // latency attribution: op_begin was called for this request's tag (child
   // and internal requests stay false — they alias into a parent op), and the
   // failure-detection time when the op was rescued through failover (0 = no
@@ -156,15 +154,14 @@ inline int rank_track(trace::Recorder* tr, const runtime::Rank& r) {
   return tr->track("rank" + std::to_string(r.id()));
 }
 
-/// Instant event on `r`'s trace track, then an optional counter bump.
-/// `args()` builds the argument string only when `cat` is traced.
+/// Instant event on `r`'s trace track. `args()` builds the argument string
+/// only when a tracer is attached.
 template <class Args>
 void note(runtime::Rank& r, trace::Category cat, const char* name,
-          Args&& args, const char* counter = nullptr) {
-  trace::Recorder* tr = trace::want(r.world().engine().tracer(), cat);
+          Args&& args) {
+  trace::Recorder* tr = r.world().engine().tracer();
   if (tr == nullptr) return;
   tr->instant(rank_track(tr, r), cat, name, args());
-  if (counter != nullptr) tr->add_counter(cat, counter);
 }
 
 /// Apply the 64-bit RMW `h` carries (h.rmw on operands value_a, value_b)

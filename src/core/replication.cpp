@@ -177,10 +177,6 @@ OpStatus Replication::resolve(const TargetMem& mem, TargetMem* eff) {
     eff->owner = p;
     eff->backup = chain_next_alive(mem.id, p);
     eng_.stats_.retargeted_ops += 1;
-    if (auto* tr = trace::want(eng_.rank_->world().engine().tracer(),
-                               trace::Category::rma)) {
-      tr->add_counter(trace::Category::rma, "rma.failover_retargets");
-    }
     return OpStatus::ok;
   }
   eng_.stats_.replica_lost_ops += 1;
@@ -238,8 +234,7 @@ void Replication::finish_rescue(Request::State& st) {
        [&] {
          return "req=" + std::to_string(st.id) +
                 " backup=" + std::to_string(st.repl_backup);
-       },
-       "rma.rescued_ops");
+       });
   rearm_notify(st);
   eng_.settle(st);
 }
@@ -412,8 +407,7 @@ void Replication::progress() {
          [&] {
            return "req=" + std::to_string(id) +
                   " backup=" + std::to_string(b);
-         },
-         "rma.reissued_gets");
+         });
     eng_.issue_blocks(st, RmaOptype::get, portals::AccOp::replace, false,
                       st->origin_addr, st->origin_count, st->origin_dt, eff,
                       st->repl_disp, st->target_count, st->target_dt,
@@ -527,10 +521,6 @@ void Replication::log_mirror(const TargetMem& mem, AmHdr h,
       st != nullptr ? trace::op_tag(rank.id(), st->id) : 0;
   eng_.charge_inject(tag);
   eng_.send_am(mem.backup, h, std::move(payload), tag);
-  if (auto* tr = trace::want(rank.world().engine().tracer(),
-                             trace::Category::rma)) {
-    tr->add_counter(trace::Category::rma, "rma.mirrors");
-  }
 }
 
 void Replication::region_fwd(int primary, std::uint64_t mem_id,
@@ -806,8 +796,7 @@ void Replication::update_roles() {
          [&] {
            return "mem=" + std::to_string(mem_id) +
                   " backup=" + std::to_string(nb);
-         },
-         "rma.rereplications");
+         });
   }
 }
 

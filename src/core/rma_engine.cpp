@@ -403,10 +403,6 @@ Request RmaEngine::xfer(RmaOptype op, portals::AccOp acc_op,
     // don't touch the wire — hand back a pre-completed request carrying
     // the error.
     stats_.failed_fast += 1;
-    if (auto* tr = trace::want(rank_->world().engine().tracer(),
-                               trace::Category::rma)) {
-      tr->add_counter(trace::Category::rma, "rma.failed_fast");
-    }
     auto failed = new_req(mem.owner);
     settle(*failed, fail);
     return Request(this, std::move(failed));
@@ -428,15 +424,12 @@ Request RmaEngine::xfer(RmaOptype op, portals::AccOp acc_op,
   const char* opname = op == RmaOptype::put         ? "rma.put"
                        : op == RmaOptype::get       ? "rma.get"
                                                     : "rma.accumulate";
-  if (auto* tr = trace::want(rank_->world().engine().tracer(),
-                             trace::Category::rma)) {
+  if (auto* tr = rank_->world().engine().tracer()) {
     st->trace_span = tr->span_begin(
         rank_track(tr, *rank_), trace::Category::rma, opname,
         "attrs=" + attrs.describe() +
             " bytes=" + std::to_string(target_dt.size() * target_count) +
             " target=" + std::to_string(eff.owner));
-    st->trace_t0 = tr->now();
-    st->trace_hist = std::string(opname) + "[" + attrs.describe() + "]";
   }
   if (auto* tl = trace::timeline(rank_->world().engine().tracer())) {
     tl->op_begin(trace::op_tag(rank_->id(), st->id), opname, attrs.describe(),
@@ -835,8 +828,7 @@ void RmaEngine::flush_many(const std::vector<int>& world_targets) {
 std::vector<int> RmaEngine::complete(int target_rank) {
   stats_.completes += 1;
   trace::SpanHandle h = 0;
-  if (auto* tr = trace::want(rank_->world().engine().tracer(),
-                             trace::Category::rma)) {
+  if (auto* tr = rank_->world().engine().tracer()) {
     h = tr->span_begin(rank_track(tr, *rank_), trace::Category::rma,
                        "rma.complete",
                        target_rank == kAllRanks
@@ -916,8 +908,7 @@ void RmaEngine::on_target_failed(int node) {
   target_failed_at_[n] = rank_->world().engine().now();
   stats_.target_failures += 1;
   note(*rank_, trace::Category::rma, "fault.detect",
-       [&] { return "target=" + std::to_string(node); },
-       "rma.target_failures");
+       [&] { return "target=" + std::to_string(node); });
 
   // Drain every pending op addressed to the dead target: rescue it or
   // complete it now with an error status instead of leaving it waiting for
@@ -971,8 +962,7 @@ void RmaEngine::fail_over(Request::State& st, int node) {
        [&] {
          return "req=" + std::to_string(st.id) +
                 " target=" + std::to_string(node);
-       },
-       "rma.drained_ops");
+       });
   settle(st, status);
 }
 
@@ -1021,22 +1011,16 @@ std::uint64_t RmaEngine::rmw(portals::RmwOp op, const TargetMem& mem,
   const char* mech =
       ptl_->supports_atomics() ? "nic" : (locked ? "lock" : "am");
   trace::SpanHandle rmw_span = 0;
-  trace::Time rmw_t0 = 0;
-  if (auto* tr = trace::want(rank_->world().engine().tracer(),
-                             trace::Category::rma)) {
+  if (auto* tr = rank_->world().engine().tracer()) {
     rmw_span = tr->span_begin(
         rank_track(tr, *rank_), trace::Category::rma, "rma.rmw",
         std::string("mech=") + mech + " target=" + std::to_string(t));
-    rmw_t0 = tr->now();
   }
   auto close_rmw = [&] {
     if (rmw_span == 0) return;
-    trace::Recorder* tr = rank_->world().engine().tracer();
-    if (tr == nullptr) return;
-    tr->span_end(rmw_span);
-    tr->record_value(trace::Category::rma,
-                     std::string("rma.rmw[") + mech + "]",
-                     tr->now() - rmw_t0);
+    if (trace::Recorder* tr = rank_->world().engine().tracer()) {
+      tr->span_end(rmw_span);
+    }
   };
   // One tracked op: a locked get-modify-put whose children alias into it,
   // a NIC-executed fetch-atomic, or an rmw_op AM for the target's
@@ -1257,10 +1241,6 @@ void RmaEngine::finish_trace(Request::State& st) {
   if (st.trace_span == 0 || tr == nullptr) return;
   tr->span_end(st.trace_span);
   st.trace_span = 0;
-  if (!st.trace_hist.empty()) {
-    tr->record_value(trace::Category::rma, st.trace_hist,
-                     tr->now() - st.trace_t0);
-  }
 }
 
 void RmaEngine::count_ack(int world_rank) {
@@ -1430,15 +1410,14 @@ bool RmaEngine::serve(sim::Context& ctx, AmMsg&& m) {
   // Copied before the apply delay: a killed rank's engine is destroyed
   // during it, and then the token is all that is left to read.
   const std::shared_ptr<bool> alive = alive_;
-  trace::Recorder* rec = ctx.engine().tracer();
-  auto* tr = trace::want(rec, trace::Category::serializer);
+  trace::Recorder* tr = ctx.engine().tracer();
   // The track is the serving process: "commthread<id>" or "rank<id>".
   const trace::SpanHandle h =
       tr == nullptr ? 0
                     : tr->span_begin(tr->track(ctx.name()),
                                      trace::Category::serializer, "serialize",
                                      "from=" + std::to_string(m.src));
-  auto* tl = trace::timeline(rec);
+  auto* tl = trace::timeline(tr);
   const std::uint64_t op = m.op;
   const sim::Time pickup = ctx.now();
   if (tl != nullptr && tl->tracks(op)) {
@@ -1450,7 +1429,7 @@ bool RmaEngine::serve(sim::Context& ctx, AmMsg&& m) {
   if (tl != nullptr && tl->tracks(op)) {
     tl->add(op, trace::Segment::apply, pickup, ctx.now());
   }
-  if (h != 0) rec->span_end(h);
+  if (h != 0) tr->span_end(h);
   return true;
 }
 
@@ -1538,8 +1517,7 @@ void RmaEngine::execute_am(AmMsg&& m) {
 
 bool RmaEngine::lock_acquire(int world_target) {
   if (dead(world_target)) return false;  // no lock manager to ask
-  auto* tr = trace::want(rank_->world().engine().tracer(),
-                         trace::Category::serializer);
+  auto* tr = rank_->world().engine().tracer();
   trace::SpanHandle acq = 0;
   if (tr != nullptr) {
     acq = tr->span_begin(rank_track(tr, *rank_), trace::Category::serializer,
@@ -1617,7 +1595,7 @@ void RmaEngine::grant_lock(int to, std::uint64_t req_id) {
   lock_.held_by = to;
   lock_grants_ += 1;
   note(*rank_, trace::Category::serializer, "lock.grant",
-       [&] { return "to=" + std::to_string(to); }, "serializer.lock_grants");
+       [&] { return "to=" + std::to_string(to); });
   AmHdr g;
   g.kind = AmHdr::Kind::lock_grant;
   g.req_id = req_id;

@@ -25,18 +25,6 @@ std::string link_name(int src, int dst) {
   return "net:" + std::to_string(src) + "->" + std::to_string(dst);
 }
 
-std::string link_counter(int src, int dst, const char* what) {
-  return "fabric.link." + std::to_string(src) + "->" + std::to_string(dst) +
-         "." + what;
-}
-
-/// Counter key for a physical link, e.g. "fabric.plink.5->1.busy_ns".
-std::string plink_counter(const topo::Topology& t, topo::LinkId l,
-                          const char* what) {
-  return "fabric.plink." + std::to_string(t.link_src(l)) + "->" +
-         std::to_string(t.link_dst(l)) + "." + what;
-}
-
 }  // namespace
 
 // -------------------------------------------------------------------- Nic
@@ -171,12 +159,7 @@ void Fabric::route(Packet&& p) {
   total_messages_ += 1;
   total_bytes_ += p.wire_size();
 
-  auto* tr = trace::want(eng_->tracer(), trace::Category::fabric);
-  if (tr != nullptr) {
-    tr->add_counter(trace::Category::fabric, link_counter(p.src, p.dst, "msgs"));
-    tr->add_counter(trace::Category::fabric, link_counter(p.src, p.dst, "bytes"),
-                    p.wire_size());
-  }
+  auto* tr = eng_->tracer();
 
   if (topo_ != nullptr && p.src != p.dst) {
     // Physical-topology path: traverse the dimension-ordered hop chain.
@@ -191,8 +174,6 @@ void Fabric::route(Packet&& p) {
       tr->instant(tr->track(link_name(p.src, p.dst)), trace::Category::fabric,
                   "drop", "proto=" + std::to_string(p.protocol) +
                               " seq=" + std::to_string(p.seq));
-      tr->add_counter(trace::Category::fabric,
-                      link_counter(p.src, p.dst, "drops"));
     }
     return;  // failure injection: the packet vanishes on the wire
   }
@@ -226,14 +207,13 @@ void Fabric::forward(Packet&& p, std::vector<topo::LinkId>&& path,
     const std::vector<topo::LinkId>& alt = fallback_route(here, p.dst);
     if (!alt.empty()) {
       ++rerouted_packets_;
-      if (auto* tr = trace::want(eng_->tracer(), trace::Category::fabric)) {
+      if (auto* tr = eng_->tracer()) {
         tr->instant(tr->track(link_name(p.src, p.dst)),
                     trace::Category::fabric, "reroute",
                     (idx == 0 ? std::string("at=inject")
                               : "at=node" + std::to_string(here)) +
                         " proto=" + std::to_string(p.protocol) +
                         " hops=" + std::to_string(alt.size()));
-        tr->add_counter(trace::Category::fabric, "fabric.reroutes");
       }
       path = alt;
       idx = 0;
@@ -246,7 +226,7 @@ void Fabric::topo_hop(Packet&& p, std::vector<topo::LinkId>&& path,
                       std::size_t idx, sim::Time ready) {
   const topo::Topology& t = topo_->topology();
   const topo::LinkId link = path[idx];
-  auto* tr = trace::want(eng_->tracer(), trace::Category::fabric);
+  auto* tr = eng_->tracer();
 
   // Loss is per hop, drawn from the physical link's own rng stream: one
   // link's traffic cannot change which packets drop on another, and a
@@ -260,8 +240,6 @@ void Fabric::topo_hop(Packet&& p, std::vector<topo::LinkId>&& path,
                   "proto=" + std::to_string(p.protocol) +
                       " seq=" + std::to_string(p.seq) + " hop=" +
                       std::to_string(idx));
-      tr->add_counter(trace::Category::fabric,
-                      plink_counter(t, link, "drops"));
     }
     return;
   }
@@ -276,11 +254,6 @@ void Fabric::topo_hop(Packet&& p, std::vector<topo::LinkId>&& path,
                 "proto=" + std::to_string(p.protocol) +
                     " bytes=" + std::to_string(p.wire_size()) + " hop=" +
                     std::to_string(idx));
-    tr->add_counter(trace::Category::fabric, plink_counter(t, link, "msgs"));
-    tr->add_counter(trace::Category::fabric, plink_counter(t, link, "bytes"),
-                    p.wire_size());
-    tr->add_counter(trace::Category::fabric,
-                    plink_counter(t, link, "busy_ns"), tx.serial);
   }
 
   sim::Time arrive = tx.arrive;
@@ -396,12 +369,10 @@ void Fabric::endpoint(Packet&& p, sim::Time wire_end, sim::Time jitter,
 
 void Fabric::blackhole(const Packet& p, const char* where) {
   ++blackholed_packets_;
-  if (auto* tr = trace::want(eng_->tracer(), trace::Category::fabric)) {
+  if (auto* tr = eng_->tracer()) {
     tr->instant(tr->track(link_name(p.src, p.dst)), trace::Category::fabric,
                 "blackhole", std::string("at=") + where +
                                  " proto=" + std::to_string(p.protocol));
-    tr->add_counter(trace::Category::fabric,
-                    link_counter(p.src, p.dst, "blackholed"));
   }
 }
 
@@ -417,10 +388,9 @@ void Fabric::fail_node(int node, bool announce) {
     // Power off the dead node's own endpoint: cancel its timers and drain
     // its streams so it generates no further wire traffic or events.
     if (auto* rel = nics_[n]->reliability()) rel->quarantine_all();
-    if (auto* tr = trace::want(eng_->tracer(), trace::Category::fabric)) {
+    if (auto* tr = eng_->tracer()) {
       tr->instant(tr->track("fault"), trace::Category::fabric, "crash",
                   "node=" + std::to_string(node));
-      tr->add_counter(trace::Category::fabric, "fault.crashes");
     }
   }
   if (!announce || announced_[n] != 0) return;

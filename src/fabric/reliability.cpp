@@ -13,11 +13,6 @@ namespace m3rma::fabric {
 
 namespace {
 
-std::string rel_counter(int src, int dst, const char* what) {
-  return "rel.link." + std::to_string(src) + "->" + std::to_string(dst) +
-         "." + what;
-}
-
 std::string rel_track(int src, int dst) {
   return "rel:" + std::to_string(src) + "->" + std::to_string(dst);
 }
@@ -55,13 +50,10 @@ void LinkReliability::send_data(Packet&& p) {
     // The peer was declared failed: delivery can never be confirmed, so the
     // packet is drained here instead of feeding a retransmission loop.
     ++stats_.sends_suppressed;
-    if (auto* tr = trace::want(nic_->fabric().engine().tracer(),
-                               trace::Category::reliability)) {
+    if (auto* tr = nic_->fabric().engine().tracer()) {
       tr->instant(tr->track(rel_track(nic_->node(), p.dst)),
                   trace::Category::reliability, "send_suppressed",
                   "proto=" + std::to_string(p.protocol));
-      tr->add_counter(trace::Category::reliability,
-                      rel_counter(nic_->node(), p.dst, "sends_suppressed"));
     }
     return;
   }
@@ -84,11 +76,6 @@ void LinkReliability::send_data(Packet&& p) {
   tx.pending.push_back(
       PendingPkt{p, nic_->fabric().engine().now()});  // retransmission copy
   ++stats_.data_packets;
-  if (auto* tr = trace::want(nic_->fabric().engine().tracer(),
-                             trace::Category::reliability)) {
-    tr->add_counter(trace::Category::reliability,
-                    rel_counter(nic_->node(), p.dst, "data_packets"));
-  }
   if (!tx.timer_armed) arm_retransmit(key, tx);
   nic_->raw_send(std::move(p));
 }
@@ -161,13 +148,10 @@ void LinkReliability::reinject(int peer, const PendingPkt& pp,
     tl->add(copy.op, trace::Segment::retransmit, pp.first_sent,
             nic_->fabric().engine().now());
   }
-  if (auto* tr = trace::want(nic_->fabric().engine().tracer(),
-                             trace::Category::reliability)) {
+  if (auto* tr = nic_->fabric().engine().tracer()) {
     tr->instant(tr->track(rel_track(nic_->node(), peer)),
                 trace::Category::reliability, what,
                 "seq=" + std::to_string(copy.rel_seq) + detail);
-    tr->add_counter(trace::Category::reliability,
-                    rel_counter(nic_->node(), peer, "retransmits"));
   }
   nic_->raw_send(std::move(copy));
 }
@@ -190,8 +174,7 @@ void LinkReliability::on_budget_exhausted(int peer, int protocol,
   lf.unacked = tx.pending.size();
   lf.detected_at = nic_->fabric().engine().now();
   lf.retry_budget = cfg_.retry_budget;
-  if (auto* tr = trace::want(nic_->fabric().engine().tracer(),
-                             trace::Category::reliability)) {
+  if (auto* tr = nic_->fabric().engine().tracer()) {
     // Full retry history, so a trace viewer can reconstruct the endgame of
     // the stream without the (possibly suppressed) TransportError text:
     // how many rounds ran, how far backoff got, what the peer last acked,
@@ -207,8 +190,6 @@ void LinkReliability::on_budget_exhausted(int peer, int protocol,
                     " oldest_age=" +
                     std::to_string(lf.detected_at - lf.oldest_first_sent) +
                     " unacked=" + std::to_string(lf.unacked));
-    tr->add_counter(trace::Category::reliability,
-                    rel_counter(lf.src, peer, "link_failures"));
   }
   if (!nic_->fabric().report_link_failure(lf)) {
     throw TransportError(lf.describe());
@@ -239,13 +220,10 @@ void LinkReliability::quarantine_peer(int peer) {
     rx.ack_pending = false;  // never ack a dead peer
     ++rx.ack_gen;
   }
-  if (auto* tr = trace::want(nic_->fabric().engine().tracer(),
-                             trace::Category::reliability)) {
+  if (auto* tr = nic_->fabric().engine().tracer()) {
     tr->instant(tr->track(rel_track(nic_->node(), peer)),
                 trace::Category::reliability, "quarantine",
                 "peer=" + std::to_string(peer));
-    tr->add_counter(trace::Category::reliability,
-                    rel_counter(nic_->node(), peer, "quarantined"));
   }
 }
 
@@ -351,13 +329,10 @@ void LinkReliability::on_receive(Packet&& p) {
 
 void LinkReliability::note_duplicate(int src, std::uint64_t seq) {
   ++stats_.duplicates_suppressed;
-  if (auto* tr = trace::want(nic_->fabric().engine().tracer(),
-                             trace::Category::reliability)) {
+  if (auto* tr = nic_->fabric().engine().tracer()) {
     tr->instant(tr->track(rel_track(src, nic_->node())),
                 trace::Category::reliability, "dup_suppress",
                 "seq=" + std::to_string(seq));
-    tr->add_counter(trace::Category::reliability,
-                    rel_counter(src, nic_->node(), "duplicates_suppressed"));
   }
 }
 
@@ -408,14 +383,10 @@ void LinkReliability::send_ack(int peer, int protocol, std::uint64_t cum,
   ack.rel_flags = gap ? (kRelFlagAck | kRelFlagGap) : kRelFlagAck;
   ack.rel_ack = cum;
   ++(gap ? stats_.gap_acks : stats_.acks_sent);
-  if (auto* tr = trace::want(nic_->fabric().engine().tracer(),
-                             trace::Category::reliability)) {
+  if (auto* tr = nic_->fabric().engine().tracer()) {
     tr->instant(tr->track(rel_track(nic_->node(), peer)),
                 trace::Category::reliability, gap ? "gap_ack" : "ack",
                 "cum=" + std::to_string(cum));
-    tr->add_counter(trace::Category::reliability,
-                    rel_counter(nic_->node(), peer,
-                                gap ? "gap_acks" : "acks_sent"));
   }
   nic_->raw_send(std::move(ack));
 }

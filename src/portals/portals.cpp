@@ -149,15 +149,12 @@ Portals::Me* Portals::match_me(int pt_index, std::uint64_t bits,
 }
 
 void Portals::trace_eq(const char* type, const Event& ev) {
-  auto* tr = trace::want(nic_->fabric().engine().tracer(),
-                         trace::Category::portals);
+  auto* tr = nic_->fabric().engine().tracer();
   if (tr == nullptr) return;
   tr->instant(tr->track("rank" + std::to_string(node())),
               trace::Category::portals, std::string("eq:") + type,
               "from=" + std::to_string(ev.initiator) +
                   " len=" + std::to_string(ev.length));
-  tr->add_counter(trace::Category::portals,
-                  std::string("portals.eq.") + type);
 }
 
 void Portals::charge_inject(sim::Context& ctx, std::uint64_t op) {

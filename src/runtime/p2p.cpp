@@ -42,11 +42,10 @@ void P2p::await_posted(sim::Context& ctx, Posted& posted,
 void P2p::send(sim::Context& ctx, int dst, std::int64_t tag,
                std::span<const std::byte> data) {
   M3RMA_REQUIRE(tag >= 0, "message tags must be non-negative");
-  if (auto* tr = trace::want(ctx.engine().tracer(), trace::Category::p2p)) {
+  if (auto* tr = ctx.engine().tracer()) {
     tr->instant(tr->track(ctx.name()), trace::Category::p2p, "p2p.send",
                 "dst=" + std::to_string(dst) + " tag=" + std::to_string(tag) +
                     " bytes=" + std::to_string(data.size()));
-    tr->add_counter(trace::Category::p2p, "p2p.sends");
   }
   ctx.delay(nic_->fabric().costs().inject_overhead_ns);
   fabric::Packet p;
@@ -62,7 +61,7 @@ Message P2p::recv(sim::Context& ctx, int src, std::int64_t tag) {
     throw RankFailedError("p2p recv from failed rank " + std::to_string(src));
   }
   trace::SpanHandle h = 0;
-  if (auto* tr = trace::want(ctx.engine().tracer(), trace::Category::p2p)) {
+  if (auto* tr = ctx.engine().tracer()) {
     h = tr->span_begin(tr->track(ctx.name()), trace::Category::p2p,
                        "p2p.recv",
                        "src=" + std::to_string(src) +
@@ -94,7 +93,7 @@ std::optional<Message> P2p::recv_any_live(sim::Context& ctx, std::int64_t tag,
   };
   if (!any_alive()) return std::nullopt;
   trace::SpanHandle h = 0;
-  if (auto* tr = trace::want(ctx.engine().tracer(), trace::Category::p2p)) {
+  if (auto* tr = ctx.engine().tracer()) {
     h = tr->span_begin(tr->track(ctx.name()), trace::Category::p2p,
                        "p2p.recv",
                        "src=-1 tag=" + std::to_string(tag));

@@ -61,6 +61,9 @@ bool OpTimeline::tracks(std::uint64_t tag) const {
 void OpTimeline::op_begin(std::uint64_t tag, std::string name,
                           std::string attrs, std::string api, Time t0) {
   M3RMA_REQUIRE(tag != 0, "op_begin with the untagged sentinel");
+  // A begun op is a root. Request ids restart in each World, so a timeline
+  // that spans Worlds can hold an alias for this tag from an earlier one.
+  alias_.erase(tag);
   Live& l = live_[tag];  // re-begin after a completed id wrap overwrites
   l.name = std::move(name);
   l.attrs = std::move(attrs);

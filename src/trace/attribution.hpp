@@ -200,7 +200,7 @@ class OpTimeline {
 
 class Recorder;
 /// Call-site guard: the attached timeline, or nullptr when attribution is
-/// off (no recorder / no timeline). Mirrors trace::want for the Recorder.
+/// off (no recorder / no timeline).
 OpTimeline* timeline(Recorder* r);
 
 }  // namespace m3rma::trace

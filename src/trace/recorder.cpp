@@ -25,22 +25,11 @@ const char* category_name(Category c) {
       return "p2p";
     case Category::runtime:
       return "runtime";
-    case Category::apps:
-      return "apps";
   }
   return "?";
 }
 
 Recorder::Recorder() { procs_.push_back(Process{"m3rma", {}, {}}); }
-
-void Recorder::set_category(Category c, bool on) {
-  const auto bit = 1u << static_cast<unsigned>(c);
-  if (on) {
-    category_mask_ |= bit;
-  } else {
-    category_mask_ &= ~bit;
-  }
-}
 
 void Recorder::begin_process(const std::string& name) {
   // Reuse the empty default process for the first named one, so traces that
@@ -70,7 +59,6 @@ void Recorder::note_site(Time t) {
 
 SpanHandle Recorder::span_begin(int track, Category cat, std::string name,
                                 std::string args) {
-  if (!enabled(cat)) return 0;
   const Time t = now();
   Rec r;
   r.kind = Rec::Kind::span;
@@ -100,7 +88,6 @@ void Recorder::span_end(SpanHandle h) {
 
 void Recorder::span_at(int track, Category cat, std::string name, Time t0,
                        Time t1, std::string args) {
-  if (!enabled(cat)) return;
   M3RMA_ENSURE(t1 >= t0, "span_at interval must not be inverted");
   Rec r;
   r.kind = Rec::Kind::span;
@@ -117,7 +104,6 @@ void Recorder::span_at(int track, Category cat, std::string name, Time t0,
 
 void Recorder::instant(int track, Category cat, std::string name,
                        std::string args) {
-  if (!enabled(cat)) return;
   const Time t = now();
   Rec r;
   r.kind = Rec::Kind::instant;
@@ -132,56 +118,9 @@ void Recorder::instant(int track, Category cat, std::string name,
   note_site(t);
 }
 
-void Recorder::add_counter(Category cat, const std::string& name,
-                           std::uint64_t delta) {
-  if (!enabled(cat)) return;
-  counters_[name] += delta;
-}
-
-void Recorder::record_value(Category cat, const std::string& name, Time v) {
-  if (!enabled(cat)) return;
-  hists_[name].push_back(v);
-}
-
 std::string Recorder::site_text(Site s) const {
   if (s.rec == 0 || s.rec > recs_.size()) return {};
   return recs_[s.rec - 1].name + " @" + std::to_string(s.t) + "ns";
-}
-
-std::uint64_t Recorder::counter(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-std::optional<Recorder::HistSummary> Recorder::histogram(
-    const std::string& name) const {
-  auto it = hists_.find(name);
-  if (it == hists_.end() || it->second.empty()) return std::nullopt;
-  std::vector<Time> v = it->second;
-  std::sort(v.begin(), v.end());
-  HistSummary s;
-  s.count = v.size();
-  s.min = v.front();
-  s.max = v.back();
-  s.p50 = nearest_rank(v, 50.0);
-  s.p90 = nearest_rank(v, 90.0);
-  s.p99 = nearest_rank(v, 99.0);
-  s.p999 = nearest_rank(v, 99.9);
-  Time sum = 0;
-  for (Time x : v) sum += x;
-  s.mean = sum / v.size();
-  return s;
-}
-
-std::optional<Time> Recorder::percentile(const std::string& name,
-                                         double pct) const {
-  M3RMA_REQUIRE(pct > 0.0 && pct <= 100.0,
-                "percentile must be in (0, 100]");
-  auto it = hists_.find(name);
-  if (it == hists_.end() || it->second.empty()) return std::nullopt;
-  std::vector<Time> v = it->second;
-  std::sort(v.begin(), v.end());
-  return nearest_rank(v, pct);
 }
 
 Time nearest_rank(const std::vector<Time>& sorted, double pct) {
@@ -307,22 +246,6 @@ void Recorder::write_chrome_trace(std::ostream& os) const {
   os << "\n]}\n";
 }
 
-void Recorder::write_metrics(std::ostream& os) const {
-  os << "# m3rma metrics (virtual-time ns)\n";
-  for (const auto& [name, value] : counters_) {
-    os << "counter " << name << " " << value << "\n";
-  }
-  for (const auto& [name, samples] : hists_) {
-    (void)samples;
-    const auto s = histogram(name);
-    if (!s) continue;
-    os << "hist " << name << " count=" << s->count << " min=" << s->min
-       << " p50=" << s->p50 << " p90=" << s->p90 << " p99=" << s->p99
-       << " p99.9=" << s->p999 << " max=" << s->max << " mean=" << s->mean
-       << "\n";
-  }
-}
-
 void Recorder::write_flame(std::ostream& os) const {
   // Group span record indices per (process, track); recording order within
   // a track is begin-time order (the virtual clock is monotone), which the
@@ -385,12 +308,6 @@ std::string Recorder::flame_text() const {
 std::string Recorder::chrome_json() const {
   std::ostringstream os;
   write_chrome_trace(os);
-  return os.str();
-}
-
-std::string Recorder::metrics_text() const {
-  std::ostringstream os;
-  write_metrics(os);
   return os.str();
 }
 

@@ -1,16 +1,18 @@
-// Deterministic tracing + metrics for the simulated machine.
+// Deterministic tracing for the simulated machine.
 //
 // A Recorder hangs off sim::Engine (Engine::set_tracer) and collects, in
 // recording order:
 //   * spans    — named intervals of virtual time on a track (one track per
 //                rank, comm thread, or link), e.g. an RMA put from issue to
 //                remote completion, or a packet's flight on a link;
-//   * instants — point events (a drop, a retransmission, an EQ post);
-//   * counters — monotonically increasing named totals (per-link message
-//                counts, reliability retransmits, ...);
-//   * value histograms — named virtual-time samples summarized at export
-//                as count/min/p50/p90/p99/max/mean (per-attribute RMA op
-//                latencies).
+//   * instants — point events (a drop, a retransmission, an EQ post).
+//
+// Counts live in the per-layer stats structs (core::OpStats,
+// fabric::ReliabilityStats, the Fabric's packet totals, the topology's
+// per-link state), which are always on; per-op latency lives in
+// trace::OpTimeline (attribution.hpp). The Recorder keeps what a trace
+// viewer needs: the records, the Chrome and flame exports, and the last
+// site for DeadlockError.
 //
 // Design constraints (see DESIGN.md §6):
 //   * The simulator serializes everything, so the Recorder needs no real
@@ -23,9 +25,7 @@
 //     insertion-ordered or sorted, and timestamps are formatted with
 //     integer math only, so the same seed produces byte-identical exports.
 //
-// Every record carries a category; all are recorded by default, and a
-// disabled category is dropped at the recording call site before any
-// strings are built.
+// Every record carries a category, exported as the Chrome event's "cat".
 //
 // Timestamps are plain std::uint64_t nanoseconds (== sim::Time) so this
 // library sits below simtime and depends only on m3rma_common; the engine
@@ -36,7 +36,6 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,9 +60,7 @@ enum class Category : std::uint8_t {
   serializer,   ///< atomicity serializers: comm-thread occupancy, locks
   p2p,          ///< two-sided runtime messaging
   runtime,      ///< collectives and world-level milestones
-  apps,         ///< application-layer workloads (src/apps): KV ops, shards
 };
-inline constexpr int kCategoryCount = 8;
 const char* category_name(Category c);
 
 /// Opaque handle returned by span_begin; 0 means "not recorded" and makes
@@ -76,13 +73,6 @@ class Recorder {
 
   // ----- configuration ------------------------------------------------------
 
-  /// Enable/disable a category. Disabled categories record nothing (the
-  /// helper `want` lets call sites skip even string building).
-  void set_category(Category c, bool on);
-  bool enabled(Category c) const {
-    return (category_mask_ & (1u << static_cast<unsigned>(c))) != 0;
-  }
-
   /// Bind the virtual clock used to stamp records. Called by
   /// sim::Engine::set_tracer; points at the engine's now() storage.
   void bind_clock(const Time* now) { clock_ = now; }
@@ -91,7 +81,7 @@ class Recorder {
   /// Attach (or detach, with nullptr) a per-op latency-attribution timeline
   /// (trace/attribution.hpp). Instrumented layers reach it through
   /// trace::timeline(rec); with none attached attribution costs one
-  /// null-pointer check, independent of the category mask.
+  /// null-pointer check.
   void set_op_timeline(OpTimeline* t) { op_timeline_ = t; }
   OpTimeline* op_timeline() const { return op_timeline_; }
 
@@ -124,10 +114,6 @@ class Recorder {
                std::string args = {});
   void instant(int track, Category cat, std::string name,
                std::string args = {});
-  void add_counter(Category cat, const std::string& name,
-                   std::uint64_t delta = 1);
-  /// Record one histogram sample (virtual-time nanoseconds).
-  void record_value(Category cat, const std::string& name, Time v);
 
   // ----- introspection ------------------------------------------------------
 
@@ -143,26 +129,6 @@ class Recorder {
   std::string site_text(Site s) const;
   bool has_last_site() const { return last_site_.rec != 0; }
   std::string last_site() const { return site_text(last_site_); }
-
-  std::uint64_t counter(const std::string& name) const;
-
-  struct HistSummary {
-    std::uint64_t count = 0;
-    Time min = 0;
-    Time max = 0;
-    Time p50 = 0;
-    Time p90 = 0;
-    Time p99 = 0;
-    Time p999 = 0;
-    Time mean = 0;
-  };
-  std::optional<HistSummary> histogram(const std::string& name) const;
-
-  /// Nearest-rank percentile of one histogram: pct in (0, 100], e.g. 50,
-  /// 99, 99.9. nullopt when the histogram has no samples. The single
-  /// accessor every consumer (benches, apps::StatsSink) queries tail
-  /// latency through instead of re-sorting samples ad hoc.
-  std::optional<Time> percentile(const std::string& name, double pct) const;
 
   std::size_t record_count() const { return recs_.size(); }
   std::size_t span_count(Category cat) const;
@@ -186,11 +152,6 @@ class Recorder {
   /// track per registered track, spans as "X" events, instants as "i".
   void write_chrome_trace(std::ostream& os) const;
   std::string chrome_json() const;
-
-  /// Plain-text metrics: counters, then histogram percentile summaries,
-  /// both sorted by name.
-  void write_metrics(std::ostream& os) const;
-  std::string metrics_text() const;
 
   /// Flame-style aggregation: spans collapsed by their name stack. Each
   /// line is `name;child;... total_virtual_time_ns count`, where the stack
@@ -226,21 +187,11 @@ class Recorder {
 
   const Time* clock_ = nullptr;
   OpTimeline* op_timeline_ = nullptr;
-  std::uint32_t category_mask_ = (1u << kCategoryCount) - 1;  // all on
   std::vector<Process> procs_;
   int cur_pid_ = 0;
   std::vector<Rec> recs_;
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, std::vector<Time>> hists_;
   Site last_site_;
   Time max_ts_ = 0;  // closes still-open spans at export
 };
-
-/// Recording guard for call sites: returns `r` if it is attached and `cat`
-/// is enabled, else nullptr — so argument strings are only built when the
-/// record will actually be kept.
-inline Recorder* want(Recorder* r, Category cat) {
-  return r != nullptr && r->enabled(cat) ? r : nullptr;
-}
 
 }  // namespace m3rma::trace

@@ -162,6 +162,28 @@ TEST(Attribution, CoarseLockAtomicityChargesLockWait) {
             all.seg[idx(trace::Segment::wire)]);
 }
 
+// One timeline may span several Worlds (a bench traces each series in its
+// own World). Request ids restart per World, so an op must not resolve
+// through an alias that a locked op registered in an earlier World.
+TEST(Attribution, TimelineSpanningWorldsKeepsEachOpsLatency) {
+  auto run = [](trace::OpTimeline& tl, core::SerializerKind k) {
+    trace::Recorder rec;
+    rec.set_op_timeline(&tl);
+    World w(small_cfg(4));
+    w.engine().set_tracer(&rec);
+    w.run([k](Rank& r) { atomicity_workload(r, k); });
+  };
+  trace::OpTimeline shared, fresh;
+  run(shared, core::SerializerKind::coarse_lock);
+  const std::size_t first = shared.ops().size();
+  run(shared, core::SerializerKind::comm_thread);
+  run(fresh, core::SerializerKind::comm_thread);
+  ASSERT_EQ(shared.ops().size() - first, fresh.ops().size());
+  for (std::size_t i = 0; i < fresh.ops().size(); ++i) {
+    EXPECT_EQ(shared.ops()[first + i].total(), fresh.ops()[i].total()) << i;
+  }
+}
+
 // -------------------------------------------------------- byte-determinism
 
 TEST(Attribution, ExportsAreByteIdenticalAcrossRuns) {

@@ -510,8 +510,8 @@ TEST(FaultInjection, TorusCrashQuarantinesLinksButSurvivorsFinishIncast) {
   EXPECT_EQ(o, run_once());
 }
 
-// The failure path is observable in the trace: detection instants and the
-// drained-op counters appear under the rma category.
+// The failure path is observable: detection and drain instants appear in the
+// trace under the rma category, and the engine's stats count them.
 TEST(FaultInjection, FaultEventsAppearInTrace) {
   trace::Recorder rec;
   WorldConfig cfg;
@@ -520,6 +520,7 @@ TEST(FaultInjection, FaultEventsAppearInTrace) {
   cfg.faults.schedule = {{/*rank=*/1, /*at=*/30'000}};
   World w(cfg);
   w.engine().set_tracer(&rec);
+  core::OpStats origin;
   w.run([&](Rank& r) {
     RmaEngine eng(r, r.comm_world());
     auto [buf, mems] = eng.allocate_shared(64);
@@ -532,10 +533,10 @@ TEST(FaultInjection, FaultEventsAppearInTrace) {
       }
     }
     eng.complete_collective();
+    if (r.id() == 0) origin = eng.stats();
   });
-  EXPECT_EQ(rec.counter("rma.target_failures"), 1u);
-  EXPECT_GT(rec.counter("rma.drained_ops") + rec.counter("rma.failed_fast"),
-            0u);
+  EXPECT_EQ(origin.target_failures, 1u);
+  EXPECT_GT(origin.drained_ops + origin.failed_fast, 0u);
   // The chrome export stays well-formed even though the dead rank's spans
   // were cut short.
   const std::string json = rec.chrome_json();

@@ -18,13 +18,13 @@
 //    closed loop still retires every issued op once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <map>
 #include <vector>
 
 #include "apps/kv_store.hpp"
-#include "apps/stats_sink.hpp"
 #include "apps/workload.hpp"
 #include "runtime/chaos.hpp"
 #include "runtime/comm.hpp"
@@ -278,11 +278,10 @@ TEST(KvStore, ConcurrentCasInsertContention) {
 
 TEST(KvStore, ZipfHotKeyHammeringReconcilesCounters) {
   World w(world_cfg(4, 20090922));
-  trace::Recorder rec;
-  w.engine().set_tracer(&rec);
   std::map<std::uint64_t, std::uint64_t> issued;  // key -> rmw count
   std::map<std::uint64_t, std::uint64_t> stored;
-  std::array<std::uint64_t, 2> shard_ops{};
+  std::array<std::uint64_t, 2> shard_ops{}, issued_shard_ops{};
+  std::vector<sim::Time> latency;
   std::uint64_t ok_total = 0, op_total = 0;
   w.run([&](Rank& r) {
     core::RmaEngine eng(r, r.comm_world());
@@ -292,7 +291,6 @@ TEST(KvStore, ZipfHotKeyHammeringReconcilesCounters) {
     kc.value_bytes = 16;
     kc.sharding = Sharding::range;
     KvStore kv(r, eng, kc);
-    apps::StatsSink sink(r.world().engine().tracer(), "kvtest");
     WorkloadConfig wc;
     wc.zipf_s = 0.99;
     wc.get_frac = 0.5;
@@ -301,7 +299,7 @@ TEST(KvStore, ZipfHotKeyHammeringReconcilesCounters) {
     wc.ops = 600;
     wc.window = 4;
     wc.seed = 99;
-    WorkloadGen gen(r, kv, wc, &sink);
+    WorkloadGen gen(r, kv, wc);
     if (!kv.is_server()) {
       gen.preload(static_cast<std::uint64_t>(r.id() - 2), 2);
       r.comm_world().barrier();
@@ -310,7 +308,7 @@ TEST(KvStore, ZipfHotKeyHammeringReconcilesCounters) {
       for (const auto& c : gen.completions()) {
         op_total += 1;
         shard_ops[c.shard] += 1;
-        if (c.kind == apps::OpKind::rmw) issued[0] += 0;  // keep map hot
+        latency.push_back(c.latency);
       }
       r.comm_world().barrier();
       if (r.id() == 2) {
@@ -332,6 +330,7 @@ TEST(KvStore, ZipfHotKeyHammeringReconcilesCounters) {
     for (int i = 0; i < 600; ++i) {
       const std::uint64_t k = keys.next();
       if (mix.next() == 2) issued[k] += 1;
+      issued_shard_ops[k < 32 ? 0 : 1] += 1;
     }
   }
   std::uint64_t issued_total = 0, stored_total = 0;
@@ -343,14 +342,17 @@ TEST(KvStore, ZipfHotKeyHammeringReconcilesCounters) {
   EXPECT_EQ(ok_total, 1200u) << "warmed runs have no misses/overflows";
   // Zipf over range sharding hammers shard 0 (keys 0..31 hold the head).
   EXPECT_GT(shard_ops[0], 3 * shard_ops[1]);
-  // The sink aggregated both clients into the shared recorder.
-  EXPECT_EQ(apps::StatsSink(&rec, "kvtest").shard_ops(0), shard_ops[0]);
-  auto tail = apps::StatsSink(&rec, "kvtest").tail_all();
-  ASSERT_TRUE(tail.has_value());
-  EXPECT_EQ(tail->count, 1200u);
-  EXPECT_GE(tail->p999, tail->p99);
-  EXPECT_GE(tail->p99, tail->p50);
-  EXPECT_GT(tail->p50, 0u);
+  // The completion logs' per-shard counts are the seeded issue stream's.
+  EXPECT_EQ(shard_ops, issued_shard_ops);
+  // Tail latency comes from the same logs.
+  ASSERT_EQ(latency.size(), 1200u);
+  std::sort(latency.begin(), latency.end());
+  const sim::Time p50 = trace::nearest_rank(latency, 50.0);
+  const sim::Time p99 = trace::nearest_rank(latency, 99.0);
+  const sim::Time p999 = trace::nearest_rank(latency, 99.9);
+  EXPECT_GE(p999, p99);
+  EXPECT_GE(p99, p50);
+  EXPECT_GT(p50, 0u);
 }
 
 TEST(KvStore, DeterministicDoubleRun) {
@@ -517,8 +519,8 @@ TEST(KvStore, UnreplicatedServerDeathFailsItsOpsAndRunEnds) {
   // Server 1 dies mid-run with no replica: ops to its shard retire failed
   // (drained in flight, or failed fast once the death is known), ops to
   // shard 0 are untouched, and every issued op retires exactly once. RMW
-  // is left out of the mix: a blocking fetch_add on a dead target throws.
-  // The blocking ops afterwards reach every other failure drain.
+  // is left out of the mix (UnreplicatedServerDeathFailsBlockingRmws covers
+  // it). The blocking ops afterwards reach every other failure drain.
   constexpr std::uint64_t kOps = 400;
   WorldConfig cfg = world_cfg(4, 13);
   cfg.faults.schedule = {{/*rank=*/1, /*at=*/1'750'000}};
@@ -615,6 +617,78 @@ TEST(KvStore, UnreplicatedServerDeathFailsItsOpsAndRunEnds) {
     const std::uint64_t rank = me + 2;
     ZipfSampler keys(64, 0.5, mix64(31ull ^ (0xC11E57ull + rank)));
     MixSampler mix({0.7, 0.3, 0.0}, mix64(31ull ^ (0x0FF5E7ull + rank)));
+    std::map<std::pair<int, int>, std::uint64_t> issued;
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+      const std::uint64_t k = keys.next();
+      issued[{static_cast<int>(mix.next()), k < 32 ? 0 : 1}] += 1;
+    }
+    EXPECT_EQ(retired, issued);
+  }
+}
+
+// The same death under an RMW-heavy mix: a blocking fetch_add on the dead
+// shard throws RankFailedError inside run(), which retires that op failed
+// and keeps going, so the ops in flight behind it still retire and run()
+// returns.
+TEST(KvStore, UnreplicatedServerDeathFailsBlockingRmws) {
+  constexpr std::uint64_t kOps = 400;
+  WorldConfig cfg = world_cfg(4, 13);
+  cfg.faults.schedule = {{/*rank=*/1, /*at=*/1'750'000}};
+  World w(cfg);
+  std::array<std::uint64_t, 2> ok{};
+  std::array<std::vector<WorkloadGen::Completion>, 2> done;
+  std::array<apps::KvStats, 2> stats{};
+  w.run([&](Rank& r) {
+    core::RmaEngine eng(r, r.comm_world());
+    KvConfig kc;
+    kc.servers = 2;
+    kc.key_space = 64;
+    kc.value_bytes = 32;
+    kc.sharding = Sharding::range;  // keys 32..63 live on the doomed shard
+    KvStore kv(r, eng, kc);
+    WorkloadConfig wc;
+    wc.zipf_s = 0.5;
+    wc.get_frac = 0.4;
+    wc.put_frac = 0.2;
+    wc.rmw_frac = 0.4;
+    wc.ops = kOps;
+    wc.seed = 31;
+    WorkloadGen gen(r, kv, wc);
+    if (kv.is_server()) {
+      r.comm_world().barrier();
+      if (r.id() == 1) r.ctx().delay(10'000'000);  // dies mid-run
+      return;
+    }
+    const auto me = static_cast<std::size_t>(r.id() - 2);
+    gen.preload(me, 2);
+    r.comm_world().barrier();
+    gen.warm();
+    ok[me] = gen.run();
+    done[me] = gen.completions();
+    stats[me] = kv.stats();
+  });
+  EXPECT_EQ(w.failed_ranks(), std::vector<int>{1});
+  for (std::size_t me = 0; me < 2; ++me) {
+    const auto& log = done[me];
+    ASSERT_EQ(log.size(), kOps) << "every issued op retires once";
+    std::uint64_t good = 0, failed = 0, failed_rmw = 0;
+    std::map<std::pair<int, int>, std::uint64_t> retired;
+    for (const auto& c : log) {
+      retired[{static_cast<int>(c.kind), c.shard}] += 1;
+      if (c.outcome == KvOutcome::failed) {
+        EXPECT_EQ(c.shard, 1) << "only the dead shard's ops fail";
+        ++failed;
+        if (c.kind == apps::OpKind::rmw) ++failed_rmw;
+      } else {
+        ++good;
+      }
+    }
+    EXPECT_GT(failed_rmw, 0u) << "a blocking RMW on the dead shard retires";
+    EXPECT_EQ(ok[me], good);
+    EXPECT_EQ(stats[me].failed, failed) << "each failed op counts once";
+    const std::uint64_t rank = me + 2;
+    ZipfSampler keys(64, 0.5, mix64(31ull ^ (0xC11E57ull + rank)));
+    MixSampler mix({0.4, 0.2, 0.4}, mix64(31ull ^ (0x0FF5E7ull + rank)));
     std::map<std::pair<int, int>, std::uint64_t> issued;
     for (std::uint64_t i = 0; i < kOps; ++i) {
       const std::uint64_t k = keys.next();

@@ -496,7 +496,7 @@ TEST(Reliability, StreamsArePerProtocol) {
 
 TEST(Reliability, TotalsAccessorAggregatesEndpointsAndMatchesTrace) {
   // Fabric::reliability_totals() sums both endpoints' counters; when a
-  // tracer is attached, the per-link trace counters tell the same story.
+  // tracer is attached, the trace's instants tell the same story.
   sim::Engine eng(4242);
   trace::Recorder rec;
   eng.set_tracer(&rec);
@@ -527,14 +527,6 @@ TEST(Reliability, TotalsAccessorAggregatesEndpointsAndMatchesTrace) {
   EXPECT_GT(totals.gap_acks, 0u);
   EXPECT_LE(totals.fast_retransmits, totals.retransmits);
 
-  // Only nic 0 sends data, only nic 1 acks: the per-link trace counters
-  // mirror the per-endpoint statistics exactly.
-  EXPECT_EQ(rec.counter("rel.link.0->1.data_packets"), tx.data_packets);
-  EXPECT_EQ(rec.counter("rel.link.0->1.retransmits"), tx.retransmits);
-  EXPECT_EQ(rec.counter("rel.link.1->0.acks_sent"), rx.acks_sent);
-  EXPECT_EQ(rec.counter("rel.link.1->0.gap_acks"), rx.gap_acks);
-  EXPECT_EQ(rec.counter("rel.link.0->1.duplicates_suppressed"),
-            rx.duplicates_suppressed);
   // Fast copies share the retransmits counter but get their own instant.
   const std::string js = rec.chrome_json();
   std::uint64_t fast_instants = 0;

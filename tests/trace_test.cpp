@@ -1,7 +1,7 @@
-// Tests for the virtual-time tracing and metrics layer (src/trace) and its
+// Tests for the virtual-time tracing layer (src/trace) and its
 // instrumentation hooks across the stack: recorder semantics, exporter
-// byte-determinism, tracing-off invariance, per-attribute histograms,
-// per-link counters, and the DeadlockError last-site enrichment.
+// byte-determinism, tracing-off invariance, per-attribute latency
+// percentiles, and the DeadlockError last-site enrichment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include "runtime/comm.hpp"
 #include "runtime/world.hpp"
 #include "simtime/engine.hpp"
+#include "trace/attribution.hpp"
 #include "trace/recorder.hpp"
 
 namespace m3rma::trace {
@@ -31,7 +32,7 @@ WorldConfig small_cfg(int ranks) {
 
 // ----------------------------------------------------------- recorder core
 
-TEST(RecorderTest, SpansInstantsCountersRecorded) {
+TEST(RecorderTest, SpansAndInstantsRecorded) {
   Recorder rec;
   Time clock = 0;
   rec.bind_clock(&clock);
@@ -41,29 +42,10 @@ TEST(RecorderTest, SpansInstantsCountersRecorded) {
   clock = 2500;
   rec.instant(t, Category::portals, "eq:ack");
   rec.span_end(h);
-  rec.add_counter(Category::fabric, "fabric.link.0->1.msgs", 3);
   EXPECT_EQ(rec.record_count(), 2u);
   EXPECT_EQ(rec.span_count(Category::rma), 1u);
+  EXPECT_EQ(rec.span_count(Category::portals), 0u);
   EXPECT_EQ(rec.open_span_count(), 0u);
-  EXPECT_EQ(rec.counter("fabric.link.0->1.msgs"), 3u);
-  EXPECT_EQ(rec.counter("missing"), 0u);
-}
-
-TEST(RecorderTest, DisabledCategoryIsDropped) {
-  Recorder rec;
-  rec.set_category(Category::rma, false);
-  const int t = rec.track("rank0");
-  EXPECT_EQ(rec.span_begin(t, Category::rma, "rma.put"), 0u);
-  rec.instant(t, Category::rma, "x");
-  rec.add_counter(Category::rma, "c");
-  rec.record_value(Category::rma, "h", 10);
-  EXPECT_EQ(rec.record_count(), 0u);
-  EXPECT_EQ(rec.counter("c"), 0u);
-  EXPECT_FALSE(rec.histogram("h").has_value());
-  // want() reflects the mask.
-  EXPECT_EQ(want(&rec, Category::rma), nullptr);
-  EXPECT_NE(want(&rec, Category::fabric), nullptr);
-  EXPECT_EQ(want(static_cast<Recorder*>(nullptr), Category::fabric), nullptr);
 }
 
 TEST(RecorderTest, SpanEndIsNoopForNullHandle) {
@@ -72,40 +54,36 @@ TEST(RecorderTest, SpanEndIsNoopForNullHandle) {
   EXPECT_EQ(rec.record_count(), 0u);
 }
 
-TEST(RecorderTest, HistogramNearestRankPercentiles) {
-  Recorder rec;
-  for (Time v = 1; v <= 100; ++v) {
-    rec.record_value(Category::rma, "lat", v);
-  }
-  const auto s = rec.histogram("lat");
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(s->count, 100u);
-  EXPECT_EQ(s->min, 1u);
-  EXPECT_EQ(s->max, 100u);
-  EXPECT_EQ(s->p50, 50u);
-  EXPECT_EQ(s->p90, 90u);
-  EXPECT_EQ(s->p99, 99u);
-  EXPECT_EQ(s->p999, 100u);
-  EXPECT_EQ(s->mean, 50u);
+TEST(RecorderTest, NearestRankPercentiles) {
+  std::vector<Time> v;
+  for (Time x = 1; x <= 100; ++x) v.push_back(x);
+  EXPECT_EQ(nearest_rank(v, 50.0), 50u);
+  EXPECT_EQ(nearest_rank(v, 90.0), 90u);
+  EXPECT_EQ(nearest_rank(v, 99.0), 99u);
+  EXPECT_EQ(nearest_rank(v, 99.9), 100u);  // rank ceil(99.9) = 100
+  EXPECT_EQ(nearest_rank(v, 100.0), 100u);
+  EXPECT_EQ(nearest_rank(std::vector<Time>{7}, 0.1), 7u);
 }
 
-TEST(RecorderTest, PercentileAccessorMatchesNearestRank) {
-  Recorder rec;
+TEST(OpTimelineTest, LatencyPercentileIsNearestRankPerKey) {
+  OpTimeline tl;
+  // 1000 puts with latencies 1..1000 ns, and one get of 5000 ns.
   for (Time v = 1; v <= 1000; ++v) {
-    rec.record_value(Category::apps, "kv.get", v);
+    tl.op_begin(v, "rma.put", "blocking", "strawman", 0);
+    tl.op_end(v, v);
   }
-  EXPECT_EQ(rec.percentile("kv.get", 50.0), 500u);
-  EXPECT_EQ(rec.percentile("kv.get", 99.0), 990u);
-  EXPECT_EQ(rec.percentile("kv.get", 99.9), 999u);
-  EXPECT_EQ(rec.percentile("kv.get", 100.0), 1000u);
-  // Consistent with the summary struct on the same samples.
-  const auto s = rec.histogram("kv.get");
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(s->p999, rec.percentile("kv.get", 99.9));
-  // Empty histogram -> nullopt; out-of-range pct -> usage error.
-  EXPECT_FALSE(rec.percentile("absent", 50.0).has_value());
-  EXPECT_THROW(rec.percentile("kv.get", 0.0), m3rma::UsageError);
-  EXPECT_THROW(rec.percentile("kv.get", 101.0), m3rma::UsageError);
+  tl.op_begin(2000, "rma.get", "blocking", "strawman", 100);
+  tl.op_end(2000, 5100);
+  EXPECT_EQ(tl.latency_percentile(50.0, "rma.put[blocking]"), 500u);
+  EXPECT_EQ(tl.latency_percentile(99.0, "rma.put[blocking]"), 990u);
+  EXPECT_EQ(tl.latency_percentile(99.9, "rma.put[blocking]"), 999u);
+  EXPECT_EQ(tl.latency_percentile(100.0, "rma.put[blocking]"), 1000u);
+  EXPECT_EQ(tl.latency_percentile(50.0, "rma.get[blocking]"), 5000u);
+  // No key pools every op; an unknown key has no samples.
+  EXPECT_EQ(tl.latency_percentile(100.0), 5000u);
+  EXPECT_FALSE(tl.latency_percentile(50.0, "rma.put[none]").has_value());
+  EXPECT_THROW(tl.latency_percentile(0.0), m3rma::UsageError);
+  EXPECT_THROW(tl.latency_percentile(101.0), m3rma::UsageError);
 }
 
 TEST(RecorderTest, LastSiteTracksMeaningfulRecords) {
@@ -113,11 +91,11 @@ TEST(RecorderTest, LastSiteTracksMeaningfulRecords) {
   Time clock = 0;
   rec.bind_clock(&clock);
   const int t = rec.track("rank0");
+  EXPECT_FALSE(rec.has_last_site());
   clock = 700;
-  rec.instant(t, Category::rma, "rma.put");
-  rec.set_category(Category::fabric, false);
+  const SpanHandle h = rec.span_begin(t, Category::rma, "rma.put");
   clock = 900;
-  rec.instant(t, Category::fabric, "drop");  // not recorded: not a site
+  rec.span_end(h);  // closing a span is not a new site
   ASSERT_TRUE(rec.has_last_site());
   EXPECT_EQ(rec.last_site(), "rma.put @700ns");
 }
@@ -159,18 +137,6 @@ TEST(ExportTest, OpenSpansAreFlushedAsUnfinished) {
   const std::string js = rec.chrome_json();
   EXPECT_NE(js.find("\"unfinished\":\"true\""), std::string::npos);
   EXPECT_NE(js.find("\"ts\":1.000,\"dur\":8.000"), std::string::npos);
-}
-
-TEST(ExportTest, MetricsTextListsCountersAndHistograms) {
-  Recorder rec;
-  rec.add_counter(Category::fabric, "fabric.link.0->1.msgs", 7);
-  rec.record_value(Category::rma, "rma.put[none]", 10);
-  rec.record_value(Category::rma, "rma.put[none]", 30);
-  const std::string m = rec.metrics_text();
-  EXPECT_NE(m.find("counter fabric.link.0->1.msgs 7"), std::string::npos);
-  EXPECT_NE(m.find("hist rma.put[none] count=2 min=10 p50=10 p90=30 p99=30 "
-                   "p99.9=30 max=30 mean=20"),
-            std::string::npos);
 }
 
 TEST(ExportTest, SpanAtRecordsClosedFutureSpans) {
@@ -258,6 +224,8 @@ void rma_workload(Rank& r) {
 
 TEST(TraceWorldTest, RmaSpansHistogramsAndLinkCounters) {
   Recorder rec;
+  OpTimeline tl;
+  rec.set_op_timeline(&tl);
   World w(small_cfg(2));
   rec.begin_process("trace world");
   w.engine().set_tracer(&rec);
@@ -270,43 +238,51 @@ TEST(TraceWorldTest, RmaSpansHistogramsAndLinkCounters) {
   // Comm-thread serializer occupancy spans (atomicity accumulate).
   EXPECT_GE(rec.span_count(Category::serializer), 2u);
 
-  // Per-attribute latency histograms with percentiles.
-  const auto put_h = rec.histogram("rma.put[blocking]");
-  ASSERT_TRUE(put_h.has_value());
-  EXPECT_EQ(put_h->count, 8u);  // 4 per rank
-  EXPECT_LE(put_h->p50, put_h->p99);
-  EXPECT_GT(put_h->min, 0u);
-  EXPECT_TRUE(
-      rec.histogram("rma.put[remote_completion+blocking]").has_value());
-  EXPECT_TRUE(rec.histogram("rma.get[blocking]").has_value());
-  EXPECT_TRUE(
-      rec.histogram("rma.accumulate[atomicity+blocking]").has_value());
-  EXPECT_TRUE(rec.histogram("rma.rmw[nic]").has_value());
+  // Per-attribute latency in the op timeline, keyed "name[attrs]".
+  const auto by_attrs = tl.by_attrs();
+  ASSERT_TRUE(by_attrs.contains("rma.put[blocking]"));
+  EXPECT_EQ(by_attrs.at("rma.put[blocking]").count, 8u);  // 4 per rank
+  const auto p50 = tl.latency_percentile(50.0, "rma.put[blocking]");
+  ASSERT_TRUE(p50.has_value());
+  EXPECT_GT(*p50, 0u);
+  EXPECT_LE(*p50, tl.latency_percentile(99.0, "rma.put[blocking]"));
+  for (const char* key :
+       {"rma.put[remote_completion+blocking]", "rma.get[blocking]",
+        "rma.accumulate[atomicity+blocking]", "rma.rmw[nic]"}) {
+    EXPECT_TRUE(tl.latency_percentile(50.0, key).has_value()) << key;
+  }
+  EXPECT_TRUE(tl.conservation_ok());
 
-  // Per-link fabric counters: both directions saw traffic.
-  EXPECT_GT(rec.counter("fabric.link.0->1.msgs"), 0u);
-  EXPECT_GT(rec.counter("fabric.link.1->0.msgs"), 0u);
-  EXPECT_GT(rec.counter("fabric.link.0->1.bytes"),
-            rec.counter("fabric.link.0->1.msgs"));
+  // Per-NIC fabric counts: both directions saw traffic, and every packet
+  // sent was received (a lossless crossbar).
+  fabric::Fabric& f = w.fabric();
+  EXPECT_GT(f.nic(0).sent_messages(), 0u);
+  EXPECT_GT(f.nic(1).sent_messages(), 0u);
+  EXPECT_GT(f.nic(0).sent_bytes(), f.nic(0).sent_messages());
+  EXPECT_EQ(f.total_messages(),
+            f.nic(0).sent_messages() + f.nic(1).sent_messages());
+  EXPECT_EQ(f.nic(1).received_messages() + f.nic(0).received_messages(),
+            f.total_messages());
+  EXPECT_EQ(f.dropped_packets(), 0u);
   // Portals EQ instants flowed (SEND at least).
-  EXPECT_GT(rec.counter("portals.eq.send"), 0u);
+  EXPECT_NE(rec.chrome_json().find("\"eq:send\""), std::string::npos);
 }
 
 TEST(TraceWorldTest, SameSeedSameTraceBytes) {
-  auto run_once = [](std::string& json, std::string& metrics) {
+  auto run_once = [](std::string& json, std::string& flame) {
     Recorder rec;
     World w(small_cfg(2));
     rec.begin_process("det world");
     w.engine().set_tracer(&rec);
     w.run(rma_workload);
     json = rec.chrome_json();
-    metrics = rec.metrics_text();
+    flame = rec.flame_text();
   };
-  std::string j1, m1, j2, m2;
-  run_once(j1, m1);
-  run_once(j2, m2);
+  std::string j1, f1, j2, f2;
+  run_once(j1, f1);
+  run_once(j2, f2);
   EXPECT_EQ(j1, j2);  // byte-identical chrome trace
-  EXPECT_EQ(m1, m2);  // byte-identical metrics summary
+  EXPECT_EQ(f1, f2);  // byte-identical flame aggregation
   EXPECT_FALSE(j1.empty());
 }
 
@@ -365,7 +341,8 @@ TEST(TraceWorldTest, CoarseLockSerializerEmitsLockSpans) {
   Recorder rec;
   World w(small_cfg(2));
   w.engine().set_tracer(&rec);
-  w.run([](Rank& r) {
+  std::uint64_t grants = 0;
+  w.run([&](Rank& r) {
     core::EngineConfig ec;
     ec.serializer = core::SerializerKind::coarse_lock;
     core::RmaEngine rma(r, r.comm_world(), ec);
@@ -377,8 +354,9 @@ TEST(TraceWorldTest, CoarseLockSerializerEmitsLockSpans) {
                   peer,
                   core::RmaAttr::blocking | core::RmaAttr::atomicity);
     rma.complete_collective();
+    grants += rma.lock_acquisitions();
   });
-  EXPECT_GT(rec.counter("serializer.lock_grants"), 0u);
+  EXPECT_GT(grants, 0u);
   const std::string js = rec.chrome_json();
   EXPECT_NE(js.find("lock.acquire"), std::string::npos);
   EXPECT_NE(js.find("lock.hold"), std::string::npos);
