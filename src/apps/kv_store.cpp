@@ -1,6 +1,7 @@
 #include "apps/kv_store.hpp"
 
 #include <cstring>
+#include <string>
 
 #include "common/byteorder.hpp"
 #include "common/diagnostics.hpp"
@@ -85,12 +86,7 @@ KvOutcome KvStore::drain_failure(const core::Request& req) {
   return KvOutcome::failed;
 }
 
-KvOutcome KvStore::count_failure() {
-  stats_.failed += 1;
-  return KvOutcome::failed;
-}
-
-std::optional<std::uint32_t> KvStore::locate(std::uint64_t key) {
+KvOutcome KvStore::locate(std::uint64_t key, std::uint32_t* slot_out) {
   const int shard = shard_of(key);
   const std::uint64_t home = home_slot(key);
   const std::uint64_t scratch = scratch_acquire();
@@ -103,44 +99,51 @@ std::optional<std::uint32_t> KvStore::locate(std::uint64_t key) {
     req.wait();
     if (req.failed()) {
       scratch_release(scratch);
-      drain_failure(req);  // locate reports absence; only the stats differ
-      return std::nullopt;
+      return drain_failure(req);
     }
     const std::uint64_t tag = read_scratch_u64(scratch, shard);
     if (tag == tag_of(key)) {
       scratch_release(scratch);
       cache_[key] = Loc{slot};
-      return slot;
+      *slot_out = slot;
+      return KvOutcome::hit;
     }
     if (tag == 0) break;  // open addressing: an empty slot ends the chain
   }
   scratch_release(scratch);
-  return std::nullopt;
+  return KvOutcome::miss;
 }
 
-std::optional<std::pair<std::uint32_t, bool>> KvStore::claim(
-    std::uint64_t key) {
+KvOutcome KvStore::claim(std::uint64_t key, std::uint32_t* slot_out) {
   const int shard = shard_of(key);
   const std::uint64_t home = home_slot(key);
   for (int p = 0; p < kMaxProbes; ++p) {
     const auto slot = static_cast<std::uint32_t>(
         (home + static_cast<std::uint64_t>(p)) % cfg_.slots_per_shard);
     if (p > 0) stats_.probes += 1;
-    const std::uint64_t prev = eng_->compare_swap(
-        shards_[shard], slot_off(slot), 0, tag_of(key), shard);
-    if (prev == 0) {
+    core::Request cas =
+        eng_->start_rmw(portals::RmwOp::compare_swap, shards_[shard],
+                        slot_off(slot), 0, tag_of(key), shard);
+    cas.wait();
+    if (cas.failed()) return drain_failure(cas);
+    if (cas.rmw_value() == 0) {
       // Claimed: account the slot before publishing any value bytes.
-      eng_->fetch_add(shards_[shard], kOccupancyOff, 1, shard);
+      core::Request occ = eng_->start_rmw(
+          portals::RmwOp::fetch_add, shards_[shard], kOccupancyOff, 1, 0, shard);
+      occ.wait();
+      if (occ.failed()) return drain_failure(occ);
       cache_[key] = Loc{slot};
-      return std::make_pair(slot, true);
+      *slot_out = slot;
+      return KvOutcome::inserted;
     }
-    if (prev == tag_of(key)) {
+    if (cas.rmw_value() == tag_of(key)) {
       cache_[key] = Loc{slot};
-      return std::make_pair(slot, false);
+      *slot_out = slot;
+      return KvOutcome::updated;
     }
     stats_.cas_conflicts += 1;  // another key's claim occupies this slot
   }
-  return std::nullopt;
+  return KvOutcome::overflow;
 }
 
 KvOutcome KvStore::put(std::uint64_t key, std::span<const std::byte> value) {
@@ -154,13 +157,13 @@ KvOutcome KvStore::put(std::uint64_t key, std::span<const std::byte> value) {
     stats_.cache_hits += 1;
     slot = it->second.slot;
   } else {
-    const auto c = claim(key);
-    if (!c) {
+    const KvOutcome c = claim(key, &slot);
+    if (c == KvOutcome::overflow) {
       stats_.overflows += 1;
       return KvOutcome::overflow;
     }
-    slot = c->first;
-    claimed = c->second;
+    if (is_failure(c)) return c;
+    claimed = c == KvOutcome::inserted;
   }
   const int shard = shard_of(key);
   const std::uint64_t scratch = scratch_acquire();
@@ -227,24 +230,35 @@ std::optional<std::uint64_t> KvStore::incr(std::uint64_t key,
   stats_.incrs += 1;
   std::uint32_t slot = 0;
   auto it = cache_.find(key);
+  KvOutcome found = KvOutcome::hit;
   if (it != cache_.end()) {
     stats_.cache_hits += 1;
     slot = it->second.slot;
-  } else if (auto found = locate(key)) {
-    slot = *found;
   } else {
-    // Absent: insert the key with a zero value (the shard buffer is zeroed
-    // at construction, so a fresh claim's value region already reads 0).
-    const auto c = claim(key);
-    if (!c) {
-      stats_.overflows += 1;
-      return std::nullopt;
+    found = locate(key, &slot);
+    if (found == KvOutcome::miss) {
+      // Absent: insert the key with a zero value (the shard buffer is
+      // zeroed at construction, so a fresh claim's value region already
+      // reads 0).
+      found = claim(key, &slot);
+      if (found == KvOutcome::overflow) {
+        stats_.overflows += 1;
+        return std::nullopt;
+      }
+      if (found == KvOutcome::inserted) stats_.inserts += 1;
     }
-    slot = c->first;
-    if (c->second) stats_.inserts += 1;
   }
   const int shard = shard_of(key);
-  return eng_->fetch_add(shards_[shard], slot_off(slot) + 8, delta, shard);
+  if (!is_failure(found)) {
+    core::Request req =
+        eng_->start_rmw(portals::RmwOp::fetch_add, shards_[shard],
+                        slot_off(slot) + 8, delta, 0, shard);
+    req.wait();
+    if (!req.failed()) return req.rmw_value();
+    drain_failure(req);
+  }
+  throw RankFailedError("KV shard " + std::to_string(shard) +
+                        " failed an incr of key " + std::to_string(key));
 }
 
 KvStore::AsyncOp KvStore::start_get(std::uint64_t key) {
@@ -263,7 +277,7 @@ KvStore::AsyncOp KvStore::start_get_at(std::uint64_t key,
   op.key = key;
   op.slot = slot;
   op.scratch = scratch_acquire();
-  op.is_get = true;
+  op.kind = OpKind::get;
   op.valid = true;
   op.req = eng_->get_bytes(op.scratch, shards_[shard], slot_off(slot),
                            slot_stride(), shard);
@@ -284,7 +298,7 @@ KvStore::AsyncOp KvStore::start_put(std::uint64_t key,
   op.key = key;
   op.slot = it->second.slot;
   op.scratch = scratch_acquire();
-  op.is_get = false;
+  op.kind = OpKind::put;
   op.valid = true;
   std::memcpy(rank_->memory().raw(op.scratch), value.data(), value.size());
   op.req = eng_->put_bytes(op.scratch, shards_[shard],
@@ -293,15 +307,34 @@ KvStore::AsyncOp KvStore::start_put(std::uint64_t key,
   return op;
 }
 
+KvStore::AsyncOp KvStore::start_incr(std::uint64_t key,
+                                     std::uint64_t delta) {
+  auto it = cache_.find(key);
+  M3RMA_REQUIRE(it != cache_.end(),
+                "start_incr requires a cached slot location (incr() caches)");
+  stats_.incrs += 1;
+  stats_.cache_hits += 1;
+  const int shard = shard_of(key);
+  AsyncOp op;
+  op.key = key;
+  op.slot = it->second.slot;
+  op.kind = OpKind::rmw;
+  op.valid = true;
+  op.req = eng_->start_rmw(portals::RmwOp::fetch_add, shards_[shard],
+                           slot_off(op.slot) + 8, delta, 0, shard);
+  return op;
+}
+
 KvOutcome KvStore::finish(AsyncOp& op, std::span<std::byte> out) {
   M3RMA_REQUIRE(op.valid, "finish on an empty or already-finished AsyncOp");
   op.valid = false;
   op.req.wait();
   if (op.req.failed()) {
-    scratch_release(op.scratch);
+    if (op.kind != OpKind::rmw) scratch_release(op.scratch);
     return drain_failure(op.req);
   }
-  if (!op.is_get) {
+  if (op.kind == OpKind::rmw) return KvOutcome::updated;
+  if (op.kind == OpKind::put) {
     scratch_release(op.scratch);
     stats_.updates += 1;
     return KvOutcome::updated;

@@ -26,9 +26,9 @@
 //   * counter — fetch_add on the slot's counter word (NIC-executed RMW).
 //
 // Clients cache key -> slot after the first locate, so the steady-state
-// data path is a single one-sided op per access; start_get/start_put issue
-// that fast path nonblocking for closed-loop drivers with an
-// outstanding-op budget (apps::WorkloadGen).
+// data path is a single one-sided op per access; start_get/start_put/
+// start_incr issue that fast path nonblocking for closed-loop drivers with
+// an outstanding-op budget (apps::WorkloadGen).
 //
 // Construction is collective over the engine's communicator. With
 // runtime::ReplicationConfig enabled the shard windows replicate like any
@@ -45,6 +45,9 @@
 #include "core/rma_engine.hpp"
 
 namespace m3rma::apps {
+
+/// The three KV data-path op kinds.
+enum class OpKind : std::uint8_t { get, put, rmw };
 
 /// How keys map to server shards.
 enum class Sharding : std::uint8_t {
@@ -120,19 +123,21 @@ class KvStore {
   KvOutcome get(std::uint64_t key, std::span<std::byte> out = {});
   /// fetch_add `delta` on the key's counter word, inserting the key (zero
   /// value) if absent. Returns the counter's previous value, or nullopt on
-  /// overflow.
+  /// overflow. Throws RankFailedError when the shard cannot serve it (the
+  /// failure is already counted in stats().failed); a key that could not
+  /// be located is never claimed.
   std::optional<std::uint64_t> incr(std::uint64_t key, std::uint64_t delta);
 
   // ----- nonblocking cached fast path --------------------------------------
 
-  /// In-flight one-sided KV op. Obtain from start_get/start_put, retire
-  /// with finish(); movable, one finish() per op.
+  /// In-flight one-sided KV op. Obtain from start_get/start_put/
+  /// start_incr, retire with finish(); movable, one finish() per op.
   struct AsyncOp {
     core::Request req;
     std::uint64_t key = 0;
     std::uint32_t slot = 0;
-    std::uint64_t scratch = 0;  ///< pool buffer backing the transfer
-    bool is_get = false;
+    std::uint64_t scratch = 0;  ///< pool buffer backing a get or put
+    OpKind kind = OpKind::get;
     bool valid = false;
   };
 
@@ -143,11 +148,15 @@ class KvStore {
   AsyncOp start_get(std::uint64_t key);
   /// Nonblocking value update of the key's (cached) slot.
   AsyncOp start_put(std::uint64_t key, std::span<const std::byte> value);
+  /// Nonblocking fetch_add `delta` on the key's (cached) counter word
+  /// (RmaEngine::start_rmw).
+  AsyncOp start_incr(std::uint64_t key, std::uint64_t delta);
   /// Wait for the op; gets verify the slot tag and optionally copy the
-  /// value out. Returns hit/updated, failed on a non-ok engine status, or
-  /// lost when the shard window is unrecoverable — the same drain the
-  /// blocking path performs, so a crash mid-flight never trips the tag
-  /// check on a failure-drained read.
+  /// value out. Returns hit (get) or updated (put, incr; an incr's previous
+  /// counter value is op.req.rmw_value()), failed on a non-ok engine
+  /// status, or lost when the shard window is unrecoverable — the same
+  /// drain the blocking path performs, so a crash mid-flight never trips
+  /// the tag check on a failure-drained read.
   KvOutcome finish(AsyncOp& op, std::span<std::byte> out = {});
   /// RmaEngine::wait_any over the ops' requests: block until one of `ops`
   /// is done (failed counts) and return the lowest such index; finish() it
@@ -159,10 +168,6 @@ class KvStore {
   /// One-sided read of a shard's occupancy word (claimed slots).
   std::uint64_t shard_occupancy(int shard);
   const KvStats& stats() const { return stats_; }
-  /// Account a blocking op that threw RankFailedError (a fetch_add or
-  /// compare_swap on a dead shard) as failed, as drain_failure does for a
-  /// non-ok completion.
-  KvOutcome count_failure();
   std::uint64_t cached_locations() const { return cache_.size(); }
 
  private:
@@ -177,15 +182,20 @@ class KvStore {
   std::uint64_t tag_of(std::uint64_t key) const { return key + 1; }
   std::uint64_t read_scratch_u64(std::uint64_t addr, int shard) const;
   /// Probe for the key's slot with one-sided tag reads; caches on success.
-  /// nullopt = not present (empty slot or probe budget exhausted).
-  std::optional<std::uint32_t> locate(std::uint64_t key);
-  /// CAS-claim a slot for the key (insert protocol). Returns the slot and
-  /// whether this call claimed it, or nullopt on overflow.
-  std::optional<std::pair<std::uint32_t, bool>> claim(std::uint64_t key);
+  /// hit (`*slot` set), miss (empty slot or probe budget exhausted), or the
+  /// drained failure (failed/lost, counted).
+  KvOutcome locate(std::uint64_t key, std::uint32_t* slot);
+  /// CAS-claim a slot for the key (insert protocol): inserted (this call
+  /// claimed `*slot`), updated (the key already held `*slot`), overflow, or
+  /// the drained failure (failed/lost, counted).
+  KvOutcome claim(std::uint64_t key, std::uint32_t* slot);
   AsyncOp start_get_at(std::uint64_t key, std::uint32_t slot);
   /// Account a non-ok completion and map its status to failed/lost — the
   /// one drain path shared by the blocking ops and finish().
   KvOutcome drain_failure(const core::Request& req);
+  static bool is_failure(KvOutcome o) {
+    return o == KvOutcome::failed || o == KvOutcome::lost;
+  }
   std::uint64_t scratch_acquire();
   void scratch_release(std::uint64_t addr);
 

@@ -91,11 +91,12 @@ std::uint64_t WorkloadGen::run() {
     const auto kind = static_cast<OpKind>(mix_.next());
     const auto shard = static_cast<std::uint16_t>(kv_->shard_of(key));
     retire_done();
-    if (kind == OpKind::rmw || !kv_->location_cached(key)) {
+    if (!kv_->location_cached(key)) {
       const Issued f{rank_->ctx().now(), kind, shard};
-      // Blocking path: NIC-executed RMW, or a cold key that still needs its
-      // probe walk. Ops in flight retire once it returns. A fetch_add or
-      // claim on a dead shard throws; that op retires failed.
+      // Blocking path: a cold key still needs its probe walk (and a claim,
+      // for a put or an RMW of an absent key). Ops in flight retire once it
+      // returns. An RMW on a shard that cannot serve it throws, already
+      // counted; that op retires failed.
       KvOutcome o = KvOutcome::miss;
       try {
         if (kind == OpKind::rmw) {
@@ -107,7 +108,7 @@ std::uint64_t WorkloadGen::run() {
           o = kv_->get(key);
         }
       } catch (const RankFailedError&) {
-        o = kv_->count_failure();
+        o = KvOutcome::failed;
       }
       record(f, o);
       continue;
@@ -119,9 +120,11 @@ std::uint64_t WorkloadGen::run() {
     issued.push_back({rank_->ctx().now(), kind, shard});
     if (kind == OpKind::get) {
       ops.push_back(kv_->start_get(key));
-    } else {
+    } else if (kind == OpKind::put) {
       std::fill(valbuf_.begin(), valbuf_.end(), value_byte(key));
       ops.push_back(kv_->start_put(key, valbuf_));
+    } else {
+      ops.push_back(kv_->start_incr(key, 1));
     }
   }
   while (!ops.empty()) {

@@ -5,18 +5,20 @@
 // come from a ZipfSampler over the store's key space (s = 0 is uniform), op
 // kinds from a MixSampler over the get/put/rmw fractions. The driver keeps
 // at most `window` nonblocking ops in flight (closed loop with an
-// outstanding-op budget), issued via KvStore::start_get/start_put. RMW ops
-// (engine-native fetch_adds, executed by the NIC; paper §III-C) and ops on
-// a key whose slot location is not cached yet run blocking.
+// outstanding-op budget), issued via KvStore::start_get/start_put/
+// start_incr. An RMW is a request-based fetch_add (RmaEngine::start_rmw,
+// NIC-executed on NICs with atomics; paper §III-C, MPI-3's
+// MPI_Fetch_and_op), so it shares the window with gets and puts. Only an
+// op on a key whose slot location is not cached yet runs blocking.
 //
 // Ops retire in completion order. Before each op is issued, run()
 // tests every op in flight (Request::test, which polls progress, as
 // MPI_Test does) and retires the done ones; when the window is full it
 // blocks in KvStore::wait_any (MPI_Waitany) until one is done, then retires
-// every done op. A blocking op holds retirement until it returns. A
-// retired op is stamped with the current virtual time, so its latency runs
-// from its issue to the first point the client sees it done; ops seen done
-// together are recorded in issue order.
+// every done op. A blocking cold-key op holds retirement until it returns.
+// A retired op is stamped with the current virtual time, so its latency
+// runs from its issue to the first point the client sees it done; ops seen
+// done together are recorded in issue order.
 // Each completion, with its latency, goes into a local log, completions():
 // the one source of the workload's tail latencies and per-shard counts
 // (bench/tab_kvstore's table and --csv timeline).
@@ -33,9 +35,6 @@
 #include "common/rng.hpp"
 
 namespace m3rma::apps {
-
-/// The three KV data-path op kinds WorkloadGen issues.
-enum class OpKind : std::uint8_t { get, put, rmw };
 
 struct WorkloadConfig {
   /// Zipf exponent for key popularity; 0 = uniform over the key space.
@@ -78,8 +77,8 @@ class WorkloadGen {
   /// The measured closed loop: cfg.ops issued, window-limited, each retired
   /// once into completions(). Returns the number of ops that completed with
   /// a success outcome. An op on a dead unreplicated shard retires failed,
-  /// a blocking one (an RMW, or a claim on a cold key) included, so run()
-  /// outlives the shard.
+  /// a blocking one (an op on a cold key) included, so run() outlives the
+  /// shard.
   std::uint64_t run();
 
   const std::vector<Completion>& completions() const { return done_; }

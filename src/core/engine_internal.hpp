@@ -110,8 +110,11 @@ struct Request::State {
   // software flush
   std::uint64_t flush_threshold = 0;
   std::uint32_t flush_retries = 0;
-  // rmw result
+  // rmw result. A NIC RMW owns its 24 B operand/result buffer (0 = none)
+  // until it settles; the result arrives in the target's byte order.
   std::uint64_t rmw_value = 0;
+  std::uint64_t rmw_buf = 0;
+  Endian rmw_endian = Endian::little;
   // rmi reply payload
   std::vector<std::byte> rmi_reply;
   // tracing: open rma span (0 = untraced)

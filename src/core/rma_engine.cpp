@@ -20,6 +20,10 @@ OpStatus Request::status() const {
   return st_ == nullptr ? OpStatus::ok : st_->status;
 }
 
+std::uint64_t Request::rmw_value() const {
+  return st_ == nullptr ? 0 : st_->rmw_value;
+}
+
 bool Request::test() {
   if (done()) return true;
   eng_->progress();
@@ -990,6 +994,21 @@ std::uint64_t RmaEngine::compare_swap(const TargetMem& mem,
 std::uint64_t RmaEngine::rmw(portals::RmwOp op, const TargetMem& mem,
                              std::uint64_t disp, std::uint64_t a,
                              std::uint64_t b, int target_rank) {
+  Request req = start_rmw(op, mem, disp, a, b, target_rank);
+  req.wait();
+  if (req.failed()) {
+    throw RankFailedError("RMW target rank " +
+                          std::to_string(req.st_->world_target) + " failed" +
+                          (req.status() == OpStatus::replica_lost
+                               ? " (replica lost)"
+                               : ""));
+  }
+  return req.rmw_value();
+}
+
+Request RmaEngine::start_rmw(portals::RmwOp op, const TargetMem& mem,
+                             std::uint64_t disp, std::uint64_t a,
+                             std::uint64_t b, int target_rank) {
   stats_.rmws += 1;
   M3RMA_REQUIRE(mem.valid(), "RMW on an invalid TargetMem");
   M3RMA_REQUIRE(comm_->to_world(target_rank) == mem.owner,
@@ -998,14 +1017,16 @@ std::uint64_t RmaEngine::rmw(portals::RmwOp op, const TargetMem& mem,
   TargetMem eff;
   if (const OpStatus fail = resolve(mem, &eff); fail != OpStatus::ok) {
     stats_.failed_fast += 1;
-    throw RankFailedError("RMW to failed rank " + std::to_string(mem.owner) +
-                          (fail == OpStatus::replica_lost
-                               ? " (replica lost)"
-                               : ""));
+    auto failed = new_req(mem.owner);
+    settle(*failed, fail);
+    return Request(this, std::move(failed));
   }
   const int t = eff.owner;
   const bool locked = !ptl_->supports_atomics() &&
                       cfg_.serializer == SerializerKind::coarse_lock;
+  // A replicated window's RMW is mirrored once the primary has replied, and
+  // retried at the backup if the primary dies first.
+  const bool replicated = repl_ && eff.backup >= 0;
 
   // RMW mechanism: NIC-executed, lock-emulated, or serializer AM (§V).
   const char* mech =
@@ -1016,16 +1037,13 @@ std::uint64_t RmaEngine::rmw(portals::RmwOp op, const TargetMem& mem,
         rank_track(tr, *rank_), trace::Category::rma, "rma.rmw",
         std::string("mech=") + mech + " target=" + std::to_string(t));
   }
-  auto close_rmw = [&] {
-    if (rmw_span == 0) return;
-    if (trace::Recorder* tr = rank_->world().engine().tracer()) {
-      tr->span_end(rmw_span);
-    }
-  };
   // One tracked op: a locked get-modify-put whose children alias into it,
   // a NIC-executed fetch-atomic, or an rmw_op AM for the target's
   // serializer.
   auto st = locked ? new_req(-1) : new_req(t, 1);
+  // The span closes when the request settles, except a replicated NIC or
+  // AM RMW's, which also covers the mirror.
+  if (locked || !replicated) st->trace_span = rmw_span;
   const std::uint64_t tag = trace::op_tag(rank_->id(), st->id);
   if (auto* tl = trace::timeline(rank_->world().engine().tracer())) {
     tl->op_begin(tag, "rma.rmw", mech, cfg_.api_label,
@@ -1041,32 +1059,30 @@ std::uint64_t RmaEngine::rmw(portals::RmwOp op, const TargetMem& mem,
     h.rmw = op;
     h.value_a = a;
     h.value_b = b;
-    std::uint64_t old = 0;
     settle(*st, locked_sequence(st, RmaOptype::put, portals::AccOp::replace,
                                 image, 1, u, mem, eff, disp, 1, u, [&] {
-                                  old = apply_rmw_word(rank_->memory(),
-                                                       image, h);
+                                  st->rmw_value = apply_rmw_word(
+                                      rank_->memory(), image, h);
                                 }));
     rank_->memory().dealloc(image);
-    close_rmw();
-    if (st->status != OpStatus::ok) {
-      throw RankFailedError("RMW target rank " + std::to_string(t) +
-                            " failed");
-    }
-    return old;
+    return Request(this, std::move(st));
   }
 
-  std::uint64_t buf = 0;  // NIC operand (16 B) + result (8 B)
+  // Count the reply before the inject delay: a target that dies during it
+  // drains the request and zeroes the count, and must not see it come back.
+  per(t).pending_replies += 1;
   if (ptl_->supports_atomics()) {
-    buf = rank_->memory().alloc(24);
+    st->rmw_buf = rank_->memory().alloc(24);  // operand (16 B) + result
+    st->rmw_endian = eff.endian;
     std::byte tmp[16];
     u64_to_endian_bytes(a, eff.endian, tmp);
     u64_to_endian_bytes(b, eff.endian, tmp + 8);
     const std::uint64_t oplen =
         op == portals::RmwOp::compare_swap ? 16u : 8u;
-    rank_->memory().nic_write(buf, std::span(tmp, oplen));
-    ptl_->fetch_atomic(rank_->ctx(), op, portals::NumType::u64, md_all_, buf,
-                       buf + 16, t, kPtData, eff.id, disp, st->id);
+    rank_->memory().nic_write(st->rmw_buf, std::span(tmp, oplen));
+    ptl_->fetch_atomic(rank_->ctx(), op, portals::NumType::u64, md_all_,
+                       st->rmw_buf, st->rmw_buf + 16, t, kPtData, eff.id,
+                       disp, st->id);
   } else {
     charge_inject(tag);
     AmHdr h;
@@ -1079,27 +1095,21 @@ std::uint64_t RmaEngine::rmw(portals::RmwOp op, const TargetMem& mem,
     h.value_b = b;
     send_am(t, h, {}, tag);
   }
-  per(t).pending_replies += 1;
+  if (!replicated) return Request(this, std::move(st));
+
   progress_until([st] { return st->done; });
-  if (st->status != OpStatus::ok) {
-    // Retry at the live backup (the re-entry resolves along the succession
-    // chain, which strictly advances past dead ranks) or throw.
-    if (buf != 0) rank_->memory().dealloc(buf);
-    close_rmw();
-    if (eff.backup >= 0 && !dead(eff.backup)) {
-      return rmw(op, mem, disp, a, b, target_rank);
-    }
-    throw RankFailedError("RMW target rank " + std::to_string(t) +
-                          " failed before replying");
+  const bool ok = st->status == OpStatus::ok;
+  if (ok) repl_->replicate_rmw(op, eff, disp, a, b);
+  if (trace::Recorder* tr = rank_->world().engine().tracer();
+      tr != nullptr && rmw_span != 0) {
+    tr->span_end(rmw_span);
   }
-  std::uint64_t old = st->rmw_value;
-  if (buf != 0) {
-    old = u64_from_endian_bytes(rank_->memory().raw(buf + 16), eff.endian);
-    rank_->memory().dealloc(buf);
+  // Retry at the live backup (the re-entry resolves along the succession
+  // chain, which strictly advances past dead ranks).
+  if (!ok && !dead(eff.backup)) {
+    return start_rmw(op, mem, disp, a, b, target_rank);
   }
-  if (repl_) repl_->replicate_rmw(op, eff, disp, a, b);
-  close_rmw();
-  return old;
+  return Request(this, std::move(st));
 }
 
 // --------------------------------------------------------------------- RMI
@@ -1193,6 +1203,15 @@ void RmaEngine::settle(Request::State& st, OpStatus status) {
   st.status = status;
   st.pending = 0;
   st.done = true;
+  if (st.rmw_buf != 0) {
+    auto& mem = rank_->memory();
+    if (status == OpStatus::ok) {
+      st.rmw_value = u64_from_endian_bytes(mem.raw(st.rmw_buf + 16),
+                                           st.rmw_endian);
+    }
+    mem.dealloc(st.rmw_buf);
+    st.rmw_buf = 0;
+  }
   finish_trace(st);
   reqs_.erase(st.id);
 }

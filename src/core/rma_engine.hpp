@@ -14,7 +14,9 @@
 //   target_mem                -> TargetMem, created non-collectively via
 //                                attach(), shipped by the user (exchange_all
 //                                is a convenience allgather)
-//   RMW (§V)                  -> fetch_add / swap_val / compare_swap
+//   RMW (§V)                  -> fetch_add / swap_val / compare_swap, or
+//                                start_rmw for a request (MPI-3's
+//                                MPI_Fetch_and_op completed at a wait)
 //
 // Implementation regimes (paper §III-B): on networks with completion events
 // every data op carries a hardware ACK; on ordered networks ordering is
@@ -76,7 +78,8 @@ enum class RmaOptype : std::uint8_t { put, get, accumulate };
 
 /// Per-operation completion status. Nonblocking ops never throw on target
 /// death: the request completes and carries the error here; blocking calls
-/// that cannot return a status (RMW, invoke) throw RankFailedError instead.
+/// that cannot return a status (fetch_add/swap_val/compare_swap, invoke)
+/// throw RankFailedError instead.
 enum class OpStatus : std::uint8_t {
   ok,
   target_failed,  ///< the target rank died before the op was confirmed
@@ -159,6 +162,9 @@ class Request {
   /// True for ANY non-ok status — callers must not assume target_failed is
   /// the only error.
   bool failed() const { return status() != OpStatus::ok; }
+  /// start_rmw's result: the target word's value before the RMW, in this
+  /// node's byte order. Meaningful once done() and !failed().
+  std::uint64_t rmw_value() const;
 
  private:
   friend class RmaEngine;
@@ -275,6 +281,18 @@ class RmaEngine {
 
   // ----- read-modify-write (§V, 64-bit) -------------------------------------
 
+  /// Request-based RMW: `op` on the 64-bit word at `disp` (operand `a`;
+  /// compare_swap compares with `a` and writes `b`). The request completes
+  /// when the previous value is back (Request::rmw_value). A NIC atomic or
+  /// a serializer AM completes on its reply, so several can be in flight;
+  /// the lock-emulated route and a replicated window complete before this
+  /// returns, since their lock sequence, mirror and retry at the backup
+  /// need process context. A dead target does not throw: the request comes
+  /// back failed, as a put's does.
+  Request start_rmw(portals::RmwOp op, const TargetMem& mem,
+                    std::uint64_t disp, std::uint64_t a, std::uint64_t b,
+                    int target_rank);
+  /// Blocking RMWs: start_rmw + wait. A failed RMW throws RankFailedError.
   std::uint64_t fetch_add(const TargetMem& mem, std::uint64_t disp,
                           std::uint64_t operand, int target_rank);
   std::uint64_t swap_val(const TargetMem& mem, std::uint64_t disp,
@@ -389,6 +407,7 @@ class RmaEngine {
                            std::uint64_t target_count,
                            const dt::Datatype& target_dt,
                            const std::function<void()>& combine);
+  /// start_rmw, then wait: the old value, or RankFailedError.
   std::uint64_t rmw(portals::RmwOp op, const TargetMem& mem,
                     std::uint64_t disp, std::uint64_t a, std::uint64_t b,
                     int target_rank);
@@ -477,7 +496,8 @@ class RmaEngine {
   /// AM/portals replies completes on those, never on SEND events.
   std::shared_ptr<Request::State> new_req(int world_target,
                                           std::uint32_t replies = 0);
-  /// Complete a request with `status` and retire it.
+  /// Complete a request with `status` and retire it. A NIC RMW's result
+  /// is read from its operand/result buffer here, which is then freed.
   void settle(Request::State& st, OpStatus status = OpStatus::ok);
   std::shared_ptr<Request::State> find_req(std::uint64_t id);
   void finish_segment(const std::shared_ptr<Request::State>& st);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -1030,6 +1031,170 @@ TEST(CoreRmw, SwapReturnsPrevious) {
     }
     eng.complete_collective();
   });
+}
+
+// ------------------------------------------------------ request-based RMW
+
+// One origin keeps 8 fetch_adds of `kDelta` on one word in flight: each
+// returns a distinct previous value, together 0, kDelta, ..., 7 kDelta in
+// some order, and the word ends at 8 kDelta. The lock-emulated route
+// completes each one before start_rmw returns; the others keep all 8
+// outstanding at once.
+void eight_outstanding_fetch_adds(bool atomics, SerializerKind ser) {
+  constexpr std::uint64_t kDelta = 5;
+  World w(cfg_with(2, true, true, atomics));
+  w.run([&](Rank& r) {
+    EngineConfig ec;
+    ec.serializer = ser;
+    RmaEngine eng(r, r.comm_world(), ec);
+    auto buf = r.alloc(8);
+    store(r, buf.addr, std::vector<std::uint64_t>{0});
+    auto mems = eng.exchange_all(eng.attach(buf.addr, buf.size));
+    if (r.id() == 1) {
+      std::vector<Request> reqs;
+      for (int i = 0; i < 8; ++i) {
+        reqs.push_back(
+            eng.start_rmw(portals::RmwOp::fetch_add, mems[0], 0, kDelta, 0, 0));
+      }
+      const bool async = ser != SerializerKind::coarse_lock;
+      EXPECT_EQ(reqs.front().done(), !async)
+          << "the first RMW is still in flight when the eighth is issued";
+      std::vector<std::uint64_t> olds;
+      for (Request& q : reqs) {
+        q.wait();
+        EXPECT_FALSE(q.failed());
+        olds.push_back(q.rmw_value());
+      }
+      std::sort(olds.begin(), olds.end());
+      for (std::size_t i = 0; i < olds.size(); ++i) {
+        EXPECT_EQ(olds[i], i * kDelta);
+      }
+    }
+    eng.complete_collective();
+    if (r.id() == 0) {
+      EXPECT_EQ(load<std::uint64_t>(r, buf.addr, 1)[0], 8 * kDelta);
+    }
+  });
+}
+
+TEST(CoreStartRmw, OutstandingFetchAddsOnNicAtomics) {
+  eight_outstanding_fetch_adds(true, SerializerKind::comm_thread);
+}
+
+TEST(CoreStartRmw, OutstandingFetchAddsOnCommThread) {
+  eight_outstanding_fetch_adds(false, SerializerKind::comm_thread);
+}
+
+TEST(CoreStartRmw, OutstandingFetchAddsOnCoarseLock) {
+  eight_outstanding_fetch_adds(false, SerializerKind::coarse_lock);
+}
+
+TEST(CoreStartRmw, WaitAnyReturnsTheRmwThatFinishesFirst) {
+  // A 2 KiB get issued first, to rank 1, finishes after an RMW issued next,
+  // to rank 2: wait_any returns the RMW's index with its value in hand.
+  World w(cfg_with(3));
+  w.run([](Rank& r) {
+    RmaEngine eng(r, r.comm_world());
+    auto buf = r.alloc(2048);
+    store(r, buf.addr, std::vector<std::uint64_t>{40});
+    auto mems = eng.exchange_all(eng.attach(buf.addr, buf.size));
+    if (r.id() == 0) {
+      auto dst = r.alloc(2048);
+      std::vector<Request> reqs = {
+          eng.get_bytes(dst.addr, mems[1], 0, 2048, 1),
+          eng.start_rmw(portals::RmwOp::fetch_add, mems[2], 0, 2, 0, 2)};
+      EXPECT_EQ(eng.wait_any(reqs), 1u);
+      EXPECT_FALSE(reqs[0].done());
+      EXPECT_FALSE(reqs[1].failed());
+      EXPECT_EQ(reqs[1].rmw_value(), 40u);
+      reqs[0].wait();
+    }
+    eng.complete_collective();
+    if (r.id() == 2) {
+      EXPECT_EQ(load<std::uint64_t>(r, buf.addr, 1)[0], 42u);
+    }
+  });
+}
+
+TEST(CoreStartRmw, DeadTargetFailsTheRequestWithoutThrowing) {
+  // Rank 2 dies at 100 us. After that start_rmw to it hands back a failed
+  // request, as a put would; the blocking fetch_add still throws.
+  WorldConfig cfg = cfg_with(3);
+  cfg.faults.schedule = {{/*rank=*/2, /*at=*/100'000}};
+  World w(cfg);
+  bool checked = false;
+  w.run([&](Rank& r) {
+    RmaEngine eng(r, r.comm_world());
+    auto buf = r.alloc(8);
+    auto mems = eng.exchange_all(eng.attach(buf.addr, buf.size));
+    if (r.id() == 2) {
+      r.ctx().delay(1'000'000);  // dies at 100 us
+      return;
+    }
+    if (r.id() == 0) {
+      r.ctx().delay(200'000);
+      Request req;
+      EXPECT_NO_THROW(req = eng.start_rmw(portals::RmwOp::fetch_add, mems[2],
+                                          0, 1, 0, 2));
+      EXPECT_TRUE(req.done());
+      EXPECT_EQ(req.status(), OpStatus::target_failed);
+      EXPECT_THROW(eng.fetch_add(mems[2], 0, 1, 2), RankFailedError);
+      checked = true;
+    }
+    eng.complete_collective();
+  });
+  EXPECT_TRUE(checked);
+}
+
+TEST(CoreStartRmw, NicBuffersAreFreedAfterOkAndDrainedRmws) {
+  // Each NIC RMW owns a 24 B operand/result buffer until it settles. Eight
+  // ok RMWs to rank 1, then eight in flight to rank 2 when it dies at
+  // 100 us: both leave this rank's memory where it started.
+  WorldConfig cfg = cfg_with(3);
+  cfg.faults.schedule = {{/*rank=*/2, /*at=*/100'000}};
+  World w(cfg);
+  bool checked = false;
+  w.run([&](Rank& r) {
+    RmaEngine eng(r, r.comm_world());
+    auto buf = r.alloc(8);
+    auto mems = eng.exchange_all(eng.attach(buf.addr, buf.size));
+    if (r.id() == 2) {
+      r.ctx().delay(1'000'000);  // dies at 100 us
+      return;
+    }
+    if (r.id() == 0) {
+      const std::size_t baseline = r.memory().bytes_in_use();
+      std::vector<Request> reqs;
+      for (int i = 0; i < 8; ++i) {
+        reqs.push_back(
+            eng.start_rmw(portals::RmwOp::fetch_add, mems[1], 0, 1, 0, 1));
+      }
+      EXPECT_GT(r.memory().bytes_in_use(), baseline);
+      for (Request& q : reqs) {
+        q.wait();
+        EXPECT_FALSE(q.failed());
+      }
+      EXPECT_EQ(r.memory().bytes_in_use(), baseline);
+
+      r.ctx().delay(99'000 - r.ctx().now());
+      reqs.clear();
+      for (int i = 0; i < 8; ++i) {
+        reqs.push_back(
+            eng.start_rmw(portals::RmwOp::fetch_add, mems[2], 0, 1, 0, 2));
+      }
+      for (Request& q : reqs) {
+        q.wait();
+        EXPECT_EQ(q.status(), OpStatus::target_failed);
+      }
+      EXPECT_GT(eng.stats().drained_ops, 0u) << "some RMWs were in flight";
+      EXPECT_EQ(r.memory().bytes_in_use(), baseline);
+      // One RMW was still being injected when rank 2 died; it owes no reply.
+      EXPECT_EQ(eng.outstanding(2), 0u);
+      checked = true;
+    }
+    eng.complete_collective();
+  });
+  EXPECT_TRUE(checked);
 }
 
 // ------------------------------------------------------------ default attrs

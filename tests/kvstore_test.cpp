@@ -14,8 +14,10 @@
 //    shard retires before older ops queued at a hot one;
 //  * a server crash mid-insert-storm on a replicated window fails over
 //    transparently: no lost values, no failed ops;
-//  * an unreplicated server's death fails exactly its shard's ops, and the
-//    closed loop still retires every issued op once.
+//  * an unreplicated server's death fails exactly its shard's ops, each
+//    counted failed once, and the closed loop still retires every issued
+//    op once;
+//  * RMWs share the closed loop's window with gets and puts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -453,6 +455,59 @@ TEST(KvStore, OpsRetireInCompletionOrder) {
   EXPECT_GT(overtakes, 0u);
 }
 
+TEST(KvStore, RmwsShareTheWindow) {
+  // RMWs are request-based fetch_adds (RmaEngine::start_rmw), so the closed
+  // loop keeps up to `window` of them in flight like gets and puts: some
+  // RMW is issued before an earlier one has retired. Every fetch_add still
+  // lands exactly once.
+  constexpr std::uint64_t kOps = 200;
+  World w(world_cfg(3, 7));
+  std::vector<WorkloadGen::Completion> log;
+  std::uint64_t ok = 0, stored_total = 0;
+  w.run([&](Rank& r) {
+    core::RmaEngine eng(r, r.comm_world());
+    KvConfig kc;
+    kc.servers = 2;
+    kc.key_space = 64;
+    kc.value_bytes = 16;
+    KvStore kv(r, eng, kc);
+    WorkloadConfig wc;
+    wc.zipf_s = 0.99;
+    wc.get_frac = 0.0;
+    wc.put_frac = 0.0;
+    wc.rmw_frac = 1.0;
+    wc.ops = kOps;
+    wc.window = 8;
+    wc.seed = 3;
+    WorkloadGen gen(r, kv, wc);
+    if (kv.is_server()) {
+      r.comm_world().barrier();
+      return;
+    }
+    gen.preload(0, 1);
+    r.comm_world().barrier();
+    gen.warm();
+    ok = gen.run();
+    log = gen.completions();
+    for (std::uint64_t k = 0; k < kc.key_space; ++k) {
+      stored_total += kv.incr(k, 0).value();
+    }
+  });
+  EXPECT_EQ(ok, kOps);
+  EXPECT_EQ(stored_total, kOps) << "every fetch_add must land exactly once";
+  ASSERT_EQ(log.size(), kOps);
+  std::uint64_t overlaps = 0;
+  for (const auto& a : log) {
+    const trace::Time a_issued = a.done_at - a.latency;
+    for (const auto& b : log) {
+      const trace::Time b_issued = b.done_at - b.latency;
+      if (a_issued < b_issued && b_issued < a.done_at) ++overlaps;
+    }
+  }
+  EXPECT_GT(overlaps, 0u)
+      << "an RMW must be issued before an earlier one retires";
+}
+
 // ------------------------------------------------------------------ faults
 
 TEST(KvStore, CrashDuringInsertStormFailsOverReplicatedShard) {
@@ -556,8 +611,8 @@ TEST(KvStore, UnreplicatedServerDeathFailsItsOpsAndRunEnds) {
     }
     if (r.id() == 0) {
       // Rank 0 never cached a location: after the death its get walks the
-      // probe chain and fails; an incr fails to locate the key, then
-      // throws at the claim's compare_swap.
+      // probe chain and fails; an incr fails to locate the key and throws
+      // without claiming it.
       r.comm_world().barrier();
       r.ctx().delay(2'000'000);
       cold_get = kv.get(40);
@@ -626,10 +681,10 @@ TEST(KvStore, UnreplicatedServerDeathFailsItsOpsAndRunEnds) {
   }
 }
 
-// The same death under an RMW-heavy mix: a blocking fetch_add on the dead
-// shard throws RankFailedError inside run(), which retires that op failed
-// and keeps going, so the ops in flight behind it still retire and run()
-// returns.
+// The same death under an RMW-heavy mix. The RMWs share the window
+// (KvStore::start_incr): one on the dead shard is drained in flight or
+// fails fast, retires failed like a get or put, and run() returns with
+// every op retired once.
 TEST(KvStore, UnreplicatedServerDeathFailsBlockingRmws) {
   constexpr std::uint64_t kOps = 400;
   WorldConfig cfg = world_cfg(4, 13);
@@ -683,7 +738,7 @@ TEST(KvStore, UnreplicatedServerDeathFailsBlockingRmws) {
         ++good;
       }
     }
-    EXPECT_GT(failed_rmw, 0u) << "a blocking RMW on the dead shard retires";
+    EXPECT_GT(failed_rmw, 0u) << "an RMW on the dead shard retires failed";
     EXPECT_EQ(ok[me], good);
     EXPECT_EQ(stats[me].failed, failed) << "each failed op counts once";
     const std::uint64_t rank = me + 2;
@@ -696,6 +751,64 @@ TEST(KvStore, UnreplicatedServerDeathFailsBlockingRmws) {
     }
     EXPECT_EQ(retired, issued);
   }
+}
+
+// Server 1 dies before the client has cached any location, so every RMW
+// is a cold-key incr. On the dead shard its probe read fails, and incr
+// stops there: it does not claim (no compare_swap to a shard known dead)
+// and the op counts as failed once, not once in the probe and again in
+// run().
+TEST(KvStore, ColdRmwOnDeadShardCountsItsFailureOnce) {
+  constexpr std::uint64_t kOps = 50;
+  WorldConfig cfg = world_cfg(3, 13);
+  cfg.faults.schedule = {{/*rank=*/1, /*at=*/500'000}};
+  World w(cfg);
+  std::vector<WorkloadGen::Completion> log;
+  apps::KvStats stats;
+  core::OpStats eng_stats;
+  w.run([&](Rank& r) {
+    core::RmaEngine eng(r, r.comm_world());
+    KvConfig kc;
+    kc.servers = 2;
+    kc.key_space = 64;
+    kc.value_bytes = 16;
+    kc.sharding = Sharding::range;  // keys 32..63 live on the doomed shard
+    KvStore kv(r, eng, kc);
+    WorkloadConfig wc;
+    wc.get_frac = 0.0;
+    wc.put_frac = 0.0;
+    wc.rmw_frac = 1.0;
+    wc.ops = kOps;
+    wc.seed = 5;
+    WorkloadGen gen(r, kv, wc);
+    if (kv.is_server()) {
+      r.comm_world().barrier();
+      if (r.id() == 1) r.ctx().delay(10'000'000);  // dies at 500 us
+      return;
+    }
+    r.comm_world().barrier();
+    r.ctx().delay(1'000'000);
+    EXPECT_EQ(kv.cached_locations(), 0u);
+    gen.run();
+    log = gen.completions();
+    stats = kv.stats();
+    eng_stats = eng.stats();
+  });
+  EXPECT_EQ(w.failed_ranks(), std::vector<int>{1});
+  ASSERT_EQ(log.size(), kOps);
+  std::uint64_t failed = 0;
+  for (const auto& c : log) {
+    if (c.outcome == KvOutcome::failed) {
+      EXPECT_EQ(c.shard, 1) << "only the dead shard's ops fail";
+      ++failed;
+    } else {
+      EXPECT_EQ(c.outcome, KvOutcome::updated);
+    }
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_EQ(stats.failed, failed) << "each failed op counts once";
+  EXPECT_EQ(eng_stats.failed_fast, failed)
+      << "one probe read per failed op reaches for the dead shard, no claim";
 }
 
 // Seeded chaos schedule kills BOTH server ranks (min_survivors=0): the
