@@ -77,6 +77,22 @@ void KvStore::scratch_release(std::uint64_t addr) {
   scratch_free_.push_back(addr);
 }
 
+void KvStore::copy_value(std::uint64_t scratch,
+                         std::span<std::byte> out) const {
+  if (out.empty()) return;
+  const std::size_t n = std::min<std::size_t>(
+      out.size(), static_cast<std::size_t>(cfg_.value_bytes));
+  std::memcpy(out.data(), rank_->memory().raw(scratch + 16), n);
+}
+
+bool KvStore::cached_slot(std::uint64_t key, std::uint32_t* slot) {
+  const auto it = cache_.find(key);
+  if (it == cache_.end()) return false;
+  stats_.cache_hits += 1;
+  *slot = it->second;
+  return true;
+}
+
 KvOutcome KvStore::drain_failure(const core::Request& req) {
   stats_.failed += 1;
   if (req.status() == core::OpStatus::replica_lost) {
@@ -86,31 +102,25 @@ KvOutcome KvStore::drain_failure(const core::Request& req) {
   return KvOutcome::failed;
 }
 
-KvOutcome KvStore::locate(std::uint64_t key, std::uint32_t* slot_out) {
+KvOutcome KvStore::probe(std::uint64_t key, std::uint64_t scratch,
+                         std::uint64_t len, std::uint32_t* slot_out) {
   const int shard = shard_of(key);
   const std::uint64_t home = home_slot(key);
-  const std::uint64_t scratch = scratch_acquire();
   for (int p = 0; p < kMaxProbes; ++p) {
-    const auto slot = static_cast<std::uint32_t>(
-        (home + static_cast<std::uint64_t>(p)) % cfg_.slots_per_shard);
+    const std::uint32_t slot = probe_slot(home, p);
     if (p > 0) stats_.probes += 1;
-    core::Request req = eng_->get_bytes(scratch, shards_[shard],
-                                        slot_off(slot), 8, shard);
+    core::Request req =
+        eng_->get_bytes(scratch, shards_[shard], slot_off(slot), len, shard);
     req.wait();
-    if (req.failed()) {
-      scratch_release(scratch);
-      return drain_failure(req);
-    }
+    if (req.failed()) return drain_failure(req);
     const std::uint64_t tag = read_scratch_u64(scratch, shard);
     if (tag == tag_of(key)) {
-      scratch_release(scratch);
-      cache_[key] = Loc{slot};
+      cache_[key] = slot;
       *slot_out = slot;
       return KvOutcome::hit;
     }
     if (tag == 0) break;  // open addressing: an empty slot ends the chain
   }
-  scratch_release(scratch);
   return KvOutcome::miss;
 }
 
@@ -118,8 +128,7 @@ KvOutcome KvStore::claim(std::uint64_t key, std::uint32_t* slot_out) {
   const int shard = shard_of(key);
   const std::uint64_t home = home_slot(key);
   for (int p = 0; p < kMaxProbes; ++p) {
-    const auto slot = static_cast<std::uint32_t>(
-        (home + static_cast<std::uint64_t>(p)) % cfg_.slots_per_shard);
+    const std::uint32_t slot = probe_slot(home, p);
     if (p > 0) stats_.probes += 1;
     core::Request cas =
         eng_->start_rmw(portals::RmwOp::compare_swap, shards_[shard],
@@ -132,17 +141,18 @@ KvOutcome KvStore::claim(std::uint64_t key, std::uint32_t* slot_out) {
           portals::RmwOp::fetch_add, shards_[shard], kOccupancyOff, 1, 0, shard);
       occ.wait();
       if (occ.failed()) return drain_failure(occ);
-      cache_[key] = Loc{slot};
+      cache_[key] = slot;
       *slot_out = slot;
       return KvOutcome::inserted;
     }
     if (cas.rmw_value() == tag_of(key)) {
-      cache_[key] = Loc{slot};
+      cache_[key] = slot;
       *slot_out = slot;
       return KvOutcome::updated;
     }
     stats_.cas_conflicts += 1;  // another key's claim occupies this slot
   }
+  stats_.overflows += 1;
   return KvOutcome::overflow;
 }
 
@@ -150,209 +160,145 @@ KvOutcome KvStore::put(std::uint64_t key, std::span<const std::byte> value) {
   M3RMA_REQUIRE(value.size() == cfg_.value_bytes,
                 "put value must be exactly value_bytes long");
   stats_.puts += 1;
-  bool claimed = false;
-  auto it = cache_.find(key);
   std::uint32_t slot = 0;
-  if (it != cache_.end()) {
-    stats_.cache_hits += 1;
-    slot = it->second.slot;
-  } else {
-    const KvOutcome c = claim(key, &slot);
-    if (c == KvOutcome::overflow) {
-      stats_.overflows += 1;
-      return KvOutcome::overflow;
-    }
-    if (is_failure(c)) return c;
-    claimed = c == KvOutcome::inserted;
+  KvOutcome ok = KvOutcome::updated;
+  if (!cached_slot(key, &slot)) {
+    ok = claim(key, &slot);
+    if (ok == KvOutcome::overflow || is_failure(ok)) return ok;
   }
-  const int shard = shard_of(key);
-  const std::uint64_t scratch = scratch_acquire();
-  std::memcpy(rank_->memory().raw(scratch), value.data(), value.size());
-  core::Request req = eng_->put_bytes(scratch, shards_[shard],
-                                      slot_off(slot) + 16, cfg_.value_bytes,
-                                      shard, kPutAttrs);
-  req.wait();
-  scratch_release(scratch);
-  if (req.failed()) {
-    return drain_failure(req);
-  }
-  if (claimed) {
-    stats_.inserts += 1;
-    return KvOutcome::inserted;
-  }
-  stats_.updates += 1;
-  return KvOutcome::updated;
+  AsyncOp op = start_put_at(key, slot, value, ok);
+  return finish(op);
 }
 
 KvOutcome KvStore::get(std::uint64_t key, std::span<std::byte> out) {
   stats_.gets += 1;
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    stats_.cache_hits += 1;
-    AsyncOp op = start_get_at(key, it->second.slot);
+  std::uint32_t slot = 0;
+  if (cached_slot(key, &slot)) {
+    AsyncOp op = start_get_at(key, slot);
     return finish(op, out);
   }
-  const int shard = shard_of(key);
-  const std::uint64_t home = home_slot(key);
+  // The walk reads whole slots, so a hit already holds the value.
   const std::uint64_t scratch = scratch_acquire();
-  for (int p = 0; p < kMaxProbes; ++p) {
-    const auto slot = static_cast<std::uint32_t>(
-        (home + static_cast<std::uint64_t>(p)) % cfg_.slots_per_shard);
-    if (p > 0) stats_.probes += 1;
-    core::Request req = eng_->get_bytes(scratch, shards_[shard],
-                                        slot_off(slot), slot_stride(), shard);
-    req.wait();
-    if (req.failed()) {
-      scratch_release(scratch);
-      return drain_failure(req);
-    }
-    const std::uint64_t tag = read_scratch_u64(scratch, shard);
-    if (tag == tag_of(key)) {
-      cache_[key] = Loc{slot};
-      if (!out.empty()) {
-        const std::size_t n = std::min<std::size_t>(
-            out.size(), static_cast<std::size_t>(cfg_.value_bytes));
-        std::memcpy(out.data(), rank_->memory().raw(scratch + 16), n);
-      }
-      scratch_release(scratch);
-      stats_.hits += 1;
-      return KvOutcome::hit;
-    }
-    if (tag == 0) break;
+  const KvOutcome o = probe(key, scratch, slot_stride(), &slot);
+  if (o == KvOutcome::hit) {
+    copy_value(scratch, out);
+    stats_.hits += 1;
+  } else if (o == KvOutcome::miss) {
+    stats_.misses += 1;
   }
   scratch_release(scratch);
-  stats_.misses += 1;
-  return KvOutcome::miss;
+  return o;
 }
 
 std::optional<std::uint64_t> KvStore::incr(std::uint64_t key,
                                            std::uint64_t delta) {
   stats_.incrs += 1;
   std::uint32_t slot = 0;
-  auto it = cache_.find(key);
-  KvOutcome found = KvOutcome::hit;
-  if (it != cache_.end()) {
-    stats_.cache_hits += 1;
-    slot = it->second.slot;
-  } else {
-    found = locate(key, &slot);
-    if (found == KvOutcome::miss) {
-      // Absent: insert the key with a zero value (the shard buffer is
-      // zeroed at construction, so a fresh claim's value region already
-      // reads 0).
-      found = claim(key, &slot);
-      if (found == KvOutcome::overflow) {
-        stats_.overflows += 1;
-        return std::nullopt;
-      }
-      if (found == KvOutcome::inserted) stats_.inserts += 1;
-    }
+  KvOutcome ok = KvOutcome::updated;
+  if (!cached_slot(key, &slot)) {
+    // An incr needs only the tags: the walk reads 8 B per slot.
+    const std::uint64_t scratch = scratch_acquire();
+    ok = probe(key, scratch, 8, &slot);
+    scratch_release(scratch);
+    // Absent: insert the key with a zero value (the shard buffer is zeroed
+    // at construction, so a fresh claim's value region already reads 0).
+    if (ok == KvOutcome::miss) ok = claim(key, &slot);
+    if (ok == KvOutcome::overflow) return std::nullopt;
   }
-  const int shard = shard_of(key);
-  if (!is_failure(found)) {
-    core::Request req =
-        eng_->start_rmw(portals::RmwOp::fetch_add, shards_[shard],
-                        slot_off(slot) + 8, delta, 0, shard);
-    req.wait();
-    if (!req.failed()) return req.rmw_value();
-    drain_failure(req);
+  if (!is_failure(ok)) {
+    AsyncOp op = start_incr_at(
+        key, slot, delta,
+        ok == KvOutcome::inserted ? ok : KvOutcome::updated);
+    if (!is_failure(finish(op))) return op.req.rmw_value();
   }
-  throw RankFailedError("KV shard " + std::to_string(shard) +
+  throw RankFailedError("KV shard " + std::to_string(shard_of(key)) +
                         " failed an incr of key " + std::to_string(key));
 }
 
 KvStore::AsyncOp KvStore::start_get(std::uint64_t key) {
-  auto it = cache_.find(key);
-  M3RMA_REQUIRE(it != cache_.end(),
+  std::uint32_t slot = 0;
+  const bool cached = cached_slot(key, &slot);
+  M3RMA_REQUIRE(cached,
                 "start_get requires a cached slot location (get() caches)");
   stats_.gets += 1;
-  stats_.cache_hits += 1;
-  return start_get_at(key, it->second.slot);
-}
-
-KvStore::AsyncOp KvStore::start_get_at(std::uint64_t key,
-                                       std::uint32_t slot) {
-  const int shard = shard_of(key);
-  AsyncOp op;
-  op.key = key;
-  op.slot = slot;
-  op.scratch = scratch_acquire();
-  op.kind = OpKind::get;
-  op.valid = true;
-  op.req = eng_->get_bytes(op.scratch, shards_[shard], slot_off(slot),
-                           slot_stride(), shard);
-  return op;
+  return start_get_at(key, slot);
 }
 
 KvStore::AsyncOp KvStore::start_put(std::uint64_t key,
                                     std::span<const std::byte> value) {
   M3RMA_REQUIRE(value.size() == cfg_.value_bytes,
                 "put value must be exactly value_bytes long");
-  auto it = cache_.find(key);
-  M3RMA_REQUIRE(it != cache_.end(),
+  std::uint32_t slot = 0;
+  const bool cached = cached_slot(key, &slot);
+  M3RMA_REQUIRE(cached,
                 "start_put requires a cached slot location (put() caches)");
   stats_.puts += 1;
-  stats_.cache_hits += 1;
-  const int shard = shard_of(key);
-  AsyncOp op;
-  op.key = key;
-  op.slot = it->second.slot;
-  op.scratch = scratch_acquire();
-  op.kind = OpKind::put;
-  op.valid = true;
-  std::memcpy(rank_->memory().raw(op.scratch), value.data(), value.size());
-  op.req = eng_->put_bytes(op.scratch, shards_[shard],
-                           slot_off(op.slot) + 16, cfg_.value_bytes, shard,
-                           kPutAttrs);
-  return op;
+  return start_put_at(key, slot, value, KvOutcome::updated);
 }
 
 KvStore::AsyncOp KvStore::start_incr(std::uint64_t key,
                                      std::uint64_t delta) {
-  auto it = cache_.find(key);
-  M3RMA_REQUIRE(it != cache_.end(),
+  std::uint32_t slot = 0;
+  const bool cached = cached_slot(key, &slot);
+  M3RMA_REQUIRE(cached,
                 "start_incr requires a cached slot location (incr() caches)");
   stats_.incrs += 1;
-  stats_.cache_hits += 1;
+  return start_incr_at(key, slot, delta, KvOutcome::updated);
+}
+
+KvStore::AsyncOp KvStore::start_get_at(std::uint64_t key,
+                                       std::uint32_t slot) {
   const int shard = shard_of(key);
-  AsyncOp op;
-  op.key = key;
-  op.slot = it->second.slot;
-  op.kind = OpKind::rmw;
-  op.valid = true;
-  op.req = eng_->start_rmw(portals::RmwOp::fetch_add, shards_[shard],
-                           slot_off(op.slot) + 8, delta, 0, shard);
-  return op;
+  const std::uint64_t scratch = scratch_acquire();
+  return {.req = eng_->get_bytes(scratch, shards_[shard], slot_off(slot),
+                                 slot_stride(), shard),
+          .key = key, .slot = slot, .scratch = scratch, .kind = OpKind::get,
+          .ok = KvOutcome::hit, .valid = true};
+}
+
+KvStore::AsyncOp KvStore::start_put_at(std::uint64_t key, std::uint32_t slot,
+                                       std::span<const std::byte> value,
+                                       KvOutcome ok) {
+  const int shard = shard_of(key);
+  const std::uint64_t scratch = scratch_acquire();
+  std::memcpy(rank_->memory().raw(scratch), value.data(), value.size());
+  return {.req = eng_->put_bytes(scratch, shards_[shard], slot_off(slot) + 16,
+                                 cfg_.value_bytes, shard, kPutAttrs),
+          .key = key, .slot = slot, .scratch = scratch, .kind = OpKind::put,
+          .ok = ok, .valid = true};
+}
+
+KvStore::AsyncOp KvStore::start_incr_at(std::uint64_t key, std::uint32_t slot,
+                                        std::uint64_t delta, KvOutcome ok) {
+  const int shard = shard_of(key);
+  return {.req = eng_->start_rmw(portals::RmwOp::fetch_add, shards_[shard],
+                                 slot_off(slot) + 8, delta, 0, shard),
+          .key = key, .slot = slot, .kind = OpKind::rmw, .ok = ok,
+          .valid = true};
 }
 
 KvOutcome KvStore::finish(AsyncOp& op, std::span<std::byte> out) {
   M3RMA_REQUIRE(op.valid, "finish on an empty or already-finished AsyncOp");
   op.valid = false;
   op.req.wait();
-  if (op.req.failed()) {
-    if (op.kind != OpKind::rmw) scratch_release(op.scratch);
-    return drain_failure(op.req);
+  const bool failed = op.req.failed();
+  if (!failed && op.kind == OpKind::get) {
+    // Tags are write-once (no deletes), so a cached location must still
+    // hold the key it was cached for.
+    M3RMA_ENSURE(read_scratch_u64(op.scratch, shard_of(op.key)) ==
+                     tag_of(op.key),
+                 "cached slot no longer holds the expected key");
+    copy_value(op.scratch, out);
   }
-  if (op.kind == OpKind::rmw) return KvOutcome::updated;
-  if (op.kind == OpKind::put) {
-    scratch_release(op.scratch);
+  if (op.kind != OpKind::rmw) scratch_release(op.scratch);
+  if (failed) return drain_failure(op.req);
+  if (op.ok == KvOutcome::hit) stats_.hits += 1;
+  if (op.ok == KvOutcome::inserted) stats_.inserts += 1;
+  // An incr of a present key overwrites no value: updates counts puts.
+  if (op.ok == KvOutcome::updated && op.kind == OpKind::put) {
     stats_.updates += 1;
-    return KvOutcome::updated;
   }
-  const int shard = shard_of(op.key);
-  const std::uint64_t tag = read_scratch_u64(op.scratch, shard);
-  // Tags are write-once (no deletes), so a cached location must still hold
-  // the key it was cached for.
-  M3RMA_ENSURE(tag == tag_of(op.key),
-               "cached slot no longer holds the expected key");
-  if (!out.empty()) {
-    const std::size_t n = std::min<std::size_t>(
-        out.size(), static_cast<std::size_t>(cfg_.value_bytes));
-    std::memcpy(out.data(), rank_->memory().raw(op.scratch + 16), n);
-  }
-  scratch_release(op.scratch);
-  stats_.hits += 1;
-  return KvOutcome::hit;
+  return op.ok;
 }
 
 std::size_t KvStore::wait_any(std::span<const AsyncOp> ops) {

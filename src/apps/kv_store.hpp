@@ -25,10 +25,14 @@
 //   * lookup  — one get of the whole slot; the origin verifies the tag.
 //   * counter — fetch_add on the slot's counter word (NIC-executed RMW).
 //
-// Clients cache key -> slot after the first locate, so the steady-state
+// Clients cache key -> slot after the first probe walk, so the steady-state
 // data path is a single one-sided op per access; start_get/start_put/
 // start_incr issue that fast path nonblocking for closed-loop drivers with
-// an outstanding-op budget (apps::WorkloadGen).
+// an outstanding-op budget (apps::WorkloadGen). Each op kind has one issue
+// path: a blocking op finds (or claims) the slot, then issues and retires
+// exactly what start_* + finish() would. A cold get's walk reads whole
+// slots, so its hit already carries the value; a cold incr's walk reads
+// only the 8 B tags.
 //
 // Construction is collective over the engine's communicator. With
 // runtime::ReplicationConfig enabled the shard windows replicate like any
@@ -138,12 +142,11 @@ class KvStore {
     std::uint32_t slot = 0;
     std::uint64_t scratch = 0;  ///< pool buffer backing a get or put
     OpKind kind = OpKind::get;
+    KvOutcome ok = KvOutcome::hit;  ///< finish()'s outcome on success
     bool valid = false;
   };
 
-  bool location_cached(std::uint64_t key) const {
-    return cache_.find(key) != cache_.end();
-  }
+  bool location_cached(std::uint64_t key) const { return cache_.contains(key); }
   /// Nonblocking one-sided read of the key's (cached) slot.
   AsyncOp start_get(std::uint64_t key);
   /// Nonblocking value update of the key's (cached) slot.
@@ -152,11 +155,12 @@ class KvStore {
   /// (RmaEngine::start_rmw).
   AsyncOp start_incr(std::uint64_t key, std::uint64_t delta);
   /// Wait for the op; gets verify the slot tag and optionally copy the
-  /// value out. Returns hit (get) or updated (put, incr; an incr's previous
-  /// counter value is op.req.rmw_value()), failed on a non-ok engine
-  /// status, or lost when the shard window is unrecoverable — the same
-  /// drain the blocking path performs, so a crash mid-flight never trips
-  /// the tag check on a failure-drained read.
+  /// value out. On success, returns and counts the outcome the op was
+  /// issued with: hit (get), updated (put, incr; an incr's previous counter
+  /// value is op.req.rmw_value()), or inserted (a blocking put or incr that
+  /// claimed the slot). Returns failed on a non-ok engine status, or lost
+  /// when the shard window is unrecoverable, so a crash mid-flight never
+  /// trips the tag check on a failure-drained read.
   KvOutcome finish(AsyncOp& op, std::span<std::byte> out = {});
   /// RmaEngine::wait_any over the ops' requests: block until one of `ops`
   /// is done (failed counts) and return the lowest such index; finish() it
@@ -171,27 +175,42 @@ class KvStore {
   std::uint64_t cached_locations() const { return cache_.size(); }
 
  private:
-  struct Loc {
-    std::uint32_t slot = 0;
-  };
-
   std::uint64_t slot_off(std::uint32_t slot) const {
     return kMetaBytes + static_cast<std::uint64_t>(slot) * slot_stride();
   }
   std::uint64_t home_slot(std::uint64_t key) const;
+  /// The p-th slot of the linear probe chain starting at `home`.
+  std::uint32_t probe_slot(std::uint64_t home, int p) const {
+    return static_cast<std::uint32_t>(
+        (home + static_cast<std::uint64_t>(p)) % cfg_.slots_per_shard);
+  }
   std::uint64_t tag_of(std::uint64_t key) const { return key + 1; }
   std::uint64_t read_scratch_u64(std::uint64_t addr, int shard) const;
-  /// Probe for the key's slot with one-sided tag reads; caches on success.
-  /// hit (`*slot` set), miss (empty slot or probe budget exhausted), or the
-  /// drained failure (failed/lost, counted).
-  KvOutcome locate(std::uint64_t key, std::uint32_t* slot);
+  /// Copy min(out.size, value_bytes) value bytes of the slot read into
+  /// `scratch` out.
+  void copy_value(std::uint64_t scratch, std::span<std::byte> out) const;
+  /// The key's cached slot into `*slot`, counting a cache hit; false when
+  /// the location is not cached.
+  bool cached_slot(std::uint64_t key, std::uint32_t* slot);
+  /// Walk the key's probe chain with one-sided reads of the first `len`
+  /// bytes of each slot into `scratch`; caches on success. hit (`*slot`
+  /// set, `scratch` holds the slot's read bytes), miss (empty slot or probe
+  /// budget exhausted), or the drained failure (failed/lost, counted).
+  KvOutcome probe(std::uint64_t key, std::uint64_t scratch, std::uint64_t len,
+                  std::uint32_t* slot);
   /// CAS-claim a slot for the key (insert protocol): inserted (this call
-  /// claimed `*slot`), updated (the key already held `*slot`), overflow, or
-  /// the drained failure (failed/lost, counted).
+  /// claimed `*slot`), updated (the key already held `*slot`), overflow
+  /// (counted), or the drained failure (failed/lost, counted).
   KvOutcome claim(std::uint64_t key, std::uint32_t* slot);
+  /// Issue an op at a known slot; `ok` is what finish() returns and counts
+  /// if it succeeds.
   AsyncOp start_get_at(std::uint64_t key, std::uint32_t slot);
+  AsyncOp start_put_at(std::uint64_t key, std::uint32_t slot,
+                       std::span<const std::byte> value, KvOutcome ok);
+  AsyncOp start_incr_at(std::uint64_t key, std::uint32_t slot,
+                        std::uint64_t delta, KvOutcome ok);
   /// Account a non-ok completion and map its status to failed/lost — the
-  /// one drain path shared by the blocking ops and finish().
+  /// one drain path shared by the probe walk, claim() and finish().
   KvOutcome drain_failure(const core::Request& req);
   static bool is_failure(KvOutcome o) {
     return o == KvOutcome::failed || o == KvOutcome::lost;
@@ -204,7 +223,7 @@ class KvStore {
   KvConfig cfg_;
   std::vector<core::TargetMem> shards_;  // indexed by comm rank, servers only
   runtime::Rank::Buffer shard_buf_;      // server side; empty on clients
-  std::unordered_map<std::uint64_t, Loc> cache_;
+  std::unordered_map<std::uint64_t, std::uint32_t> cache_;  // key -> slot
   std::vector<std::uint64_t> scratch_free_;  // slot-sized pool buffers
   std::vector<core::Request> wait_reqs_;     // wait_any's request list
   KvStats stats_;

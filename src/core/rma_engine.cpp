@@ -591,11 +591,15 @@ void RmaEngine::issue_blocks(const std::shared_ptr<Request::State>& st,
       ptl_->put(ctx, md_all_, src_base + packed_off, len, t, kPtData, mem.id,
                 offset, st->id, want_ack, nfy, st->notify_tag);
     }
-    if (is_get) {
-      per(t).pending_replies += 1;
-    } else {
-      per(t).issued += 1;
-      if (via_am || want_ack) per(t).issued_rc += 1;
+    // Counted after the inject delay: a target that died during it owes
+    // nothing, and the request is failed over below.
+    if (PerTarget* pt = live_ledger(t)) {
+      if (is_get) {
+        pt->pending_replies += 1;
+      } else {
+        pt->issued += 1;
+        if (via_am || want_ack) pt->issued_rc += 1;
+      }
     }
     st->pending += 1;
     if (mirror) {
@@ -1070,7 +1074,7 @@ Request RmaEngine::start_rmw(portals::RmwOp op, const TargetMem& mem,
 
   // Count the reply before the inject delay: a target that dies during it
   // drains the request and zeroes the count, and must not see it come back.
-  per(t).pending_replies += 1;
+  if (PerTarget* pt = live_ledger(t)) pt->pending_replies += 1;
   if (ptl_->supports_atomics()) {
     st->rmw_buf = rank_->memory().alloc(24);  // operand (16 B) + result
     st->rmw_endian = eff.endian;
@@ -1138,7 +1142,7 @@ Request RmaEngine::signal(int target_rank, int id,
   h.value_a = static_cast<std::uint64_t>(static_cast<std::uint32_t>(id));
   h.length = args.size();
   send_am(t, h, std::vector<std::byte>(args.begin(), args.end()));
-  per(t).pending_replies += 1;
+  if (PerTarget* pt = live_ledger(t)) pt->pending_replies += 1;
   return Request(this, st);
 }
 

@@ -488,6 +488,12 @@ class RmaEngine {
 
   PerTarget& per(int world_rank);
   const PerTarget& per(int world_rank) const;
+  /// The ledger to count a leg to `world_rank` in, or nullptr when that
+  /// rank is dead: on_target_failed has reconciled its ledger and nothing
+  /// of the leg will come back, so it is never counted.
+  PerTarget* live_ledger(int world_rank) {
+    return dead(world_rank) ? nullptr : &per(world_rank);
+  }
   /// Failure detector: has `world_rank` been declared dead?
   bool dead(int world_rank) const {
     return target_failed_[static_cast<std::size_t>(world_rank)] != 0;

@@ -1,7 +1,6 @@
 #include "fabric/reliability.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -38,8 +37,6 @@ LinkReliability::LinkReliability(Nic& nic)
       gap_acks_(nic.fabric().caps().ordered_delivery) {
   M3RMA_REQUIRE(cfg_.retransmit_timeout_ns > 0,
                 "retransmit timeout must be positive");
-  M3RMA_REQUIRE(cfg_.backoff_factor >= 1.0,
-                "backoff factor must be >= 1");
   M3RMA_REQUIRE(cfg_.retry_budget >= 0, "retry budget must be >= 0");
 }
 
@@ -112,9 +109,7 @@ void LinkReliability::on_retransmit_timer(std::uint64_t key,
              " round=" + std::to_string(tx.retries + 1));
   }
   tx.retries += 1;
-  const auto backed = static_cast<sim::Time>(
-      std::llround(static_cast<double>(tx.rto) * cfg_.backoff_factor));
-  tx.rto = std::min(std::max(backed, tx.rto), kMaxRetransmitTimeoutNs);
+  tx.rto = std::min(2 * tx.rto, kMaxRetransmitTimeoutNs);
   ++tx.timer_gen;
   arm_retransmit(key, tx);
 }

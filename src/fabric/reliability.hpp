@@ -72,7 +72,8 @@ namespace m3rma::fabric {
 
 class Nic;
 
-/// Ceiling for the backed-off retransmission timeout.
+/// Ceiling for the backed-off retransmission timeout, which doubles with
+/// each consecutive unanswered retransmission round.
 inline constexpr sim::Time kMaxRetransmitTimeoutNs = 2'000'000;
 
 struct ReliabilityConfig {
@@ -86,9 +87,6 @@ struct ReliabilityConfig {
   /// back takes less than half the RTO and the data's one-way delay less
   /// than two fifths of it.
   sim::Time retransmit_timeout_ns = 50'000;
-  /// Timeout multiplier per consecutive unanswered retransmission round,
-  /// up to kMaxRetransmitTimeoutNs.
-  double backoff_factor = 2.0;
   /// Retransmission rounds allowed per recovery episode before the link is
   /// declared failed (LinkFailure report / TransportError). 0 = the first
   /// timeout is fatal.

@@ -13,17 +13,15 @@ World::World(WorldConfig cfg) : cfg_(std::move(cfg)), eng_(cfg_.seed) {
   fabric_ = std::make_unique<fabric::Fabric>(eng_, cfg_.ranks, cfg_.caps,
                                              cfg_.costs);
   if (cfg_.topo.has_value()) fabric_->set_topology(*cfg_.topo);
-  if (cfg_.faults.isolate_on_link_failure) {
-    // STONITH convergence: a reliability endpoint that exhausted its budget
-    // cannot tell a dead peer from a partitioned one; declaring the peer
-    // failed makes every rank's membership view agree, so survivors drain
-    // their pending ops instead of waiting on messages the quarantined
-    // endpoint would silently drop.
-    fabric_->set_link_failure_policy([this](const fabric::LinkFailure& lf) {
-      kill_rank(lf.peer, /*announce=*/true);
-      return true;
-    });
-  }
+  // STONITH convergence: a reliability endpoint that exhausted its budget
+  // cannot tell a dead peer from a partitioned one; declaring the peer
+  // failed makes every rank's membership view agree, so survivors drain
+  // their pending ops instead of waiting on messages the quarantined
+  // endpoint would silently drop.
+  fabric_->set_link_failure_policy([this](const fabric::LinkFailure& lf) {
+    kill_rank(lf.peer, /*announce=*/true);
+    return true;
+  });
   for (int n = 0; n < cfg_.ranks; ++n) {
     auto it = cfg_.node_overrides.find(n);
     const memsim::DomainConfig& dc =

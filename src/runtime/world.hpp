@@ -39,7 +39,11 @@ struct FaultEvent {
 
 /// Deterministic fail-stop fault plan. Replays byte-identically under the
 /// seed discipline: the schedule is fixed virtual-time events, detection and
-/// drain are deterministic functions of the same event sequence.
+/// drain are deterministic functions of the same event sequence. Whatever
+/// the plan, a World declares a peer failed (kill + announce) when a
+/// reliable link to it exhausts its retry budget (the STONITH policy), so
+/// every rank's membership view converges instead of a TransportError
+/// crossing the simulator.
 struct FaultPlan {
   std::vector<FaultEvent> schedule;
   /// true: survivors learn of a scheduled death the instant it happens (the
@@ -47,10 +51,6 @@ struct FaultPlan {
   /// false: the crash is silent and survivors must detect it endogenously
   /// through reliability retry-budget exhaustion.
   bool announce = true;
-  /// true: a retry-budget exhaustion declares the unreachable peer failed
-  /// (kill + announce), converging every rank's view of the membership,
-  /// instead of throwing TransportError across the simulator.
-  bool isolate_on_link_failure = true;
 };
 
 /// When a replicated window's copies are maintained: eagerly (every write is

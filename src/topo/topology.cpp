@@ -36,23 +36,6 @@ Topology Topology::crossbar(int nodes) {
   return t;
 }
 
-Topology Topology::ring(int nodes) {
-  M3RMA_REQUIRE(nodes > 0, "ring needs at least one node");
-  Topology t;
-  t.kind_ = Kind::ring;
-  t.nodes_ = nodes;
-  t.dims_[0] = nodes;
-  t.link_by_pair_.assign(
-      static_cast<std::size_t>(nodes) * static_cast<std::size_t>(nodes), -1);
-  for (int s = 0; s < nodes; ++s) {
-    if (nodes > 1) {
-      t.add_link(s, (s + 1) % nodes);
-      t.add_link(s, (s + nodes - 1) % nodes);
-    }
-  }
-  return t;
-}
-
 Topology Topology::mesh2d(int dim_x, int dim_y) {
   M3RMA_REQUIRE(dim_x > 0 && dim_y > 0, "mesh2d needs positive dimensions");
   Topology t;
@@ -111,8 +94,6 @@ int Topology::diameter() const {
   switch (kind_) {
     case Kind::crossbar:
       return nodes_ > 1 ? 1 : 0;
-    case Kind::ring:
-      return dims_[0] / 2;
     case Kind::mesh2d:
       return (dims_[0] - 1) + (dims_[1] - 1);
     case Kind::torus3d:
@@ -185,10 +166,6 @@ int Topology::next_hop(int at, int to) const {
   switch (kind_) {
     case Kind::crossbar:
       return to;
-    case Kind::ring: {
-      const int step = torus_step(c.x, t.x, dims_[0]);
-      return node_at(Coord{(c.x + step + dims_[0]) % dims_[0], 0, 0});
-    }
     case Kind::mesh2d:
       if (c.x != t.x) {
         return node_at(Coord{c.x + (t.x > c.x ? 1 : -1), c.y, 0});
@@ -284,8 +261,6 @@ int Topology::distance(int src, int dst) const {
   switch (kind_) {
     case Kind::crossbar:
       return src == dst ? 0 : 1;
-    case Kind::ring:
-      return wrap_distance(a.x, b.x, dims_[0]);
     case Kind::mesh2d:
       return std::abs(a.x - b.x) + std::abs(a.y - b.y);
     case Kind::torus3d:
@@ -310,10 +285,6 @@ TopologyModel TopologyModel::build(const TopoConfig& cfg, int nodes,
     switch (cfg.kind) {
       case Kind::crossbar:
         return Topology::crossbar(nodes);
-      case Kind::ring:
-        M3RMA_REQUIRE(cfg.dim_x == nodes,
-                      "ring dim_x must equal the rank count");
-        return Topology::ring(cfg.dim_x);
       case Kind::mesh2d:
         M3RMA_REQUIRE(cfg.dim_x * cfg.dim_y == nodes,
                       "mesh2d dim_x*dim_y must equal the rank count");

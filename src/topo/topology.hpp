@@ -40,9 +40,9 @@ using LinkId = int;
 
 enum class Kind : std::uint8_t {
   crossbar,  ///< dedicated directed link per (src,dst) pair; 1 hop
-  ring,      ///< 1D torus; shortest direction, ties go clockwise (+)
   mesh2d,    ///< 2D mesh, no wraparound; dimension order x then y
   torus3d,   ///< 3D torus; dimension order x,y,z; shortest wrap direction
+             ///< (a ring is torus3d(n,1,1))
 };
 
 /// How ranks are laid out on physical nodes and which wires exist.
@@ -57,11 +57,9 @@ class Topology {
   };
 
   static Topology crossbar(int nodes);
-  static Topology ring(int nodes);
   static Topology mesh2d(int dim_x, int dim_y);
   static Topology torus3d(int dim_x, int dim_y, int dim_z);
 
-  Kind kind() const { return kind_; }
   int nodes() const { return nodes_; }
   int link_count() const { return static_cast<int>(link_src_.size()); }
   /// Longest route between any pair (1 for the crossbar).
@@ -122,9 +120,9 @@ class Topology {
 /// flat model's wire latency).
 struct TopoConfig {
   Kind kind = Kind::torus3d;
-  /// Grid extents. ring uses dim_x; mesh2d uses dim_x*dim_y; torus3d uses
-  /// all three. The product must equal the world's rank count (crossbar
-  /// ignores them).
+  /// Grid extents. mesh2d uses dim_x*dim_y; torus3d uses all three (a ring
+  /// of n ranks is dim_x = n). The product must equal the world's rank
+  /// count (crossbar ignores them).
   int dim_x = 0;
   int dim_y = 1;
   int dim_z = 1;

@@ -1197,6 +1197,79 @@ TEST(CoreStartRmw, NicBuffersAreFreedAfterOkAndDrainedRmws) {
   EXPECT_TRUE(checked);
 }
 
+// ------------------------------------------------------------------ ledger
+
+// A leg is never counted against a target already dead. Rank 2 dies at
+// 100 us while rank 0 is inside the inject delay of a 2 KiB get, a plain or
+// remote-completion 2 KiB put, or a signal. on_target_failed reconciles
+// rank 2's ledger during that delay, so once the op has settled nothing may
+// be left outstanding there.
+enum class Leg { get, put, put_rc, signal };
+
+class CoreLedger
+    : public ::testing::TestWithParam<std::tuple<Leg, sim::Time>> {};
+
+std::string ledger_case_name(const std::tuple<Leg, sim::Time>& p) {
+  constexpr const char* kNames[] = {"Get", "Put", "PutRc", "Signal"};
+  return std::string(kNames[static_cast<int>(std::get<0>(p))]) + "At" +
+         std::to_string(std::get<1>(p)) + "ns";
+}
+
+TEST_P(CoreLedger, LegIssuedAsItsTargetDiesLeavesNothingOutstanding) {
+  const auto [leg, issue_at] = GetParam();
+  WorldConfig cfg = cfg_with(3);
+  cfg.faults.schedule = {{/*rank=*/2, /*at=*/100'000}};
+  World w(cfg);
+  bool checked = false;
+  w.run([&](Rank& r) {
+    RmaEngine eng(r, r.comm_world());
+    eng.register_rmi(1, [](int, std::span<const std::byte>) {
+      return std::vector<std::byte>{};
+    });
+    auto buf = r.alloc(2048);
+    auto mems = eng.exchange_all(eng.attach(buf.addr, buf.size));
+    if (r.id() == 2) {
+      r.ctx().delay(1'000'000);  // dies at 100 us
+      return;
+    }
+    if (r.id() == 0) {
+      auto local = r.alloc(2048);
+      r.ctx().delay(issue_at - r.ctx().now());
+      Request req;
+      switch (leg) {
+        case Leg::get:
+          req = eng.get_bytes(local.addr, mems[2], 0, 2048, 2);
+          break;
+        case Leg::put:
+          req = eng.put_bytes(local.addr, mems[2], 0, 2048, 2);
+          break;
+        case Leg::put_rc:
+          req = eng.put_bytes(local.addr, mems[2], 0, 2048, 2,
+                              Attrs(RmaAttr::remote_completion));
+          break;
+        case Leg::signal:
+          req = eng.signal(2, 1, {});
+          break;
+      }
+      req.wait();
+      EXPECT_TRUE(eng.target_failed(2));
+      EXPECT_EQ(eng.outstanding(2), 0u);
+      checked = true;
+    }
+    eng.complete_collective();
+  });
+  EXPECT_TRUE(checked);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    InsideTheInjectDelay, CoreLedger,
+    ::testing::Combine(::testing::Values(Leg::get, Leg::put, Leg::put_rc,
+                                         Leg::signal),
+                       ::testing::Values(sim::Time{99'700}, sim::Time{99'800},
+                                         sim::Time{99'900},
+                                         sim::Time{99'950})),
+    [](const auto& info) { return ledger_case_name(info.param); });
+
 // ------------------------------------------------------------ default attrs
 
 TEST(CoreDefaults, EngineDefaultAttrsApplied) {

@@ -57,8 +57,7 @@ class EndpointStageTest : public ::testing::TestWithParam<Net> {
     f.emplace(eng, nodes, caps, costs);
     if (GetParam() != Net::flat) {
       topo::TopoConfig tc;
-      tc.kind =
-          GetParam() == Net::ring ? topo::Kind::ring : topo::Kind::torus3d;
+      tc.kind = topo::Kind::torus3d;  // a ring is a 1-D torus
       tc.dim_x = GetParam() == Net::torus && nodes % 2 == 0 ? 2 : nodes;
       tc.dim_y = nodes / tc.dim_x;
       f->set_topology(tc);

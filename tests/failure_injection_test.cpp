@@ -245,44 +245,6 @@ TEST(FailureInjection, ExhaustedRetryBudgetIsolatesUnreachablePeer) {
   EXPECT_EQ(lf.attempts, lf.retry_budget);
 }
 
-TEST(FailureInjection, ExhaustedRetryBudgetRaisesTransportErrorWhenNotIsolating) {
-  // With peer isolation opted out, budget exhaustion must still degrade into
-  // TransportError naming the failing link and its retry history — not the
-  // opaque DeadlockError that reliability-off produces.
-  WorldConfig cfg;
-  cfg.ranks = 2;
-  cfg.costs.loss_rate = 0.2;
-  cfg.costs.reliability.enabled = true;
-  cfg.costs.reliability.retry_budget = 0;
-  cfg.seed = 1234;
-  cfg.faults.isolate_on_link_failure = false;
-  World w(cfg);
-  try {
-    w.run([&](Rank& r) {
-      core::RmaEngine eng(r, r.comm_world());
-      auto [buf, mems] = eng.allocate_shared(256);
-      if (r.id() == 0) {
-        auto src = r.alloc(8);
-        for (int i = 0; i < 30; ++i) {
-          eng.put_bytes(src.addr, mems[1], 0, 8, 1,
-                        core::Attrs(core::RmaAttr::blocking) |
-                            core::RmaAttr::remote_completion);
-        }
-      }
-      eng.complete_collective();
-    });
-    FAIL() << "expected TransportError at loss 0.2 with retry budget 0";
-  } catch (const TransportError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("reliable link"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("retry budget"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("unacknowledged"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("retransmission round"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("final rto"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("last cumulative ack"), std::string::npos) << msg;
-  }
-}
-
 TEST(FailureInjection, ZeroLossRateDropsNothing) {
   WorldConfig cfg;
   cfg.ranks = 3;

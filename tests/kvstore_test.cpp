@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -190,6 +191,185 @@ TEST(KvStore, SecondClientIncrFindsKeyInsertedByAnother) {
   // only RMWs are the two fetch_adds.
   EXPECT_EQ(after.gets - before.gets, 1u);
   EXPECT_EQ(after.rmws - before.rmws, 2u);
+}
+
+// KvStats is a flat struct of counters: compare and subtract it as one.
+using KvCounters = std::array<std::uint64_t, sizeof(apps::KvStats) / 8>;
+KvCounters counters(const apps::KvStats& s) {
+  static_assert(sizeof(apps::KvStats) % 8 == 0);
+  return std::bit_cast<KvCounters>(s);
+}
+KvCounters minus(const apps::KvStats& after, const apps::KvStats& before) {
+  KvCounters d = counters(after);
+  const KvCounters b = counters(before);
+  for (std::size_t i = 0; i < d.size(); ++i) d[i] -= b[i];
+  return d;
+}
+
+TEST(KvStore, BlockingOpsOnACachedKeyIssueWhatStartAndFinishIssue) {
+  // A put, a get and an incr on a cached key, once blocking and once as
+  // start_* + finish(): the store counts the same, the engine issues the
+  // same and the wire carries the same bytes.
+  World w(world_cfg(2, 7));
+  std::array<KvCounters, 2> kv_delta{};
+  std::array<std::array<std::uint64_t, 4>, 2> eng_delta{};
+  apps::KvStats blocking;
+  w.run([&](Rank& r) {
+    core::RmaEngine eng(r, r.comm_world());
+    KvConfig kc;
+    kc.servers = 1;
+    kc.key_space = 8;
+    kc.value_bytes = 24;
+    KvStore kv(r, eng, kc);
+    if (r.id() != 1) return;
+    ASSERT_EQ(kv.put(1, val_of(1, 24)), KvOutcome::inserted);
+    ASSERT_EQ(kv.put(2, val_of(2, 24)), KvOutcome::inserted);
+    std::vector<std::byte> out(24);
+    for (int way = 0; way < 2; ++way) {
+      const apps::KvStats s0 = kv.stats();
+      const core::OpStats e0 = eng.stats();
+      const std::uint64_t b0 = r.world().fabric().total_bytes();
+      if (way == 0) {
+        EXPECT_EQ(kv.put(1, val_of(11, 24)), KvOutcome::updated);
+        EXPECT_EQ(kv.get(1, out), KvOutcome::hit);
+        EXPECT_EQ(out, val_of(11, 24));
+        EXPECT_EQ(kv.incr(1, 3).value(), 0u);
+        blocking = kv.stats();
+      } else {
+        KvStore::AsyncOp op = kv.start_put(2, val_of(12, 24));
+        EXPECT_EQ(kv.finish(op), KvOutcome::updated);
+        op = kv.start_get(2);
+        EXPECT_EQ(kv.finish(op, out), KvOutcome::hit);
+        EXPECT_EQ(out, val_of(12, 24));
+        op = kv.start_incr(2, 3);
+        EXPECT_EQ(kv.finish(op), KvOutcome::updated);
+        EXPECT_EQ(op.req.rmw_value(), 0u);
+      }
+      const core::OpStats e1 = eng.stats();
+      kv_delta[static_cast<std::size_t>(way)] = minus(kv.stats(), s0);
+      eng_delta[static_cast<std::size_t>(way)] = {
+          e1.puts - e0.puts, e1.gets - e0.gets, e1.rmws - e0.rmws,
+          r.world().fabric().total_bytes() - b0};
+    }
+  });
+  EXPECT_EQ(kv_delta[0], kv_delta[1]);
+  EXPECT_EQ(eng_delta[0], eng_delta[1]);
+  // One op each, all served from the location cache; an incr of a present
+  // key is no value update.
+  apps::KvStats one;
+  one.gets = one.puts = one.incrs = 1;
+  one.hits = one.updates = 1;
+  one.cache_hits = 3;
+  EXPECT_EQ(kv_delta[0], counters(one));
+  EXPECT_EQ(eng_delta[0][0], 1u);
+  EXPECT_EQ(eng_delta[0][1], 1u);
+  EXPECT_EQ(eng_delta[0][2], 1u);
+  EXPECT_EQ(blocking.inserts, 2u);
+}
+
+TEST(KvStore, ColdGetReadsWholeSlotsAndColdIncrReadsTags) {
+  // One 16-slot shard. Rank 1 inserts 12 keys and picks the one its claim
+  // placed farthest from its home slot (probe distance d). Rank 2 has
+  // nothing cached: its get walks d+1 slots, each read whole; rank 3's
+  // incr walks the same d+1 slots reading only their 8 B tags. The other
+  // ranks sleep meanwhile, so the fabric's byte count is theirs alone.
+  World w(world_cfg(4, 5));
+  std::uint64_t key = 0;
+  std::uint64_t d = 0;
+  bool checked_get = false;
+  bool checked_incr = false;
+  w.run([&](Rank& r) {
+    core::RmaEngine eng(r, r.comm_world());
+    KvConfig kc;
+    kc.servers = 1;
+    kc.slots_per_shard = 16;
+    kc.key_space = 32;
+    kc.value_bytes = 40;
+    KvStore kv(r, eng, kc);
+    const fabric::Fabric& fab = r.world().fabric();
+    if (r.id() == 1) {
+      for (std::uint64_t k = 0; k < 12; ++k) {
+        const std::uint64_t p0 = kv.stats().probes;
+        ASSERT_EQ(kv.put(k, val_of(k, 40)), KvOutcome::inserted);
+        if (kv.stats().probes - p0 > d) {
+          d = kv.stats().probes - p0;
+          key = k;
+        }
+      }
+    }
+    r.comm_world().barrier();
+    // Let the barrier's messages land, then measure one rank at a time.
+    r.ctx().delay(r.id() == 2 ? 100'000 : r.id() == 3 ? 300'000 : 500'000);
+    if (r.id() == 2) {
+      // One get of a whole slot, and one of an 8 B tag, for reference.
+      std::uint64_t b0 = fab.total_bytes();
+      kv.shard_occupancy(0);
+      const std::uint64_t tag_read = fab.total_bytes() - b0;
+      const core::OpStats e0 = eng.stats();
+      b0 = fab.total_bytes();
+      std::vector<std::byte> out(40);
+      ASSERT_EQ(kv.get(key, out), KvOutcome::hit);
+      EXPECT_EQ(out, val_of(key, 40));
+      const std::uint64_t cold = fab.total_bytes() - b0;
+      EXPECT_EQ(eng.stats().gets - e0.gets, d + 1);
+      b0 = fab.total_bytes();
+      ASSERT_EQ(kv.get(key), KvOutcome::hit);  // cached: one slot read
+      const std::uint64_t slot_read = fab.total_bytes() - b0;
+      EXPECT_EQ(slot_read - tag_read, kv.slot_stride() - 8);
+      EXPECT_EQ(cold, (d + 1) * slot_read);
+      checked_get = true;
+    }
+    if (r.id() == 3) {
+      std::uint64_t b0 = fab.total_bytes();
+      kv.shard_occupancy(0);
+      const std::uint64_t tag_read = fab.total_bytes() - b0;
+      const core::OpStats e0 = eng.stats();
+      b0 = fab.total_bytes();
+      EXPECT_EQ(kv.incr(key, 1).value(), 0u);
+      const std::uint64_t cold = fab.total_bytes() - b0;
+      EXPECT_EQ(eng.stats().gets - e0.gets, d + 1);
+      EXPECT_EQ(eng.stats().rmws - e0.rmws, 1u);
+      b0 = fab.total_bytes();
+      EXPECT_EQ(kv.incr(key, 1).value(), 1u);  // cached: the fetch_add alone
+      const std::uint64_t rmw = fab.total_bytes() - b0;
+      EXPECT_EQ(cold, (d + 1) * tag_read + rmw);
+      checked_incr = true;
+    }
+  });
+  EXPECT_GE(d, 2u) << "no key landed two or more slots past its home";
+  EXPECT_TRUE(checked_get);
+  EXPECT_TRUE(checked_incr);
+}
+
+TEST(KvStore, WrongSizedPutThrowsBeforeAnyTraffic) {
+  // Neither a cold key (which would claim a slot) nor a cached one sends a
+  // byte, or counts anything, for a value of the wrong size.
+  World w(world_cfg(2, 3));
+  bool checked = false;
+  w.run([&](Rank& r) {
+    core::RmaEngine eng(r, r.comm_world());
+    KvConfig kc;
+    kc.servers = 1;
+    kc.key_space = 8;
+    kc.value_bytes = 24;
+    KvStore kv(r, eng, kc);
+    if (r.id() != 1) return;
+    ASSERT_EQ(kv.put(1, val_of(1, 24)), KvOutcome::inserted);
+    const core::OpStats e0 = eng.stats();
+    const apps::KvStats s0 = kv.stats();
+    const std::uint64_t b0 = r.world().fabric().total_bytes();
+    for (std::uint64_t key : {1, 2}) {
+      EXPECT_THROW(kv.put(key, val_of(key, 23)), UsageError);
+      EXPECT_THROW(kv.put(key, val_of(key, 25)), UsageError);
+    }
+    EXPECT_EQ(eng.stats().puts, e0.puts);
+    EXPECT_EQ(eng.stats().gets, e0.gets);
+    EXPECT_EQ(eng.stats().rmws, e0.rmws);
+    EXPECT_EQ(counters(kv.stats()), counters(s0));
+    EXPECT_EQ(r.world().fabric().total_bytes(), b0);
+    checked = true;
+  });
+  EXPECT_TRUE(checked);
 }
 
 TEST(KvStore, FullShardReportsOverflowAfterProbeBudget) {

@@ -429,9 +429,9 @@ class TopoRoutingProperty : public ::testing::TestWithParam<int> {
       case 0:
         return topo::Topology::crossbar(9);
       case 1:
-        return topo::Topology::ring(5);
+        return topo::Topology::torus3d(5, 1, 1);
       case 2:
-        return topo::Topology::ring(8);
+        return topo::Topology::torus3d(8, 1, 1);
       case 3:
         return topo::Topology::mesh2d(4, 3);
       default:
@@ -473,7 +473,7 @@ TEST_P(TopoRoutingProperty, SameSeedSameTopologySameLinkBytes) {
       tc.kind = topo::Kind::crossbar;
       break;
     case 2:
-      tc.kind = topo::Kind::ring;
+      tc.kind = topo::Kind::torus3d;
       tc.dim_x = 8;
       break;
     case 4:

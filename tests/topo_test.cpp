@@ -58,7 +58,7 @@ TEST(TopologyTest, CrossbarIsOneHopDedicatedLinks) {
 }
 
 TEST(TopologyTest, RingRoutesShortestDirectionTiesForward) {
-  const auto t = Topology::ring(6);
+  const auto t = Topology::torus3d(6, 1, 1);
   EXPECT_EQ(t.link_count(), 12);  // 6 nodes x 2 directions
   EXPECT_EQ(t.diameter(), 3);
   // Strictly shorter backward: 0 -> 5 -> 4.
@@ -106,7 +106,7 @@ TEST(TopologyTest, TorusWrapsAroundShortestDirection) {
 }
 
 TEST(TopologyTest, RoutesAreContiguousChains) {
-  const Topology topos[] = {Topology::crossbar(6), Topology::ring(7),
+  const Topology topos[] = {Topology::crossbar(6), Topology::torus3d(7, 1, 1),
                             Topology::mesh2d(3, 4),
                             Topology::torus3d(3, 2, 2)};
   for (const auto& t : topos) {
@@ -140,7 +140,7 @@ TEST(TopologyTest, BuildValidatesDimensions) {
   EXPECT_THROW(TopologyModel::build(bad, /*nodes=*/7, 4200, 1.6),
                UsageError);
   TopoConfig ring;
-  ring.kind = Kind::ring;
+  ring.kind = Kind::torus3d;
   ring.dim_x = 3;
   EXPECT_THROW(TopologyModel::build(ring, /*nodes=*/4, 4200, 1.6),
                UsageError);
@@ -160,7 +160,7 @@ TEST(TopologyTest, BuildDerivesLinkParamsFromFlatModel) {
 }
 
 TEST(TopologyModelTest, ReserveQueuesFifoStoreAndForward) {
-  TopologyModel m(Topology::ring(2), topo::LinkParams{100, 2.0});
+  TopologyModel m(Topology::torus3d(2, 1, 1), topo::LinkParams{100, 2.0});
   const LinkId l = m.topology().link_between(0, 1);
   // First packet: 200 B at 2 B/ns = 100 ns serialization.
   const auto a = m.reserve(l, 1000, 200);
@@ -179,7 +179,7 @@ TEST(TopologyModelTest, ReserveQueuesFifoStoreAndForward) {
 }
 
 TEST(TopologyModelTest, ReserveRejectsLinkIdOutOfRange) {
-  TopologyModel m(Topology::ring(2), topo::LinkParams{100, 2.0});
+  TopologyModel m(Topology::torus3d(2, 1, 1), topo::LinkParams{100, 2.0});
   EXPECT_THROW(m.reserve(-1, 0, 8), UsageError);
   EXPECT_THROW(m.reserve(m.topology().link_count(), 0, 8), UsageError);
 }
@@ -329,7 +329,7 @@ TEST(TopoFabricTest, LossOnTopoLinksRecoveredByReliability) {
   cfg.costs.reliability.enabled = true;
   cfg.seed = 42;
   TopoConfig tc;
-  tc.kind = Kind::ring;
+  tc.kind = Kind::torus3d;
   tc.dim_x = 2;
   cfg.topo = tc;
   World w(cfg);
@@ -362,7 +362,7 @@ TEST(TopoFabricTest, DeadTransitNodeReroutesSurvivorTraffic) {
   sim::Engine eng{7};
   fabric::Fabric f(eng, 4, fabric::Capabilities{}, fabric::CostModel{});
   topo::TopoConfig tc;
-  tc.kind = topo::Kind::ring;
+  tc.kind = topo::Kind::torus3d;
   tc.dim_x = 4;
   f.set_topology(tc);
   int got_at_2 = 0;
@@ -408,7 +408,7 @@ TEST(TopoFabricTest, RouterDyingMidFlightDivertsPacketAtCurrentHop) {
   sim::Engine eng{7};
   fabric::Fabric f(eng, 6, fabric::Capabilities{}, fabric::CostModel{});
   topo::TopoConfig tc;
-  tc.kind = topo::Kind::ring;
+  tc.kind = topo::Kind::torus3d;
   tc.dim_x = 6;
   f.set_topology(tc);
   int got_at_3 = 0;
