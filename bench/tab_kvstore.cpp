@@ -21,7 +21,9 @@
 //
 // Reported per config: throughput, nearest-rank p50/p99/p99.9 over all ops
 // (trace::nearest_rank over the clients' completion logs), the hot shard's
-// share of ops, and the hottest physical link's utilization. --csv=FILE
+// share of ops, and the hottest physical link's utilization over the
+// measured phase (its busy time from the phase's first issue to its last
+// retire, over that span, as perfbench's harness measures it). --csv=FILE
 // appends a per-bucket completion timeline (config, bucket start, ops,
 // hot-shard ops) for plotting the hot-shard wave. All numbers are virtual
 // time under seed 20090922: two runs produce byte-identical tables and CSV.
@@ -64,7 +66,6 @@ struct Tail {
 
 struct RunResult {
   std::string label;
-  sim::Time duration = 0;     // whole run, virtual
   sim::Time phase_ns = 0;     // measured closed loop, first issue..last done
   std::uint64_t ops = 0;      // measured completions
   std::uint64_t ok = 0;       // ...with a success outcome
@@ -72,7 +73,7 @@ struct RunResult {
   std::array<std::uint64_t, kServers> occupancy{};
   Tail tail;                          // over all op kinds
   std::vector<apps::WorkloadGen::Completion> completions;
-  std::string hot_link;               // hottest physical link by busy time
+  std::string hot_link;               // hottest link, measured-phase busy
   std::uint64_t hot_link_bp = 0;      // its utilization, basis points
 };
 
@@ -97,6 +98,19 @@ RunResult run_config(const topo::TopoConfig& tc, double zipf_s,
   res.label = label;
   std::vector<sim::Time> started(kRanks, 0);
   runtime::World w(std::move(cfg));
+  const topo::TopologyModel* model = w.fabric().topology();
+  const topo::Topology& t = model->topology();
+  // Every link's busy time when the measured phase opens and when it
+  // closes: preload and warm-up traffic stays out of the hot-link column.
+  const auto link_busy = [&] {
+    std::vector<sim::Time> busy;
+    for (int l = 0; l < t.link_count(); ++l) {
+      busy.push_back(model->state(l).busy_ns);
+    }
+    return busy;
+  };
+  std::vector<sim::Time> busy_from, busy_to;
+  int clients_done = 0;
   if (rec != nullptr) {
     rec->begin_process(label);
     w.engine().set_tracer(rec);
@@ -125,8 +139,10 @@ RunResult run_config(const topo::TopoConfig& tc, double zipf_s,
       r.comm_world().barrier();
       gen.warm();  // steady state: every key's slot location cached
       r.comm_world().barrier();
+      if (busy_from.empty()) busy_from = link_busy();
       started[static_cast<std::size_t>(r.id())] = r.ctx().now();
       res.ok += gen.run();
+      if (++clients_done == kClients) busy_to = link_busy();
       for (const auto& c : gen.completions()) {
         res.ops += 1;
         res.shard_ops[c.shard] += 1;
@@ -145,7 +161,6 @@ RunResult run_config(const topo::TopoConfig& tc, double zipf_s,
       r.comm_world().barrier();
     }
   });
-  res.duration = w.duration();
   const sim::Time t0 = *std::min_element(started.begin() + kServers,
                                          started.end());
   sim::Time t1 = t0;
@@ -159,11 +174,9 @@ RunResult run_config(const topo::TopoConfig& tc, double zipf_s,
   std::sort(lat.begin(), lat.end());
   res.tail = {trace::nearest_rank(lat, 50.0), trace::nearest_rank(lat, 99.0),
               trace::nearest_rank(lat, 99.9)};
-  const topo::TopologyModel* model = w.fabric().topology();
-  const topo::Topology& t = model->topology();
   for (int l = 0; l < t.link_count(); ++l) {
-    const auto& st = model->state(l);
-    const std::uint64_t bp = util_bp(st.busy_ns, res.duration);
+    const auto i = static_cast<std::size_t>(l);
+    const std::uint64_t bp = util_bp(busy_to[i] - busy_from[i], res.phase_ns);
     if (bp > res.hot_link_bp) {
       res.hot_link_bp = bp;
       res.hot_link = t.link_name(l);

@@ -97,10 +97,11 @@ constexpr int kClients = kRanks - kServers;
 
 // Table S13's torus/Zipf(0.99) config (tab_kvstore.cpp), reduced to 2000
 // ops per client: enough completions (~8000 measured) for a stable p99.9
-// tail while keeping the per-op timeline cheap. Returns the start of the
-// measured phase so warmup ops can be excluded from the waterfalls by
-// their begin timestamp.
-sim::Time run_kv(trace::Recorder& rec) {
+// tail while keeping the per-op timeline cheap. `tl` is attached to `rec`
+// when the measured phase opens (the first client past the set-up
+// barrier; no op is in flight then), so preload and warm-up ops stay out
+// of the waterfalls, the flame and the JSON alike.
+void run_kv(trace::Recorder& rec, trace::OpTimeline& tl) {
   auto cfg = benchutil::xt5_config(kRanks);
   topo::TopoConfig torus;
   torus.kind = topo::Kind::torus3d;
@@ -108,9 +109,9 @@ sim::Time run_kv(trace::Recorder& rec) {
   torus.dim_y = 2;
   torus.dim_z = 2;
   cfg.topo = torus;
-  std::vector<sim::Time> started(kRanks, 0);
   runtime::World w(std::move(cfg));
   rec.begin_process("S14 kv-torus-zipf99");
+  rec.set_op_timeline(nullptr);  // set-up ops go to no timeline
   w.engine().set_tracer(&rec);
   w.run([&](runtime::Rank& r) {
     core::RmaEngine eng(r, r.comm_world());
@@ -135,7 +136,7 @@ sim::Time run_kv(trace::Recorder& rec) {
       r.comm_world().barrier();
       gen.warm();
       r.comm_world().barrier();
-      started[static_cast<std::size_t>(r.id())] = r.ctx().now();
+      rec.set_op_timeline(&tl);
       gen.run();
       r.comm_world().barrier();
     } else {
@@ -144,7 +145,7 @@ sim::Time run_kv(trace::Recorder& rec) {
       r.comm_world().barrier();
     }
   });
-  return *std::min_element(started.begin() + kServers, started.end());
+  rec.set_op_timeline(nullptr);
 }
 
 // ------------------------------------------------------------- formatting
@@ -271,22 +272,16 @@ int main(int argc, char** argv) {
                 benchutil::fmt_us(p999.value_or(0)).c_str());
   }
 
-  // Part B: the S13 KV tail. Measured-phase ops only (b.t0 >= phase start).
+  // Part B: the S13 KV tail. kv_tl holds the measured phase's ops only.
   trace::OpTimeline kv_tl;
-  rec.set_op_timeline(&kv_tl);
-  const sim::Time kv_t0 = run_kv(rec);
-  rec.set_op_timeline(nullptr);
+  run_kv(rec, kv_tl);
 
-  const auto measured = [kv_t0](const trace::OpTimeline::Breakdown& b) {
-    return b.t0 >= kv_t0;
-  };
-  const auto all_wf = kv_tl.aggregate(measured);
+  const auto all_wf =
+      kv_tl.aggregate([](const trace::OpTimeline::Breakdown&) { return true; });
   // Nearest-rank p99.9 threshold over the measured ops' end-to-end times,
-  // then the tail waterfall = every measured op at or above it.
+  // then the tail waterfall = every op at or above it.
   std::vector<trace::Time> lat;
-  for (const auto& b : kv_tl.ops()) {
-    if (measured(b)) lat.push_back(b.total());
-  }
+  for (const auto& b : kv_tl.ops()) lat.push_back(b.total());
   std::sort(lat.begin(), lat.end());
   trace::Time thr = 0;
   if (!lat.empty()) {
@@ -296,9 +291,7 @@ int main(int argc, char** argv) {
     thr = lat[static_cast<std::size_t>(rank - 1)];
   }
   const auto tail_wf = kv_tl.aggregate(
-      [&](const trace::OpTimeline::Breakdown& b) {
-        return measured(b) && b.total() >= thr;
-      });
+      [&](const trace::OpTimeline::Breakdown& b) { return b.total() >= thr; });
 
   Table tb;
   tb.title =

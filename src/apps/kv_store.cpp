@@ -124,6 +124,16 @@ KvOutcome KvStore::probe(std::uint64_t key, std::uint64_t scratch,
   return KvOutcome::miss;
 }
 
+KvOutcome KvStore::locate(std::uint64_t key) {
+  if (cache_.contains(key)) return KvOutcome::hit;
+  // Locating needs only the tags: the walk reads 8 B per slot.
+  std::uint32_t slot = 0;
+  const std::uint64_t scratch = scratch_acquire();
+  const KvOutcome o = probe(key, scratch, 8, &slot);
+  scratch_release(scratch);
+  return o;
+}
+
 KvOutcome KvStore::claim(std::uint64_t key, std::uint32_t* slot_out) {
   const int shard = shard_of(key);
   const std::uint64_t home = home_slot(key);
@@ -196,14 +206,12 @@ std::optional<std::uint64_t> KvStore::incr(std::uint64_t key,
   std::uint32_t slot = 0;
   KvOutcome ok = KvOutcome::updated;
   if (!cached_slot(key, &slot)) {
-    // An incr needs only the tags: the walk reads 8 B per slot.
-    const std::uint64_t scratch = scratch_acquire();
-    ok = probe(key, scratch, 8, &slot);
-    scratch_release(scratch);
+    ok = locate(key);
     // Absent: insert the key with a zero value (the shard buffer is zeroed
     // at construction, so a fresh claim's value region already reads 0).
     if (ok == KvOutcome::miss) ok = claim(key, &slot);
     if (ok == KvOutcome::overflow) return std::nullopt;
+    if (ok == KvOutcome::hit) slot = cache_.at(key);
   }
   if (!is_failure(ok)) {
     AsyncOp op = start_incr_at(

@@ -31,8 +31,9 @@
 // an outstanding-op budget (apps::WorkloadGen). Each op kind has one issue
 // path: a blocking op finds (or claims) the slot, then issues and retires
 // exactly what start_* + finish() would. A cold get's walk reads whole
-// slots, so its hit already carries the value; a cold incr's walk reads
-// only the 8 B tags.
+// slots, so its hit already carries the value; locate() — a cold incr's
+// walk, and the one WorkloadGen::warm() runs to fill the cache — reads only
+// the 8 B tags.
 //
 // Construction is collective over the engine's communicator. With
 // runtime::ReplicationConfig enabled the shard windows replicate like any
@@ -147,6 +148,12 @@ class KvStore {
   };
 
   bool location_cached(std::uint64_t key) const { return cache_.contains(key); }
+  /// Cache the key's slot location: hit at once, with no traffic, when it
+  /// is cached; otherwise a probe walk reading only each slot's 8 B tag:
+  /// hit (cached now), miss (absent; nothing cached or claimed), or the
+  /// drained failure (failed/lost, counted). Counts probes, but no get,
+  /// hit or cache hit: it is no data-path op.
+  KvOutcome locate(std::uint64_t key);
   /// Nonblocking one-sided read of the key's (cached) slot.
   AsyncOp start_get(std::uint64_t key);
   /// Nonblocking value update of the key's (cached) slot.

@@ -42,7 +42,7 @@ std::uint64_t WorkloadGen::preload(std::uint64_t client_index,
 
 void WorkloadGen::warm() {
   for (std::uint64_t key = 0; key < kv_->config().key_space; ++key) {
-    kv_->get(key);
+    kv_->locate(key);
   }
 }
 

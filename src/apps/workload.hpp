@@ -71,8 +71,9 @@ class WorkloadGen {
   /// Returns the number of keys inserted.
   std::uint64_t preload(std::uint64_t client_index,
                         std::uint64_t num_clients);
-  /// Blocking-get every key once so the location cache covers the whole
-  /// key space and run() measures the steady-state one-op data path.
+  /// KvStore::locate every key, so the location cache covers the whole key
+  /// space and run() measures the steady-state one-op data path. Keys this
+  /// client already cached send nothing; the rest read 8 B tags, no values.
   void warm();
   /// The measured closed loop: cfg.ops issued, window-limited, each retired
   /// once into completions(). Returns the number of ops that completed with

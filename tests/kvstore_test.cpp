@@ -17,7 +17,9 @@
 //  * an unreplicated server's death fails exactly its shard's ops, each
 //    counted failed once, and the closed loop still retires every issued
 //    op once;
-//  * RMWs share the closed loop's window with gets and puts.
+//  * RMWs share the closed loop's window with gets and puts;
+//  * locate() and warm() fill the location cache from 8 B tag reads
+//    alone, and count no get or hit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -367,6 +369,155 @@ TEST(KvStore, WrongSizedPutThrowsBeforeAnyTraffic) {
     EXPECT_EQ(eng.stats().rmws, e0.rmws);
     EXPECT_EQ(counters(kv.stats()), counters(s0));
     EXPECT_EQ(r.world().fabric().total_bytes(), b0);
+    checked = true;
+  });
+  EXPECT_TRUE(checked);
+}
+
+TEST(KvStore, LocateCachesAPresentKeyAndCountsNoGet) {
+  // Rank 1 inserts keys 0..11 into one 16-slot shard; rank 2 has nothing
+  // cached and locates them. A present key comes back hit and cached, its
+  // walk counted as probes but as no get, hit or cache hit; located again
+  // it sends nothing. An absent key comes back miss and claims nothing.
+  World w(world_cfg(3, 5));
+  bool checked = false;
+  w.run([&](Rank& r) {
+    core::RmaEngine eng(r, r.comm_world());
+    KvConfig kc;
+    kc.servers = 1;
+    kc.slots_per_shard = 16;
+    kc.key_space = 32;
+    kc.value_bytes = 40;
+    KvStore kv(r, eng, kc);
+    if (r.id() == 1) {
+      for (std::uint64_t k = 0; k < 12; ++k) {
+        ASSERT_EQ(kv.put(k, val_of(k, 40)), KvOutcome::inserted);
+      }
+    }
+    r.comm_world().barrier();
+    if (r.id() != 2) return;
+    r.ctx().delay(100'000);  // let the barrier's messages land
+    const fabric::Fabric& fab = r.world().fabric();
+    std::vector<std::byte> out(40);
+    for (std::uint64_t k = 0; k < 12; ++k) {
+      const apps::KvStats s0 = kv.stats();
+      const core::OpStats e0 = eng.stats();
+      ASSERT_EQ(kv.locate(k), KvOutcome::hit);
+      EXPECT_TRUE(kv.location_cached(k));
+      apps::KvStats walk;
+      walk.probes = kv.stats().probes - s0.probes;
+      EXPECT_EQ(minus(kv.stats(), s0), counters(walk));
+      EXPECT_EQ(eng.stats().gets - e0.gets, walk.probes + 1);
+      // Cached: no traffic and no count.
+      const apps::KvStats s1 = kv.stats();
+      const core::OpStats e1 = eng.stats();
+      const std::uint64_t b1 = fab.total_bytes();
+      EXPECT_EQ(kv.locate(k), KvOutcome::hit);
+      EXPECT_EQ(counters(kv.stats()), counters(s1));
+      EXPECT_EQ(eng.stats().gets, e1.gets);
+      EXPECT_EQ(fab.total_bytes(), b1);
+      // The cached slot is the key's: a get reads it in one op.
+      ASSERT_EQ(kv.get(k, out), KvOutcome::hit);
+      EXPECT_EQ(out, val_of(k, 40));
+      EXPECT_EQ(eng.stats().gets - e1.gets, 1u);
+    }
+    const std::uint64_t occupancy = kv.shard_occupancy(0);
+    const std::uint64_t cached = kv.cached_locations();
+    const apps::KvStats s0 = kv.stats();
+    const core::OpStats e0 = eng.stats();
+    EXPECT_EQ(kv.locate(20), KvOutcome::miss);
+    EXPECT_FALSE(kv.location_cached(20));
+    EXPECT_EQ(kv.cached_locations(), cached);
+    EXPECT_EQ(eng.stats().rmws, e0.rmws) << "a miss claims no slot";
+    apps::KvStats walk;
+    walk.probes = kv.stats().probes - s0.probes;
+    EXPECT_EQ(minus(kv.stats(), s0), counters(walk));
+    EXPECT_EQ(kv.shard_occupancy(0), occupancy);
+    checked = true;
+  });
+  EXPECT_TRUE(checked);
+}
+
+TEST(KvStore, LocateOnDeadShardFailsOnceAndCachesNothing) {
+  // Rank 0 inserts key 40 on shard 1, whose unreplicated server dies at
+  // 500 us. Rank 2 locates the key afterwards: the first tag read fails,
+  // and the failure counts once.
+  WorldConfig cfg = world_cfg(3, 13);
+  cfg.faults.schedule = {{/*rank=*/1, /*at=*/500'000}};
+  World w(cfg);
+  KvOutcome located = KvOutcome::hit;
+  bool cached = true;
+  apps::KvStats stats;
+  w.run([&](Rank& r) {
+    core::RmaEngine eng(r, r.comm_world());
+    KvConfig kc;
+    kc.servers = 2;
+    kc.key_space = 64;
+    kc.value_bytes = 16;
+    kc.sharding = Sharding::range;  // keys 32..63 live on the doomed shard
+    KvStore kv(r, eng, kc);
+    if (r.id() == 0) {
+      ASSERT_EQ(kv.put(40, val_of(40, 16)), KvOutcome::inserted);
+    }
+    r.comm_world().barrier();
+    if (r.id() == 1) r.ctx().delay(10'000'000);  // dies at 500 us
+    if (r.id() != 2) return;
+    r.ctx().delay(1'000'000);
+    located = kv.locate(40);
+    cached = kv.location_cached(40);
+    stats = kv.stats();
+  });
+  EXPECT_EQ(w.failed_ranks(), std::vector<int>{1});
+  EXPECT_EQ(located, KvOutcome::failed);
+  EXPECT_FALSE(cached);
+  apps::KvStats once;
+  once.failed = 1;
+  EXPECT_EQ(counters(stats), counters(once));
+}
+
+TEST(KvStore, WarmReadsOnlyTags) {
+  // Two clients preload half of the key space each; then rank 2 warms
+  // while the others sleep, so the fabric's byte count is its own. Its own
+  // keys are cached already and send nothing; every other key's walk reads
+  // one 8 B tag per slot and never a value.
+  World w(world_cfg(3, 9));
+  bool checked = false;
+  w.run([&](Rank& r) {
+    core::RmaEngine eng(r, r.comm_world());
+    KvConfig kc;
+    kc.servers = 1;
+    kc.slots_per_shard = 128;
+    kc.key_space = 64;
+    kc.value_bytes = 40;
+    KvStore kv(r, eng, kc);
+    WorkloadGen gen(r, kv, WorkloadConfig{});
+    if (kv.is_server()) {
+      r.comm_world().barrier();
+      return;
+    }
+    gen.preload(static_cast<std::uint64_t>(r.id() - 1), 2);
+    r.comm_world().barrier();
+    if (r.id() != 2) return;
+    r.ctx().delay(100'000);  // let the barrier's messages land
+    const fabric::Fabric& fab = r.world().fabric();
+    std::uint64_t b0 = fab.total_bytes();
+    kv.shard_occupancy(0);  // one 8 B get, for reference
+    const std::uint64_t tag_read = fab.total_bytes() - b0;
+    const std::uint64_t own = kv.cached_locations();
+    ASSERT_EQ(own, 32u);
+    const apps::KvStats s0 = kv.stats();
+    const core::OpStats e0 = eng.stats();
+    b0 = fab.total_bytes();
+    gen.warm();
+    EXPECT_EQ(kv.cached_locations(), kc.key_space);
+    const std::uint64_t gets = eng.stats().gets - e0.gets;
+    EXPECT_EQ(gets, (kc.key_space - own) + (kv.stats().probes - s0.probes))
+        << "one read per slot walked, none for a key already cached";
+    EXPECT_EQ(fab.total_bytes() - b0, gets * tag_read)
+        << "every read carries an 8 B tag";
+    EXPECT_EQ(eng.stats().puts, e0.puts);
+    EXPECT_EQ(eng.stats().rmws, e0.rmws);
+    EXPECT_EQ(kv.stats().gets, s0.gets);
     checked = true;
   });
   EXPECT_TRUE(checked);
@@ -750,6 +901,12 @@ TEST(KvStore, CrashDuringInsertStormFailsOverReplicatedShard) {
   }
 }
 
+// When server 1 dies in the two tests below: inside both clients' run(),
+// which spans about 1.24-1.62 ms of virtual time with the death (1.22-1.69
+// ms without it). warm() moves 8 B tags, so set-up ends well before 1.45
+// ms; each test asserts run_from < kServerDeath < run_to.
+constexpr sim::Time kServerDeath = 1'450'000;
+
 TEST(KvStore, UnreplicatedServerDeathFailsItsOpsAndRunEnds) {
   // Server 1 dies mid-run with no replica: ops to its shard retire failed
   // (drained in flight, or failed fast once the death is known), ops to
@@ -758,7 +915,7 @@ TEST(KvStore, UnreplicatedServerDeathFailsItsOpsAndRunEnds) {
   // it). The blocking ops afterwards reach every other failure drain.
   constexpr std::uint64_t kOps = 400;
   WorldConfig cfg = world_cfg(4, 13);
-  cfg.faults.schedule = {{/*rank=*/1, /*at=*/1'750'000}};
+  cfg.faults.schedule = {{/*rank=*/1, /*at=*/kServerDeath}};
   World w(cfg);
   std::array<std::uint64_t, 2> ok{};
   std::array<std::vector<WorkloadGen::Completion>, 2> done;
@@ -818,8 +975,8 @@ TEST(KvStore, UnreplicatedServerDeathFailsItsOpsAndRunEnds) {
   EXPECT_EQ(cold_get, KvOutcome::failed);
   EXPECT_EQ(cold_failed, 2u);
   for (std::size_t me = 0; me < 2; ++me) {
-    EXPECT_LT(run_from[me], 1'750'000u);
-    EXPECT_GT(run_to[me], 1'750'000u) << "the server must die during run()";
+    EXPECT_LT(run_from[me], kServerDeath);
+    EXPECT_GT(run_to[me], kServerDeath) << "the server must die during run()";
     EXPECT_GT(eng_stats[me].drained_ops, 0u) << "some ops were in flight";
     const auto& log = done[me];
     ASSERT_EQ(log.size(), kOps) << "every issued op retires once";
@@ -868,11 +1025,12 @@ TEST(KvStore, UnreplicatedServerDeathFailsItsOpsAndRunEnds) {
 TEST(KvStore, UnreplicatedServerDeathFailsBlockingRmws) {
   constexpr std::uint64_t kOps = 400;
   WorldConfig cfg = world_cfg(4, 13);
-  cfg.faults.schedule = {{/*rank=*/1, /*at=*/1'750'000}};
+  cfg.faults.schedule = {{/*rank=*/1, /*at=*/kServerDeath}};
   World w(cfg);
   std::array<std::uint64_t, 2> ok{};
   std::array<std::vector<WorkloadGen::Completion>, 2> done;
   std::array<apps::KvStats, 2> stats{};
+  std::array<sim::Time, 2> run_from{}, run_to{};
   w.run([&](Rank& r) {
     core::RmaEngine eng(r, r.comm_world());
     KvConfig kc;
@@ -898,12 +1056,16 @@ TEST(KvStore, UnreplicatedServerDeathFailsBlockingRmws) {
     gen.preload(me, 2);
     r.comm_world().barrier();
     gen.warm();
+    run_from[me] = r.ctx().now();
     ok[me] = gen.run();
+    run_to[me] = r.ctx().now();
     done[me] = gen.completions();
     stats[me] = kv.stats();
   });
   EXPECT_EQ(w.failed_ranks(), std::vector<int>{1});
   for (std::size_t me = 0; me < 2; ++me) {
+    EXPECT_LT(run_from[me], kServerDeath);
+    EXPECT_GT(run_to[me], kServerDeath) << "the server must die during run()";
     const auto& log = done[me];
     ASSERT_EQ(log.size(), kOps) << "every issued op retires once";
     std::uint64_t good = 0, failed = 0, failed_rmw = 0;
