@@ -116,6 +116,14 @@ RmaEngine::RmaEngine(runtime::Rank& rank, runtime::Comm& comm,
                 "one live RmaEngine per rank at a time");
   nic.register_protocol(kAmProtocolId,
                         [this](fabric::Packet&& p) { on_am(std::move(p)); });
+  // The node's one notify sink: a notified op that lands on a window copy
+  // this rank hosts goes to that copy's queue.
+  ptl_->set_notify_sink([this](std::uint64_t mem_id, int initiator,
+                               std::uint32_t tag, std::uint64_t length,
+                               std::uint64_t offset) {
+    fire_notify_local(mem_id,
+                      notify::Notification{initiator, tag, length, offset});
+  });
   death_listener_ = rank.world().fabric().add_death_listener(
       [this](int node) { on_target_failed(node); });
 
@@ -170,7 +178,7 @@ void RmaEngine::dispose() {
   }
   for (auto& [id, a] : attached_) ptl_->me_unlink(a.me);
   attached_.clear();
-  for (const auto& [id, q] : notify_queues_) ptl_->clear_notify_sink(id);
+  ptl_->set_notify_sink(nullptr);
   notify_queues_.clear();
   repl_.reset();  // frees the replica regions hosted for other ranks
   ptl_->md_release(md_all_);
@@ -213,20 +221,13 @@ TargetMem RmaEngine::attach(std::uint64_t addr, std::uint64_t length) {
 
 void RmaEngine::expose(std::uint64_t mem_id, std::uint64_t base,
                        std::uint64_t length) {
-  const portals::MeHandle me =
-      ptl_->me_append(kPtData, mem_id, 0, base, length, nullptr);
+  const portals::MeHandle me = ptl_->me_append(kPtData, mem_id, base, length);
   attached_.emplace(mem_id, Attached{base, length, me});
-  // Notification queue for this window copy, registered as the Portals
-  // notify sink before any origin can learn the handle: a notified op can
-  // never land unheard. Creating it is simulation-invisible (no time, no
-  // traffic) so unused windows stay byte-identical.
-  auto nq = std::make_unique<notify::NotifyQueue>(rank_->world().engine());
-  ptl_->set_notify_sink(mem_id, [this, mem_id](const portals::Event& ev) {
-    fire_notify_local(mem_id, notify::Notification{ev.initiator, ev.tag,
-                                                   ev.length,
-                                                   ev.remote_offset});
-  });
-  notify_queues_.emplace(mem_id, std::move(nq));
+  // Notification queue for this window copy, created before any origin can
+  // learn the handle: a notified op can never land unheard. Creating it is
+  // simulation-invisible (no time, no traffic) so unused windows stay
+  // byte-identical.
+  notify_queues_.try_emplace(mem_id, rank_->world().engine());
 }
 
 TargetMem RmaEngine::attach(const runtime::Rank::Buffer& buf) {
@@ -240,7 +241,6 @@ void RmaEngine::detach(const TargetMem& mem) {
   ptl_->me_unlink(it->second.me);
   attached_.erase(it);
   if (repl_) repl_->detach(mem.id);
-  ptl_->clear_notify_sink(mem.id);
   notify_queues_.erase(mem.id);
 }
 
@@ -343,7 +343,7 @@ notify::NotifyQueue& RmaEngine::notify_queue(const TargetMem& mem) {
   auto it = notify_queues_.find(mem.id);
   M3RMA_REQUIRE(it != notify_queues_.end(),
                 "notify_queue: this rank hosts no copy of that window");
-  return *it->second;
+  return it->second;
 }
 
 void RmaEngine::fire_notify_local(std::uint64_t mem_id,
@@ -356,7 +356,7 @@ void RmaEngine::fire_notify_local(std::uint64_t mem_id,
     stats_.notifies_dropped += 1;
     return;
   }
-  it->second->push(n);
+  it->second.push(n);
   stats_.notifies_fired += 1;
 }
 
@@ -403,13 +403,7 @@ Request RmaEngine::xfer(RmaOptype op, portals::AccOp acc_op,
   attrs = attrs | cfg_.default_attrs;
   TargetMem eff;
   if (const OpStatus fail = resolve(mem, &eff); fail != OpStatus::ok) {
-    // Fail fast: neither the target nor a replica can serve the op, so
-    // don't touch the wire — hand back a pre-completed request carrying
-    // the error.
-    stats_.failed_fast += 1;
-    auto failed = new_req(mem.owner);
-    settle(*failed, fail);
-    return Request(this, std::move(failed));
+    return fail_fast(mem.owner, fail);
   }
 
   const bool locked = attrs.has(RmaAttr::atomicity) &&
@@ -1020,10 +1014,7 @@ Request RmaEngine::start_rmw(portals::RmwOp op, const TargetMem& mem,
   M3RMA_REQUIRE(disp + 8 <= mem.length, "RMW exceeds the target memory");
   TargetMem eff;
   if (const OpStatus fail = resolve(mem, &eff); fail != OpStatus::ok) {
-    stats_.failed_fast += 1;
-    auto failed = new_req(mem.owner);
-    settle(*failed, fail);
-    return Request(this, std::move(failed));
+    return fail_fast(mem.owner, fail);
   }
   const int t = eff.owner;
   const bool locked = !ptl_->supports_atomics() &&
@@ -1128,12 +1119,7 @@ Request RmaEngine::signal(int target_rank, int id,
                           std::span<const std::byte> args) {
   stats_.rmis += 1;
   const int t = comm_->to_world(target_rank);
-  if (dead(t)) {
-    stats_.failed_fast += 1;
-    auto failed = new_req(t);
-    settle(*failed, OpStatus::target_failed);
-    return Request(this, std::move(failed));
-  }
+  if (dead(t)) return fail_fast(t, OpStatus::target_failed);
   auto st = new_req(t, 1);
   charge_inject();
   AmHdr h;
@@ -1162,7 +1148,7 @@ std::vector<std::byte> RmaEngine::invoke(int target_rank, int id,
 // ---------------------------------------------------------------- progress
 
 void RmaEngine::progress() {
-  while (auto ev = eq_.poll()) handle_eq_event(*ev);
+  while (auto ev = eq_.try_recv()) handle_eq_event(*ev);
   if (cfg_.serializer != SerializerKind::comm_thread) {
     while (auto m = am_chan_->try_recv()) serve(rank_->ctx(), std::move(*m));
   }
@@ -1201,6 +1187,13 @@ std::shared_ptr<Request::State> RmaEngine::new_req(int world_target,
   st->counts_send = replies == 0;
   reqs_.emplace(st->id, st);
   return st;
+}
+
+Request RmaEngine::fail_fast(int world_target, OpStatus status) {
+  stats_.failed_fast += 1;
+  auto failed = new_req(world_target);
+  settle(*failed, status);
+  return Request(this, std::move(failed));
 }
 
 void RmaEngine::settle(Request::State& st, OpStatus status) {
@@ -1297,8 +1290,6 @@ void RmaEngine::handle_eq_event(const portals::Event& ev) {
       if (st) finish_segment(st);
       break;
     }
-    default:
-      break;  // target-side events: unused (no EQ attached)
   }
 }
 

@@ -460,12 +460,12 @@ class RmaEngine {
   /// One confirmation (hardware ACK or software op_ack) from `world_rank`.
   void count_ack(int world_rank);
   /// Expose [base, base+length) under window id `mem_id`: match entry,
-  /// attached region, and the notification queue registered as the Portals
-  /// notify sink for the window's match bits (owner and replica copies).
+  /// attached region and notification queue (owner and replica copies).
   void expose(std::uint64_t mem_id, std::uint64_t base, std::uint64_t length);
   /// Enqueue a notification on window `mem_id`'s local queue (every fire
-  /// path — wire sink, AM/serializer path, replication re-arms — funnels
-  /// here); counts a drop when this rank hosts no queue for it.
+  /// path — the node's Portals notify sink, AM/serializer path, replication
+  /// re-arms — funnels here); counts a drop when this rank hosts no queue
+  /// for it.
   /// Event-context safe (no time, no blocking).
   void fire_notify_local(std::uint64_t mem_id, const notify::Notification& n);
   /// Failure detector: `node` (world rank) was announced dead. Applies
@@ -502,6 +502,10 @@ class RmaEngine {
   /// AM/portals replies completes on those, never on SEND events.
   std::shared_ptr<Request::State> new_req(int world_target,
                                           std::uint32_t replies = 0);
+  /// Fail fast: neither the target nor a replica can serve the op, so
+  /// don't touch the wire — hand back a request to `world_target`, already
+  /// settled with `status`.
+  Request fail_fast(int world_target, OpStatus status);
   /// Complete a request with `status` and retire it. A NIC RMW's result
   /// is read from its operand/result buffer here, which is then freed.
   void settle(Request::State& st, OpStatus status = OpStatus::ok);
@@ -518,10 +522,10 @@ class RmaEngine {
   std::unordered_map<std::uint64_t, Attached> attached_;
   std::uint64_t next_attach_ = 1;
   // Notification queues for every window copy this rank hosts (owner,
-  // replica, adoptee), keyed by window id; registered as the Portals
-  // notify sink the moment the copy exists so a notified op can never
-  // land unheard. std::map for deterministic teardown order.
-  std::map<std::uint64_t, std::unique_ptr<notify::NotifyQueue>> notify_queues_;
+  // replica, adoptee), keyed by window id, the match bits the Portals
+  // notify sink reports. Created the moment the copy exists so a notified
+  // op can never land unheard.
+  std::map<std::uint64_t, notify::NotifyQueue> notify_queues_;
   // Tag of the notified op currently being issued (xfer reads it into the
   // request state).
   std::optional<std::uint32_t> notify_tag_;

@@ -53,7 +53,7 @@ void Gasnet::attach_segment(std::uint64_t addr, std::uint64_t len) {
   M3RMA_REQUIRE(len > 0 && rank_->memory().contains(addr, len),
                 "segment outside this rank's memory");
   my_match_ = 0x6a5eull << 32 | static_cast<std::uint32_t>(rank_->id());
-  me_ = ptl_->me_append(kPtSegment, my_match_, 0, addr, len, nullptr);
+  me_ = ptl_->me_append(kPtSegment, my_match_, addr, len);
   struct Wire {
     std::uint64_t match, base, len;
   };
@@ -241,7 +241,7 @@ void Gasnet::sync_all() {
 }
 
 void Gasnet::drain() {
-  while (auto ev = eq_.poll()) {
+  while (auto ev = eq_.try_recv()) {
     if (ev->type != portals::EventType::ack &&
         ev->type != portals::EventType::reply) {
       continue;  // SEND events carry no completion obligation here

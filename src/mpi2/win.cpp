@@ -66,7 +66,7 @@ Win::Win(runtime::Rank& rank, runtime::Comm& comm, std::uint64_t addr,
               static_cast<std::uint32_t>(rank.id());
   my_len_ = len;
   if (len > 0) {
-    me_ = ptl_->me_append(kPtWin, my_match_, 0, addr, len, nullptr);
+    me_ = ptl_->me_append(kPtWin, my_match_, addr, len);
   }
   md_ = ptl_->md_bind(0, rank.memory().config().size, &eq_);
   targets_.resize(static_cast<std::size_t>(rank.world().size()));
@@ -308,7 +308,7 @@ void Win::get_bytes(std::uint64_t origin_addr, int target,
 // ------------------------------------------------------------------ progress
 
 void Win::drain() {
-  while (auto ev = eq_.poll()) {
+  while (auto ev = eq_.try_recv()) {
     switch (ev->type) {
       case portals::EventType::ack: {
         per(ev->initiator).acked += 1;

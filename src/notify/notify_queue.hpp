@@ -10,16 +10,18 @@
 // a Notification record is enqueued on the target window's NotifyQueue,
 // where the consumer can poll() or block in wait().
 //
-// A NotifyQueue wraps a portals::EventQueue, so wakeups ride the same
-// event-driven machinery as every other EQ in the system: wait() is a
-// simulated blocking point that Engine::kill unwinds cleanly, and ordered
-// fabrics give per-origin FIFO delivery of notifications for free.
+// A NotifyQueue wraps a sim::Channel, the queue primitive under every EQ in
+// the system: wait() is a simulated blocking point that Engine::kill
+// unwinds cleanly, and ordered fabrics give per-origin FIFO delivery of
+// notifications for free. Each engine keeps one queue per window copy and
+// one Portals notify sink per node, which routes a landed notified op to
+// its window's queue.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
-#include "portals/portals.hpp"
+#include "simtime/channel.hpp"
 #include "simtime/engine.hpp"
 
 namespace m3rma::notify {
@@ -37,35 +39,33 @@ struct Notification {
 /// consumers obtain it via core::RmaEngine::notify_queue().
 class NotifyQueue {
  public:
-  explicit NotifyQueue(sim::Engine& e) : eq_(e) {}
+  explicit NotifyQueue(sim::Engine& e) : chan_(e) {}
 
   /// Non-blocking: dequeue the oldest pending notification, if any.
-  std::optional<Notification> poll();
+  std::optional<Notification> poll() {
+    auto n = chan_.try_recv();
+    if (n) delivered_ += 1;
+    return n;
+  }
 
   /// Block the calling simulated process until a notification arrives.
   /// Event-driven (no polling loop); kill-unwind safe.
-  Notification wait(sim::Context& ctx);
+  Notification wait(sim::Context& ctx) {
+    Notification n = chan_.recv(ctx);
+    delivered_ += 1;
+    return n;
+  }
 
-  std::size_t pending() const { return eq_.pending(); }
+  std::size_t pending() const { return chan_.size(); }
   /// Notifications handed to the consumer so far (poll + wait).
   std::uint64_t delivered() const { return delivered_; }
 
-  /// Engine-side enqueue for notified ops that arrive above the Portals
-  /// wire (the AM/serializer path, and replication re-arms): posts a
-  /// synthetic notify event so waiters wake through the same condition as
-  /// wire-fired notifications.
-  void push(const Notification& n);
-
-  /// The underlying EQ (the consumer's blocking point; also usable as a
-  /// progress condition by upper layers).
-  portals::EventQueue& eq() { return eq_; }
+  /// Enqueue and wake waiters. Every fire path (the Portals notify sink,
+  /// the AM/serializer path and replication re-arms) ends here.
+  void push(const Notification& n) { chan_.push(n); }
 
  private:
-  static Notification from_event(const portals::Event& ev) {
-    return Notification{ev.initiator, ev.tag, ev.length, ev.remote_offset};
-  }
-
-  portals::EventQueue eq_;
+  sim::Channel<Notification> chan_;
   std::uint64_t delivered_ = 0;
 };
 

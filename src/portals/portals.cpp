@@ -82,12 +82,11 @@ void Portals::md_release(MdHandle md) {
 }
 
 MeHandle Portals::me_append(int pt_index, std::uint64_t match,
-                            std::uint64_t ignore, std::uint64_t base,
-                            std::uint64_t length, EventQueue* eq) {
+                            std::uint64_t base, std::uint64_t length) {
   M3RMA_REQUIRE(length == 0 || mem_->contains(base, length),
                 "me_append range outside the memory domain");
   const MeHandle h = next_me_++;
-  mes_.emplace(h, Me{pt_index, match, ignore, base, length, eq});
+  mes_.emplace(h, Me{pt_index, match, base, length});
   me_order_.push_back(h);
   return h;
 }
@@ -103,30 +102,15 @@ Portals::Md Portals::md_copy(MdHandle md) const {
   return it->second;
 }
 
-void Portals::note_dropped(int initiator, std::uint64_t match,
-                           std::uint64_t remote_off, std::uint64_t length,
-                           std::uint64_t user_ptr) {
-  ++dropped_;
-  if (drop_eq_ != nullptr) {
-    const Event ev{EventType::dropped, initiator, match, remote_off, length,
-                   user_ptr};
-    trace_eq("dropped", ev);
-    drop_eq_->post(ev);
-  }
-}
-
-void Portals::fire_notify(int initiator, std::uint64_t match,
-                          std::uint64_t remote_off, std::uint64_t length,
-                          std::uint64_t user_ptr, std::uint32_t ntag) {
-  auto it = notify_sinks_.find(match);
-  if (it == notify_sinks_.end() || !it->second) {
-    note_dropped(initiator, match, remote_off, length, user_ptr);
+void Portals::fire_notify(std::uint64_t match, int initiator,
+                          std::uint32_t ntag, std::uint64_t length,
+                          std::uint64_t offset) {
+  if (!notify_sink_) {
+    ++dropped_;
     return;
   }
-  const Event ev{EventType::notify, initiator, match,    remote_off,
-                 length,            user_ptr,  ntag};
-  trace_eq("notify", ev);
-  it->second(ev);
+  trace_eq("notify", initiator, length);
+  notify_sink_(match, initiator, ntag, length, offset);
 }
 
 std::uint64_t Portals::received_data_ops(int pt_index, int src) const {
@@ -141,20 +125,21 @@ Portals::Me* Portals::match_me(int pt_index, std::uint64_t bits,
     if (it == mes_.end()) continue;
     Me& me = it->second;
     if (me.pt_index != pt_index) continue;
-    if (((bits ^ me.match) & ~me.ignore) != 0) continue;
+    if (bits != me.match) continue;
     if (offset + length > me.length) return nullptr;  // matched but truncated
     return &me;
   }
   return nullptr;
 }
 
-void Portals::trace_eq(const char* type, const Event& ev) {
+void Portals::trace_eq(const char* type, int initiator,
+                       std::uint64_t length) {
   auto* tr = nic_->fabric().engine().tracer();
   if (tr == nullptr) return;
   tr->instant(tr->track("rank" + std::to_string(node())),
               trace::Category::portals, std::string("eq:") + type,
-              "from=" + std::to_string(ev.initiator) +
-                  " len=" + std::to_string(ev.length));
+              "from=" + std::to_string(initiator) +
+                  " len=" + std::to_string(length));
 }
 
 void Portals::charge_inject(sim::Context& ctx, std::uint64_t op) {
@@ -181,8 +166,8 @@ void Portals::post_send_event(const Event& ev, MdHandle md,
       costs.local_completion_ns + serial, [this, md, ev] {
         auto it = mds_.find(md);
         if (it == mds_.end() || it->second.eq == nullptr) return;
-        trace_eq("send", ev);
-        it->second.eq->post(ev);
+        trace_eq("send", ev.initiator, ev.length);
+        it->second.eq->push(ev);
       });
 }
 
@@ -255,9 +240,8 @@ void Portals::send_data(sim::Context& ctx, WireHdr& hdr, MdHandle md,
   send_to(target, hdr, std::move(data), tag);
 
   if (m.eq != nullptr) {
-    post_send_event(Event{EventType::send, node(), match, remote_off,
-                          length, user_ptr},
-                    md, length);
+    post_send_event(Event{EventType::send, node(), length, user_ptr}, md,
+                    length);
   }
 }
 
@@ -344,8 +328,7 @@ void Portals::deliver(fabric::Packet&& p) {
       const bool is_put = hdr.op == WireHdr::Op::put;
       Me* me = match_me(hdr.pt_index, hdr.match, hdr.remote_off, hdr.length);
       if (me == nullptr) {
-        note_dropped(p.src, hdr.match, hdr.remote_off, hdr.length,
-                     hdr.user_ptr);
+        ++dropped_;
         return;
       }
       if (hdr.length > 0) {
@@ -358,15 +341,8 @@ void Portals::deliver(fabric::Packet&& p) {
         }
       }
       matched_counts_[count_key(hdr.pt_index, p.src)] += 1;
-      if (me->eq != nullptr) {
-        const Event ev{is_put ? EventType::put : EventType::atomic, p.src,
-                       hdr.match, hdr.remote_off, hdr.length, hdr.user_ptr};
-        trace_eq(is_put ? "put" : "atomic", ev);
-        me->eq->post(ev);
-      }
       if (hdr.notify != 0) {
-        fire_notify(p.src, hdr.match, hdr.remote_off, hdr.length,
-                    hdr.user_ptr, hdr.ntag);
+        fire_notify(hdr.match, p.src, hdr.ntag, hdr.length, hdr.remote_off);
       }
       if (hdr.want_ack && supports_ack_events()) {
         // The return leg keeps the op tag.
@@ -377,22 +353,14 @@ void Portals::deliver(fabric::Packet&& p) {
     case WireHdr::Op::get_req: {
       Me* me = match_me(hdr.pt_index, hdr.match, hdr.remote_off, hdr.length);
       if (me == nullptr) {
-        note_dropped(p.src, hdr.match, hdr.remote_off, hdr.length,
-                     hdr.user_ptr);
+        ++dropped_;
         return;
       }
       std::vector<std::byte> data(hdr.length);
       if (hdr.length > 0) mem_->nic_read(me->base + hdr.remote_off, data);
-      if (me->eq != nullptr) {
-        const Event ev{EventType::get, p.src, hdr.match, hdr.remote_off,
-                       hdr.length, hdr.user_ptr};
-        trace_eq("get", ev);
-        me->eq->post(ev);
-      }
       if (hdr.notify != 0) {
         // A notified get tells the target "the origin read this region".
-        fire_notify(p.src, hdr.match, hdr.remote_off, hdr.length,
-                    hdr.user_ptr, hdr.ntag);
+        fire_notify(hdr.match, p.src, hdr.ntag, hdr.length, hdr.remote_off);
       }
       send_to(p.src, answer(WireHdr::Op::reply, hdr.length), std::move(data),
               p.op);
@@ -402,18 +370,12 @@ void Portals::deliver(fabric::Packet&& p) {
       const std::uint64_t elem = num_size(hdr.num_type);
       Me* me = match_me(hdr.pt_index, hdr.match, hdr.remote_off, elem);
       if (me == nullptr) {
-        note_dropped(p.src, hdr.match, hdr.remote_off, elem, hdr.user_ptr);
+        ++dropped_;
         return;
       }
       auto old = apply_rmw(hdr.rmw_op, hdr.num_type,
                            mem_->raw(me->base + hdr.remote_off), p.payload,
                            mem_->config().endian);
-      if (me->eq != nullptr) {
-        const Event ev{EventType::atomic, p.src, hdr.match, hdr.remote_off,
-                       elem, hdr.user_ptr};
-        trace_eq("atomic", ev);
-        me->eq->post(ev);
-      }
       send_to(p.src, answer(WireHdr::Op::reply, elem), std::move(old), p.op);
       break;
     }
@@ -423,7 +385,7 @@ void Portals::deliver(fabric::Packet&& p) {
       auto it = mds_.find(hdr.md);
       if (it == mds_.end()) {
         // MD released while the reply or ack was in flight.
-        note_dropped(p.src, hdr.match, 0, hdr.length, hdr.user_ptr);
+        ++dropped_;
         return;
       }
       if (is_reply && hdr.length > 0) {
@@ -440,9 +402,9 @@ void Portals::deliver(fabric::Packet&& p) {
       }
       if (it->second.eq != nullptr) {
         const Event ev{is_reply ? EventType::reply : EventType::ack, p.src,
-                       hdr.match, 0, hdr.length, hdr.user_ptr};
-        trace_eq(is_reply ? "reply" : "ack", ev);
-        it->second.eq->post(ev);
+                       hdr.length, hdr.user_ptr};
+        trace_eq(is_reply ? "reply" : "ack", ev.initiator, ev.length);
+        it->second.eq->push(ev);
       }
       break;
     }

@@ -4,11 +4,15 @@
 // XT5: one-sided put/get/atomic with
 //   * match entries (ME) exposing target memory on portal table indexes,
 //   * memory descriptors (MD) describing initiator buffers,
-//   * event queues (EQ) through which both local completion (SEND) and
-//     remote completion (ACK, via the network's completion events) are
-//     observed — "the Portals library on the Cray XT allows the user to
-//     check for remote completion of a message via an Event Queue
-//     mechanism" (§V-A).
+//   * initiator event queues (EQ) through which both local completion
+//     (SEND) and remote completion (ACK, REPLY) are observed — "the Portals
+//     library on the Cray XT allows the user to check for remote completion
+//     of a message via an Event Queue mechanism" (§V-A).
+//
+// The target side posts no events: a target learns that data landed through
+// notified access, one notify sink per node (set_notify_sink). A message
+// that matches no ME, or an ack/reply whose MD is gone, is counted in
+// dropped_messages().
 //
 // Whether ACK events exist at all depends on
 // fabric::Capabilities::remote_completion_events; native atomic execution
@@ -18,9 +22,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -36,57 +38,23 @@ namespace m3rma::portals {
 inline constexpr int kProtocolId = 10;
 
 enum class EventType : std::uint8_t {
-  send,          ///< initiator: message injected, local buffer reusable
-  ack,           ///< initiator: remote delivery confirmed
-  put,           ///< target: a put landed in an ME
-  get,           ///< target: a get read from an ME
-  reply,         ///< initiator: get/fetch-atomic data arrived
-  atomic,        ///< target: an atomic was applied to an ME
-  dropped,       ///< target: message arrived with no matching ME
-  notify,        ///< target: a notified op landed; `tag` holds the user tag
+  send,   ///< message injected, local buffer reusable
+  ack,    ///< remote delivery confirmed
+  reply,  ///< get/fetch-atomic data arrived
 };
 
+/// An initiator event, posted to the EQ of the MD the op was issued on.
 struct Event {
   EventType type = EventType::send;
-  int initiator = -1;            ///< node that issued the operation
-  std::uint64_t match_bits = 0;
-  std::uint64_t remote_offset = 0;
+  int initiator = -1;            ///< node that sent this event's message
   std::uint64_t length = 0;
   std::uint64_t user_ptr = 0;    ///< initiator-supplied cookie
-  std::uint32_t tag = 0;         ///< user notification tag (notify events)
 };
 
-/// FIFO of events, waitable by simulated processes.
-class EventQueue {
- public:
-  explicit EventQueue(sim::Engine& e) : cond_(e) {}
-
-  void post(const Event& ev) {
-    q_.push_back(ev);
-    cond_.notify_all();
-  }
-  std::optional<Event> poll() {
-    if (q_.empty()) return std::nullopt;
-    Event ev = q_.front();
-    q_.pop_front();
-    return ev;
-  }
-  /// Block until an event is available, then dequeue it.
-  Event wait(sim::Context& ctx) {
-    ctx.await_until(cond_, [this] { return !q_.empty(); });
-    Event ev = q_.front();
-    q_.pop_front();
-    return ev;
-  }
-  std::size_t pending() const { return q_.size(); }
-  /// Notified whenever an event is posted. Upper layers may use it as a
-  /// general progress condition (and notify it for their own events).
-  sim::Condition& condition() { return cond_; }
-
- private:
-  std::deque<Event> q_;
-  sim::Condition cond_;
-};
+/// FIFO of events, waitable by simulated processes. Its condition() is
+/// notified on every post; upper layers also use it as a general progress
+/// condition (and notify it for their own events).
+using EventQueue = sim::Channel<Event>;
 
 using MdHandle = std::uint32_t;
 using MeHandle = std::uint32_t;
@@ -102,21 +70,19 @@ class Portals {
   MdHandle md_bind(std::uint64_t base, std::uint64_t length, EventQueue* eq);
   void md_release(MdHandle md);
 
-  /// Target-side exposure: messages to `pt_index` whose match bits satisfy
-  /// (bits ^ match) & ~ignore == 0 land in [base, base+length).
-  MeHandle me_append(int pt_index, std::uint64_t match, std::uint64_t ignore,
-                     std::uint64_t base, std::uint64_t length,
-                     EventQueue* eq);
+  /// Target-side exposure: messages to `pt_index` carrying exactly these
+  /// match bits land in [base, base+length).
+  MeHandle me_append(int pt_index, std::uint64_t match, std::uint64_t base,
+                     std::uint64_t length);
   void me_unlink(MeHandle me);
 
   /// One-sided write. Charges injection overhead to `ctx`, posts SEND to
   /// the MD's EQ at injection, and (if want_ack and the network supports
   /// completion events) posts ACK on remote delivery.
   /// With `notify` set the wire header carries a notification bit + user
-  /// tag `ntag`: after the data is applied at the target, an
-  /// EventType::notify event is posted to the EQ registered (via
-  /// set_notify_eq) for the matched ME's match bits, and the ack (if any)
-  /// echoes the tag plus the target-side fire time in its remote_off.
+  /// tag `ntag`: after the data is applied at the target, the target's
+  /// notify sink is called, and the ack (if any) echoes the tag plus the
+  /// target-side fire time in its remote_off.
   void put(sim::Context& ctx, MdHandle md, std::uint64_t local_off,
            std::uint64_t length, int target, int pt_index,
            std::uint64_t match, std::uint64_t remote_off,
@@ -125,7 +91,7 @@ class Portals {
 
   /// One-sided read; REPLY is posted to the MD's EQ when data arrives.
   /// length 0 is a valid flush probe (full round trip, no data).
-  /// A notified get fires the target-side notify event after the read.
+  /// A notified get calls the target's notify sink after the read.
   void get(sim::Context& ctx, MdHandle md, std::uint64_t local_off,
            std::uint64_t length, int target, int pt_index,
            std::uint64_t match, std::uint64_t remote_off,
@@ -152,22 +118,17 @@ class Portals {
   bool supports_atomics() const;
   bool supports_ack_events() const;
 
-  /// Drop notifications: a message that arrives with no matching ME (or a
-  /// reply/ack for an already-released MD) posts EventType::dropped here,
-  /// mirroring Portals' PTL_EVENT_*_DROPPED. Optional; the
-  /// dropped_messages() counter ticks regardless.
-  void set_drop_eq(EventQueue* eq) { drop_eq_ = eq; }
-
-  /// Register the sink that receives EventType::notify events for notified
-  /// ops landing in MEs with these match bits (called in delivery context,
-  /// right after the data is applied / read). A notified op arriving with
-  /// no registered sink posts EventType::dropped instead (the producer
-  /// asked for a wakeup nobody is listening for).
-  using NotifySink = std::function<void(const Event&)>;
-  void set_notify_sink(std::uint64_t match, NotifySink sink) {
-    notify_sinks_[match] = std::move(sink);
-  }
-  void clear_notify_sink(std::uint64_t match) { notify_sinks_.erase(match); }
+  /// The sink a notified op calls at its target, in delivery context right
+  /// after the data is applied (or, for a get, read), with the ME's match
+  /// bits, the initiator, the user tag, the length and the ME offset. One
+  /// per node; an empty sink clears it. A notified op arriving with no
+  /// sink set counts as dropped (the producer asked for a wakeup nobody is
+  /// listening for).
+  using NotifySink =
+      std::function<void(std::uint64_t match, int initiator,
+                         std::uint32_t tag, std::uint64_t length,
+                         std::uint64_t offset)>;
+  void set_notify_sink(NotifySink sink) { notify_sink_ = std::move(sink); }
 
   int node() const { return nic_->node(); }
   fabric::Fabric& fabric() { return nic_->fabric(); }
@@ -190,26 +151,19 @@ class Portals {
   struct Me {
     int pt_index = 0;
     std::uint64_t match = 0;
-    std::uint64_t ignore = 0;
     std::uint64_t base = 0;
     std::uint64_t length = 0;
-    EventQueue* eq = nullptr;
   };
 
   struct WireHdr;
 
   void deliver(fabric::Packet&& p);
-  void note_dropped(int initiator, std::uint64_t match,
-                    std::uint64_t remote_off, std::uint64_t length,
-                    std::uint64_t user_ptr);
   Me* match_me(int pt_index, std::uint64_t bits, std::uint64_t offset,
                std::uint64_t length);
-  /// Hand the target-side notify event for a landed notified op to the
-  /// registered sink (or post a dropped event when no sink is registered
-  /// for the match bits).
-  void fire_notify(int initiator, std::uint64_t match,
-                   std::uint64_t remote_off, std::uint64_t length,
-                   std::uint64_t user_ptr, std::uint32_t ntag);
+  /// Hand a landed notified op to the notify sink, or count it dropped
+  /// when no sink is set.
+  void fire_notify(std::uint64_t match, int initiator, std::uint32_t ntag,
+                   std::uint64_t length, std::uint64_t offset);
   /// A copy of `md`'s fields, not a reference: the initiator routines read
   /// them after charge_inject, whose delay lets another process of this
   /// node release the MD and so erase its entry.
@@ -220,8 +174,9 @@ class Portals {
   /// Post `ev` to `md`'s EQ once the DMA of `bytes` out of it completes;
   /// skipped if the MD is released before then.
   void post_send_event(const Event& ev, MdHandle md, std::uint64_t bytes);
-  /// Tracing: record an EQ post of `type` on this node's rank track.
-  void trace_eq(const char* type, const Event& ev);
+  /// Tracing: record an event of `type` from `initiator` on this node's
+  /// rank track.
+  void trace_eq(const char* type, int initiator, std::uint64_t length);
   /// Initiator side of put and atomic, which differ only in the header's
   /// op (plus acc_op/num_type for an atomic): read `length` bytes at
   /// md/local_off, send them, and post SEND when the DMA completes.
@@ -241,9 +196,7 @@ class Portals {
   std::vector<MeHandle> me_order_;  // match priority = append order
   MdHandle next_md_ = 1;
   MeHandle next_me_ = 1;
-  EventQueue* drop_eq_ = nullptr;
-  // match bits -> consumer notification sink (see set_notify_sink).
-  std::unordered_map<std::uint64_t, NotifySink> notify_sinks_;
+  NotifySink notify_sink_;
   std::uint64_t dropped_ = 0;
   // (pt_index, src) -> matched data ops.
   std::unordered_map<std::uint64_t, std::uint64_t> matched_counts_;

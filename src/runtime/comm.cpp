@@ -193,36 +193,10 @@ std::vector<std::vector<std::byte>> Comm::allgather(
   return parts;
 }
 
-namespace {
-enum class Red { sum, mx, mn };
-}
-
-static std::uint64_t reduce_vals(Red op, const std::vector<std::uint64_t>& v) {
-  std::uint64_t acc = v[0];
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    switch (op) {
-      case Red::sum:
-        acc += v[i];
-        break;
-      case Red::mx:
-        acc = std::max(acc, v[i]);
-        break;
-      case Red::mn:
-        acc = std::min(acc, v[i]);
-        break;
-    }
-  }
-  return acc;
-}
-
 std::uint64_t Comm::allreduce_sum(std::uint64_t v) {
-  return reduce_vals(Red::sum, allgather_value(v));
-}
-std::uint64_t Comm::allreduce_max(std::uint64_t v) {
-  return reduce_vals(Red::mx, allgather_value(v));
-}
-std::uint64_t Comm::allreduce_min(std::uint64_t v) {
-  return reduce_vals(Red::mn, allgather_value(v));
+  std::uint64_t acc = 0;
+  for (const std::uint64_t x : allgather_value(v)) acc += x;
+  return acc;
 }
 
 std::uint64_t Comm::reduce_sum(std::uint64_t v, int root) {
@@ -252,72 +226,7 @@ std::uint64_t Comm::reduce_sum(std::uint64_t v, int root) {
   return 0;
 }
 
-std::vector<std::byte> Comm::scatter(
-    const std::vector<std::vector<std::byte>>& parts, int root) {
-  ++coll_seq_;
-  const int n = size();
-  if (rank() == root) {
-    M3RMA_REQUIRE(parts.size() == static_cast<std::size_t>(n),
-                  "scatter needs one part per rank");
-    for (int i = 0; i < n; ++i) {
-      if (i == root || !member_alive(i)) continue;
-      rank_->p2p().send(rank_->ctx(), to_world(i), coll_tag(4),
-                        parts[static_cast<std::size_t>(i)]);
-    }
-    return parts[static_cast<std::size_t>(root)];
-  }
-  if (auto m = recv_from_live(root, coll_tag(4))) return std::move(m->data);
-  return {};  // root died before our part arrived
-}
-
-std::vector<std::vector<std::byte>> Comm::alltoall(
-    const std::vector<std::vector<std::byte>>& mine) {
-  ++coll_seq_;
-  const int n = size();
-  M3RMA_REQUIRE(mine.size() == static_cast<std::size_t>(n),
-                "alltoall needs one part per rank");
-  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(n));
-  out[static_cast<std::size_t>(rank())] =
-      mine[static_cast<std::size_t>(rank())];
-  // Pairwise exchange in n-1 rounds (XOR-free ring schedule): in round k
-  // send to (me+k) and receive from (me-k).
-  for (int k = 1; k < n; ++k) {
-    const int to = (rank() + k) % n;
-    const int from = (rank() - k + n) % n;
-    if (member_alive(to)) {
-      rank_->p2p().send(rank_->ctx(), to_world(to), coll_tag(5),
-                        mine[static_cast<std::size_t>(to)]);
-    }
-    if (auto m = recv_from_live(from, coll_tag(5))) {
-      out[static_cast<std::size_t>(from)] = std::move(m->data);
-    }
-  }
-  return out;
-}
-
-std::uint64_t Comm::exscan_sum(std::uint64_t v) {
-  const auto vals = allgather_value(v);
-  std::uint64_t acc = 0;
-  for (int i = 0; i < rank(); ++i) {
-    acc += vals[static_cast<std::size_t>(i)];
-  }
-  return acc;
-}
-
-// --------------------------------------------------------- dup and split
-
-std::unique_ptr<Comm> Comm::dup() {
-  // Leader picks the context id, everyone learns it via bcast.
-  std::vector<std::byte> blob(sizeof(std::uint32_t));
-  if (rank() == 0) {
-    const std::uint32_t id = rank_->world().alloc_context_id();
-    std::memcpy(blob.data(), &id, sizeof(id));
-  }
-  bcast(blob, 0);
-  std::uint32_t id = 0;
-  std::memcpy(&id, blob.data(), sizeof(id));
-  return std::make_unique<Comm>(*rank_, id, members_);
-}
+// ------------------------------------------------------------------ split
 
 std::unique_ptr<Comm> Comm::split(int color, int key) {
   struct Entry {

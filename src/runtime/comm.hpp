@@ -33,10 +33,9 @@ class Comm {
   int to_world(int r) const;
   const std::vector<int>& members() const { return members_; }
 
-  /// Duplicate: same group, fresh context id (collective).
-  std::unique_ptr<Comm> dup();
   /// Split by color/key, MPI_Comm_split semantics (collective). Returns the
   /// communicator containing this rank; color < 0 yields nullptr.
+  /// split(0, rank()) duplicates: same group, fresh context id.
   std::unique_ptr<Comm> split(int color, int key);
 
   // ----- point-to-point (ranks are communicator-relative) -----------------
@@ -68,7 +67,7 @@ class Comm {
   // that entered after. Degraded results are best-effort: gathered/reduced
   // slots of dead ranks are empty/zero, bcast payloads are lost for the
   // subtree behind a dead interior node, and a degraded barrier no longer
-  // separates rounds. allgather_value/allreduce/dup/split stay strict and
+  // separates rounds. allgather_value/allreduce_sum/split stay strict and
   // panic on short results — rebuild the communicator after a failure if you
   // need them.
 
@@ -80,22 +79,10 @@ class Comm {
                                              int root);
   std::vector<std::vector<std::byte>> allgather(
       std::span<const std::byte> mine);
+  /// Sum of every rank's `v`, at every rank.
   std::uint64_t allreduce_sum(std::uint64_t v);
-  std::uint64_t allreduce_max(std::uint64_t v);
-  std::uint64_t allreduce_min(std::uint64_t v);
-
   /// Reduce to root (sum); non-roots receive 0.
   std::uint64_t reduce_sum(std::uint64_t v, int root);
-  /// Scatter: root supplies one byte string per rank; everyone receives
-  /// theirs.
-  std::vector<std::byte> scatter(
-      const std::vector<std::vector<std::byte>>& parts, int root);
-  /// All-to-all personalized exchange: element i of `mine` goes to rank i;
-  /// the result's element i came from rank i.
-  std::vector<std::vector<std::byte>> alltoall(
-      const std::vector<std::vector<std::byte>>& mine);
-  /// Exclusive prefix sum: rank r receives sum of values of ranks < r.
-  std::uint64_t exscan_sum(std::uint64_t v);
 
   template <class T>
   std::vector<T> allgather_value(const T& v) {

@@ -36,32 +36,6 @@ Topology Topology::crossbar(int nodes) {
   return t;
 }
 
-Topology Topology::mesh2d(int dim_x, int dim_y) {
-  M3RMA_REQUIRE(dim_x > 0 && dim_y > 0, "mesh2d needs positive dimensions");
-  Topology t;
-  t.kind_ = Kind::mesh2d;
-  t.nodes_ = dim_x * dim_y;
-  t.dims_[0] = dim_x;
-  t.dims_[1] = dim_y;
-  t.link_by_pair_.assign(static_cast<std::size_t>(t.nodes_) *
-                             static_cast<std::size_t>(t.nodes_),
-                         -1);
-  for (int y = 0; y < dim_y; ++y) {
-    for (int x = 0; x < dim_x; ++x) {
-      const int n = x + dim_x * y;
-      if (x + 1 < dim_x) {
-        t.add_link(n, n + 1);
-        t.add_link(n + 1, n);
-      }
-      if (y + 1 < dim_y) {
-        t.add_link(n, n + dim_x);
-        t.add_link(n + dim_x, n);
-      }
-    }
-  }
-  return t;
-}
-
 Topology Topology::torus3d(int dim_x, int dim_y, int dim_z) {
   M3RMA_REQUIRE(dim_x > 0 && dim_y > 0 && dim_z > 0,
                 "torus3d needs positive dimensions");
@@ -94,8 +68,6 @@ int Topology::diameter() const {
   switch (kind_) {
     case Kind::crossbar:
       return nodes_ > 1 ? 1 : 0;
-    case Kind::mesh2d:
-      return (dims_[0] - 1) + (dims_[1] - 1);
     case Kind::torus3d:
       return dims_[0] / 2 + dims_[1] / 2 + dims_[2] / 2;
   }
@@ -166,11 +138,6 @@ int Topology::next_hop(int at, int to) const {
   switch (kind_) {
     case Kind::crossbar:
       return to;
-    case Kind::mesh2d:
-      if (c.x != t.x) {
-        return node_at(Coord{c.x + (t.x > c.x ? 1 : -1), c.y, 0});
-      }
-      return node_at(Coord{c.x, c.y + (t.y > c.y ? 1 : -1), 0});
     case Kind::torus3d:
       if (c.x != t.x) {
         const int step = torus_step(c.x, t.x, dims_[0]);
@@ -261,8 +228,6 @@ int Topology::distance(int src, int dst) const {
   switch (kind_) {
     case Kind::crossbar:
       return src == dst ? 0 : 1;
-    case Kind::mesh2d:
-      return std::abs(a.x - b.x) + std::abs(a.y - b.y);
     case Kind::torus3d:
       return wrap_distance(a.x, b.x, dims_[0]) +
              wrap_distance(a.y, b.y, dims_[1]) +
@@ -285,10 +250,6 @@ TopologyModel TopologyModel::build(const TopoConfig& cfg, int nodes,
     switch (cfg.kind) {
       case Kind::crossbar:
         return Topology::crossbar(nodes);
-      case Kind::mesh2d:
-        M3RMA_REQUIRE(cfg.dim_x * cfg.dim_y == nodes,
-                      "mesh2d dim_x*dim_y must equal the rank count");
-        return Topology::mesh2d(cfg.dim_x, cfg.dim_y);
       case Kind::torus3d:
         M3RMA_REQUIRE(cfg.dim_x * cfg.dim_y * cfg.dim_z == nodes,
                       "torus3d dim_x*dim_y*dim_z must equal the rank count");

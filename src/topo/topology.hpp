@@ -40,7 +40,6 @@ using LinkId = int;
 
 enum class Kind : std::uint8_t {
   crossbar,  ///< dedicated directed link per (src,dst) pair; 1 hop
-  mesh2d,    ///< 2D mesh, no wraparound; dimension order x then y
   torus3d,   ///< 3D torus; dimension order x,y,z; shortest wrap direction
              ///< (a ring is torus3d(n,1,1))
 };
@@ -57,7 +56,6 @@ class Topology {
   };
 
   static Topology crossbar(int nodes);
-  static Topology mesh2d(int dim_x, int dim_y);
   static Topology torus3d(int dim_x, int dim_y, int dim_z);
 
   int nodes() const { return nodes_; }
@@ -80,13 +78,13 @@ class Topology {
 
   /// Deterministic dimension-ordered route: the links crossed from src to
   /// dst, in traversal order. Empty when src == dst (loopback never touches
-  /// the network). Dimension order is x, then y, then z; on wraparound
-  /// topologies each dimension moves in its shortest direction, ties broken
-  /// toward increasing coordinate.
+  /// the network). Dimension order is x, then y, then z; each dimension
+  /// moves in its shortest wraparound direction, ties broken toward
+  /// increasing coordinate.
   std::vector<LinkId> route(int src, int dst) const;
   /// route(src,dst).size() without materializing the chain.
   int hops(int src, int dst) const;
-  /// Torus/mesh Manhattan distance (wrap-aware); equals hops() on every
+  /// Torus Manhattan distance (wrap-aware); equals hops() on every
   /// topology — pinned by the property suite.
   int distance(int src, int dst) const;
 
@@ -120,9 +118,8 @@ class Topology {
 /// flat model's wire latency).
 struct TopoConfig {
   Kind kind = Kind::torus3d;
-  /// Grid extents. mesh2d uses dim_x*dim_y; torus3d uses all three (a ring
-  /// of n ranks is dim_x = n). The product must equal the world's rank
-  /// count (crossbar ignores them).
+  /// Torus extents (a ring of n ranks is dim_x = n). Their product must
+  /// equal the world's rank count; crossbar ignores them.
   int dim_x = 0;
   int dim_y = 1;
   int dim_z = 1;

@@ -557,7 +557,8 @@ TEST(CoreDatatypes, StructTransferThroughEngine) {
 TEST(CoreComms, EngineOverDuplicatedCommunicator) {
   World w(cfg_with(3));
   w.run([](Rank& r) {
-    auto dup = r.comm_world().dup();
+    // split(0, rank): the same members under a fresh context id.
+    auto dup = r.comm_world().split(0, r.id());
     RmaEngine eng(r, *dup);
     auto [buf, mems] = eng.allocate_shared(64);
     if (r.id() == 0) {

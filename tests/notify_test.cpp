@@ -14,6 +14,8 @@
 //    the backup, and the survivor's queue never holds a duplicate;
 //  * a consumer killed while blocked in NotifyQueue::wait unwinds cleanly
 //    (Engine::run terminates; no deadlock);
+//  * a notified put to a window its owner detached is dropped by the
+//    target's Portals and reaches no queue;
 //  * the notification leg shows up as the `notify` attribution segment
 //    without breaking conservation;
 //  * over the reliable transport, a consumer's NIC receives about one
@@ -180,6 +182,57 @@ TEST(Notify, ZeroLengthIsRefused) {
   EXPECT_TRUE(threw);
 }
 
+TEST(Notify, PutNotifyToDetachedWindowIsDroppedUnheard) {
+  // The owner detaches its window before a local-completion put_notify
+  // arrives: the target's Portals finds no ME and drops the put, so no
+  // queue on either rank hears of it, and neither engine counts a fired or
+  // a dropped notification. The origin's flush then never converges (as in
+  // CoreValidation.DetachStopsRemoteAccess), which ends the run in a Panic.
+  World w(cfg2(2, 9));
+  std::uint64_t dropped_before = 0, dropped_after = 0;
+  bool target_has_no_queue = false;
+  std::size_t origin_pending = 1;
+  std::uint64_t fired[2] = {1, 1}, unheard[2] = {1, 1};
+  EXPECT_THROW(
+      w.run([&](Rank& r) {
+        RmaEngine eng(r, r.comm_world());
+        auto buf = r.alloc(64);
+        const core::TargetMem mine = eng.attach(buf.addr, buf.size);
+        auto mems = eng.exchange_all(mine);
+        if (r.id() == 1) {
+          eng.detach(mine);
+          try {
+            (void)eng.notify_queue(mine);
+          } catch (const UsageError&) {
+            target_has_no_queue = true;
+          }
+          dropped_before = r.portals().dropped_messages();
+        }
+        r.comm_world().barrier();
+        if (r.id() == 0) {
+          auto src = r.alloc(8);
+          eng.put_notify(src.addr, mems[1], 0, 8, 1, /*tag=*/5,
+                         Attrs(RmaAttr::blocking));
+        }
+        r.ctx().delay(100'000);  // long after the put reached rank 1
+        if (r.id() == 0) origin_pending = eng.notify_queue(mine).pending();
+        if (r.id() == 1) dropped_after = r.portals().dropped_messages();
+        fired[r.id()] = eng.stats().notifies_fired;
+        unheard[r.id()] = eng.stats().notifies_dropped;
+        r.comm_world().barrier();
+        if (r.id() == 0) eng.complete(1);  // can never succeed
+        r.comm_world().barrier();
+      }),
+      Panic);
+  EXPECT_TRUE(target_has_no_queue);
+  EXPECT_EQ(dropped_after, dropped_before + 1);
+  EXPECT_EQ(origin_pending, 0u);
+  for (int rank = 0; rank < 2; ++rank) {
+    EXPECT_EQ(fired[rank], 0u) << "rank " << rank;
+    EXPECT_EQ(unheard[rank], 0u) << "rank " << rank;
+  }
+}
+
 // ------------------------------------------------------------------- order
 
 TEST(Notify, PerOriginFifo) {
@@ -310,8 +363,8 @@ TEST(Notify, GetNotifyThroughCommThreadSerializer) {
 // ------------------------------------------------------------ kill unwind
 
 TEST(Notify, KilledConsumerBlockedInWaitUnwinds) {
-  // A consumer fail-stops while parked in NotifyQueue::wait (which is
-  // portals::EventQueue::wait underneath). Its stack must unwind through
+  // A consumer fail-stops while parked in NotifyQueue::wait (a
+  // sim::Channel recv underneath). Its stack must unwind through
   // the queue and the engine so Engine::run terminates; survivors see the
   // death and drain their ops with target_failed.
   WorldConfig c = cfg2(3, 13);

@@ -21,6 +21,23 @@ namespace {
 constexpr int kPt = 3;
 constexpr std::uint64_t kMatch = 0xfeed;
 
+/// The arguments of one notify sink call.
+struct Fired {
+  std::uint64_t match = 0;
+  int initiator = -1;
+  std::uint32_t tag = 0;
+  std::uint64_t length = 0;
+  std::uint64_t offset = 0;
+};
+
+/// A notify sink that appends each call to `out`.
+Portals::NotifySink record_into(std::vector<Fired>& out) {
+  return [&out](std::uint64_t match, int initiator, std::uint32_t tag,
+                std::uint64_t length, std::uint64_t offset) {
+    out.push_back(Fired{match, initiator, tag, length, offset});
+  };
+}
+
 /// Two-node fixture: node 0 initiates, node 1 is the target.
 class PortalsTest : public ::testing::Test {
  protected:
@@ -44,9 +61,8 @@ TEST_F(PortalsTest, PutWritesTargetMemory) {
   const auto src = mem0->alloc(64);
   const auto dst = mem1->alloc(64);
   EventQueue eq(eng);
-  EventQueue target_eq(eng);
   const auto md = p0->md_bind(src, 64, &eq);
-  p1->me_append(kPt, kMatch, 0, dst, 64, &target_eq);
+  p1->me_append(kPt, kMatch, dst, 64);
 
   std::vector<std::byte> data(32, std::byte{0x5a});
   mem0->cpu_write(src, data);
@@ -54,10 +70,10 @@ TEST_F(PortalsTest, PutWritesTargetMemory) {
   eng.spawn("origin", [&](sim::Context& ctx) {
     p0->put(ctx, md, 0, 32, 1, kPt, kMatch, 0, 42, true);
     // SEND event is immediate (local completion).
-    Event s = eq.wait(ctx);
+    Event s = eq.recv(ctx);
     EXPECT_EQ(s.type, EventType::send);
     // ACK arrives after the round trip.
-    Event a = eq.wait(ctx);
+    Event a = eq.recv(ctx);
     EXPECT_EQ(a.type, EventType::ack);
     EXPECT_EQ(a.user_ptr, 42u);
   });
@@ -66,34 +82,27 @@ TEST_F(PortalsTest, PutWritesTargetMemory) {
   std::vector<std::byte> got(32);
   mem1->cpu_read(dst, got);
   EXPECT_EQ(got, data);
-  // Target observed a PUT event with initiator identity.
-  auto ev = target_eq.poll();
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->type, EventType::put);
-  EXPECT_EQ(ev->initiator, 0);
-  EXPECT_EQ(ev->length, 32u);
 }
 
-TEST_F(PortalsTest, AtomicPostsTargetEventCountsAndAcks) {
-  // The atomic twin of PutWritesTargetMemory: the matched ME's EQ sees an
-  // ATOMIC event with the initiator's identity, the op counts as one
-  // matched data op from node 0, and the initiator gets SEND then ACK.
+TEST_F(PortalsTest, AtomicAppliesCountsAndAcks) {
+  // The atomic twin of PutWritesTargetMemory: the op applies at the target
+  // and counts as one matched data op from node 0, and the initiator gets
+  // SEND then ACK.
   build();
   const auto src = mem0->alloc(16);
   const auto dst = mem1->alloc(16);
   EventQueue eq(eng);
-  EventQueue target_eq(eng);
   const auto md = p0->md_bind(src, 16, &eq);
-  p1->me_append(kPt, kMatch, 0, dst, 16, &target_eq);
+  p1->me_append(kPt, kMatch, dst, 16);
   const std::int64_t add[2] = {3, 4};
   mem0->cpu_write(src, std::span(reinterpret_cast<const std::byte*>(add), 16));
 
   eng.spawn("origin", [&](sim::Context& ctx) {
     p0->atomic(ctx, AccOp::sum, NumType::i64, md, 0, 16, 1, kPt, kMatch, 0,
                42, /*want_ack=*/true);
-    Event s = eq.wait(ctx);
+    Event s = eq.recv(ctx);
     EXPECT_EQ(s.type, EventType::send);
-    Event a = eq.wait(ctx);
+    Event a = eq.recv(ctx);
     EXPECT_EQ(a.type, EventType::ack);
     EXPECT_EQ(a.initiator, 1);
     EXPECT_EQ(a.user_ptr, 42u);
@@ -101,14 +110,6 @@ TEST_F(PortalsTest, AtomicPostsTargetEventCountsAndAcks) {
   });
   eng.run();
 
-  auto ev = target_eq.poll();
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->type, EventType::atomic);
-  EXPECT_EQ(ev->initiator, 0);
-  EXPECT_EQ(ev->match_bits, kMatch);
-  EXPECT_EQ(ev->length, 16u);
-  EXPECT_EQ(ev->user_ptr, 42u);
-  EXPECT_FALSE(target_eq.poll().has_value());
   EXPECT_EQ(p1->received_data_ops(kPt, 0), 1u);
   std::int64_t got[2];
   mem1->cpu_read(dst, std::span(reinterpret_cast<std::byte*>(got), 16));
@@ -123,7 +124,7 @@ TEST_F(PortalsTest, DataOpsCountedPerPortalAndSource) {
   const auto src = mem0->alloc(8);
   const auto dst = mem1->alloc(8);
   const auto md = p0->md_bind(src, 8, nullptr);
-  p1->me_append(kPt, kMatch, 0, dst, 8, nullptr);
+  p1->me_append(kPt, kMatch, dst, 8);
   eng.spawn("origin", [&](sim::Context& ctx) {
     p0->put(ctx, md, 0, 8, 1, kPt, kMatch, 0, 0, false);
     p0->atomic(ctx, AccOp::sum, NumType::i64, md, 0, 8, 1, kPt, kMatch, 0, 0,
@@ -154,11 +155,11 @@ TEST_F(PortalsTest, SendEventModelsLocalDmaCompletion) {
   const auto dst = mem1->alloc(4096);
   EventQueue eq(eng);
   const auto md = p0->md_bind(src, 4096, &eq);
-  p1->me_append(kPt, kMatch, 0, dst, 4096, nullptr);
+  p1->me_append(kPt, kMatch, dst, 4096);
   eng.spawn("origin", [&](sim::Context& ctx) {
     const sim::Time t0 = ctx.now();
     p0->put(ctx, md, 0, 4000, 1, kPt, kMatch, 0, 0, false);
-    Event s = eq.wait(ctx);
+    Event s = eq.recv(ctx);
     EXPECT_EQ(s.type, EventType::send);
     // >= local_completion + 4000 B at 1 B/ns (after inject overhead).
     EXPECT_GE(ctx.now() - t0, 5000u + 4000u);
@@ -171,7 +172,7 @@ TEST_F(PortalsTest, PutWithOffsetLandsAtDisplacement) {
   const auto src = mem0->alloc(64);
   const auto dst = mem1->alloc(64);
   const auto md = p0->md_bind(src, 64, nullptr);
-  p1->me_append(kPt, kMatch, 0, dst, 64, nullptr);
+  p1->me_append(kPt, kMatch, dst, 64);
   std::vector<std::byte> data(8, std::byte{0x77});
   mem0->cpu_write(src, data);
 
@@ -190,13 +191,13 @@ TEST_F(PortalsTest, GetReadsTargetMemory) {
   const auto dst = mem0->alloc(64);
   EventQueue eq(eng);
   const auto md = p0->md_bind(dst, 64, &eq);
-  p1->me_append(kPt, kMatch, 0, src, 64, nullptr);
+  p1->me_append(kPt, kMatch, src, 64);
   std::vector<std::byte> data(16, std::byte{0x3c});
   mem1->cpu_write(src, data);
 
   eng.spawn("origin", [&](sim::Context& ctx) {
     p0->get(ctx, md, 0, 16, 1, kPt, kMatch, 0, 9);
-    Event r = eq.wait(ctx);
+    Event r = eq.recv(ctx);
     EXPECT_EQ(r.type, EventType::reply);
     EXPECT_EQ(r.user_ptr, 9u);
     EXPECT_EQ(r.length, 16u);
@@ -212,12 +213,12 @@ TEST_F(PortalsTest, ZeroByteGetActsAsFlushProbe) {
   EventQueue eq(eng);
   const auto dst = mem0->alloc(8);
   const auto md = p0->md_bind(dst, 8, &eq);
-  p1->me_append(kPt, kMatch, 0, mem1->alloc(8), 8, nullptr);
+  p1->me_append(kPt, kMatch, mem1->alloc(8), 8);
   sim::Time rtt = 0;
   eng.spawn("origin", [&](sim::Context& ctx) {
     const sim::Time t0 = ctx.now();
     p0->get(ctx, md, 0, 0, 1, kPt, kMatch, 0, 0);
-    (void)eq.wait(ctx);
+    (void)eq.recv(ctx);
     rtt = ctx.now() - t0;
   });
   eng.run();
@@ -233,13 +234,13 @@ TEST_F(PortalsTest, NoAckEventsWhenNetworkLacksCompletionEvents) {
   const auto dst = mem1->alloc(8);
   EventQueue eq(eng);
   const auto md = p0->md_bind(src, 8, &eq);
-  p1->me_append(kPt, kMatch, 0, dst, 8, nullptr);
+  p1->me_append(kPt, kMatch, dst, 8);
   eng.spawn("origin", [&](sim::Context& ctx) {
     p0->put(ctx, md, 0, 8, 1, kPt, kMatch, 0, 0, /*want_ack=*/true);
-    Event s = eq.wait(ctx);
+    Event s = eq.recv(ctx);
     EXPECT_EQ(s.type, EventType::send);
     ctx.delay(1000000);  // plenty of time: no ACK should ever appear
-    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.size(), 0u);
   });
   eng.run();
 }
@@ -257,112 +258,81 @@ TEST_F(PortalsTest, UnmatchedMessageIsDroppedAndCounted) {
 }
 
 TEST_F(PortalsTest, UnmatchedAtomicIsDroppedAndCounted) {
-  // An atomic with no matching ME is dropped like a put: a dropped event
-  // with its coordinates, no memory touched, no matched data op, no ACK.
+  // An atomic with no matching ME is dropped like a put: counted, no memory
+  // touched, no matched data op, no ACK.
   build();
   const auto src = mem0->alloc(8);
   EventQueue eq(eng);
   const auto md = p0->md_bind(src, 8, &eq);
-  EventQueue drop_eq(eng);
-  p1->set_drop_eq(&drop_eq);
   const auto elsewhere = mem1->alloc(8);
-  p1->me_append(kPt + 1, kMatch, 0, elsewhere, 8, nullptr);
+  p1->me_append(kPt + 1, kMatch, elsewhere, 8);
   const std::int64_t one = 1;
   mem0->cpu_write(src, std::span(reinterpret_cast<const std::byte*>(&one), 8));
   eng.spawn("origin", [&](sim::Context& ctx) {
     p0->atomic(ctx, AccOp::sum, NumType::i64, md, 0, 8, 1, kPt, kMatch, 0,
                88, /*want_ack=*/true);
-    Event s = eq.wait(ctx);
+    Event s = eq.recv(ctx);
     EXPECT_EQ(s.type, EventType::send);
     ctx.delay(1000000);  // plenty of time: no ACK for a dropped atomic
-    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.size(), 0u);
   });
   eng.run();
   EXPECT_EQ(p1->dropped_messages(), 1u);
   EXPECT_EQ(p1->received_data_ops(kPt, 0), 0u);
-  auto ev = drop_eq.poll();
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->type, EventType::dropped);
-  EXPECT_EQ(ev->initiator, 0);
-  EXPECT_EQ(ev->match_bits, kMatch);
-  EXPECT_EQ(ev->length, 8u);
-  EXPECT_EQ(ev->user_ptr, 88u);
   std::int64_t untouched = -1;
   mem1->cpu_read(elsewhere,
                  std::span(reinterpret_cast<std::byte*>(&untouched), 8));
   EXPECT_EQ(untouched, 0);
 }
 
-TEST_F(PortalsTest, UnmatchedMessagePostsDroppedEvent) {
-  // A message arriving with no matching ME posts EventType::dropped to the
-  // drop EQ, carrying the initiator's identity and the failed match bits.
+TEST_F(PortalsTest, MessageMatchingNoMeElsewhereIsDropped) {
+  // A message arriving with no matching ME is counted as dropped, and lands
+  // nowhere.
   build();
   const auto src = mem0->alloc(8);
   const auto md = p0->md_bind(src, 8, nullptr);
-  EventQueue drop_eq(eng);
-  p1->set_drop_eq(&drop_eq);
   // An ME exists, but on a different portal index with different bits.
   const auto elsewhere = mem1->alloc(8);
-  p1->me_append(kPt + 1, 0xbeef, 0, elsewhere, 8, nullptr);
+  p1->me_append(kPt + 1, 0xbeef, elsewhere, 8);
   eng.spawn("origin", [&](sim::Context& ctx) {
     p0->put(ctx, md, 0, 8, 1, kPt, kMatch, 4, 77, false);
   });
   eng.run();
   EXPECT_EQ(p1->dropped_messages(), 1u);
-  auto ev = drop_eq.poll();
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->type, EventType::dropped);
-  EXPECT_EQ(ev->initiator, 0);
-  EXPECT_EQ(ev->match_bits, kMatch);
-  EXPECT_EQ(ev->remote_offset, 4u);
-  EXPECT_EQ(ev->length, 8u);
-  EXPECT_EQ(ev->user_ptr, 77u);
-  EXPECT_FALSE(drop_eq.poll().has_value());
+  EXPECT_EQ(p1->received_data_ops(kPt + 1, 0), 0u);
 }
 
-TEST_F(PortalsTest, StaleReplyPostsDroppedEvent) {
+TEST_F(PortalsTest, StaleReplyIsCountedDropped) {
   // A get whose MD is released while the reply is in flight: the reply has
-  // nowhere to land and must surface as a dropped event, not vanish.
+  // nowhere to land and must be counted as dropped, not vanish.
   build();
   const auto src = mem0->alloc(8);
   const auto dst = mem1->alloc(8);
-  EventQueue drop_eq(eng);
-  p0->set_drop_eq(&drop_eq);
-  p1->me_append(kPt, kMatch, 0, dst, 8, nullptr);
+  p1->me_append(kPt, kMatch, dst, 8);
   eng.spawn("origin", [&](sim::Context& ctx) {
     const auto md = p0->md_bind(src, 8, nullptr);
     p0->get(ctx, md, 0, 8, 1, kPt, kMatch, 0, 5);
     p0->md_release(md);  // reply still on the wire
   });
   eng.run();
-  auto ev = drop_eq.poll();
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->type, EventType::dropped);
-  EXPECT_EQ(ev->initiator, 1);  // the replying target
-  EXPECT_EQ(ev->user_ptr, 5u);
+  EXPECT_EQ(p0->dropped_messages(), 1u);
+  EXPECT_EQ(p1->dropped_messages(), 0u);  // the request itself matched
 }
 
-TEST_F(PortalsTest, StaleAckPostsDroppedEvent) {
+TEST_F(PortalsTest, StaleAckIsCountedDropped) {
   // Same late-delivery audit for the ACK leg: a put whose MD is released
-  // while the ack is on the wire must surface as a dropped event at the
+  // while the ack is on the wire must be counted as dropped at the
   // initiator, not vanish silently.
   build();
   const auto src = mem0->alloc(8);
   const auto dst = mem1->alloc(8);
-  EventQueue drop_eq(eng);
-  p0->set_drop_eq(&drop_eq);
-  p1->me_append(kPt, kMatch, 0, dst, 8, nullptr);
+  p1->me_append(kPt, kMatch, dst, 8);
   eng.spawn("origin", [&](sim::Context& ctx) {
     const auto md = p0->md_bind(src, 8, nullptr);
     p0->put(ctx, md, 0, 8, 1, kPt, kMatch, 0, 13, /*want_ack=*/true);
     p0->md_release(md);  // ack still on the wire
   });
   eng.run();
-  auto ev = drop_eq.poll();
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->type, EventType::dropped);
-  EXPECT_EQ(ev->initiator, 1);  // the acking target
-  EXPECT_EQ(ev->user_ptr, 13u);
   EXPECT_EQ(p0->dropped_messages(), 1u);
 }
 
@@ -374,9 +344,7 @@ TEST_F(PortalsTest, SendEventSkippedAfterMdRelease) {
   build();
   const auto src = mem0->alloc(8);
   const auto dst = mem1->alloc(8);
-  EventQueue drop_eq(eng);
-  p0->set_drop_eq(&drop_eq);
-  p1->me_append(kPt, kMatch, 0, dst, 8, nullptr);
+  p1->me_append(kPt, kMatch, dst, 8);
   std::optional<EventQueue> eq(std::in_place, eng);
   eng.spawn("origin", [&](sim::Context& ctx) {
     const auto md = p0->md_bind(src, 8, &*eq);
@@ -387,23 +355,20 @@ TEST_F(PortalsTest, SendEventSkippedAfterMdRelease) {
     eq.emplace(eng);
   });
   eng.run();
-  EXPECT_FALSE(eq->poll().has_value());
-  EXPECT_FALSE(drop_eq.poll().has_value());
+  EXPECT_FALSE(eq->try_recv().has_value());
   EXPECT_EQ(p0->dropped_messages(), 0u);
 }
 
-TEST_F(PortalsTest, StaleNotifyAckPostsDroppedEvent) {
+TEST_F(PortalsTest, StaleNotifyAckIsCountedDropped) {
   // Notified variant: the target-side notification still fires (the data
-  // DID land), but the returning notify-ack finds its MD gone and must
-  // post dropped at the initiator.
+  // DID land), but the returning notify-ack finds its MD gone and must be
+  // counted as dropped at the initiator.
   build();
   const auto src = mem0->alloc(8);
   const auto dst = mem1->alloc(8);
-  EventQueue drop_eq(eng);
-  p0->set_drop_eq(&drop_eq);
-  p1->me_append(kPt, kMatch, 0, dst, 8, nullptr);
-  std::vector<Event> fired;
-  p1->set_notify_sink(kMatch, [&](const Event& ev) { fired.push_back(ev); });
+  p1->me_append(kPt, kMatch, dst, 8);
+  std::vector<Fired> fired;
+  p1->set_notify_sink(record_into(fired));
   eng.spawn("origin", [&](sim::Context& ctx) {
     const auto md = p0->md_bind(src, 8, nullptr);
     p0->put(ctx, md, 0, 8, 1, kPt, kMatch, 0, 21, /*want_ack=*/true,
@@ -412,41 +377,42 @@ TEST_F(PortalsTest, StaleNotifyAckPostsDroppedEvent) {
   });
   eng.run();
   ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].type, EventType::notify);
   EXPECT_EQ(fired[0].tag, 0xbeefu);
   EXPECT_EQ(fired[0].initiator, 0);
-  auto ev = drop_eq.poll();
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->type, EventType::dropped);
-  EXPECT_EQ(ev->user_ptr, 21u);
+  EXPECT_EQ(p0->dropped_messages(), 1u);
+  EXPECT_EQ(p1->dropped_messages(), 0u);
 }
 
 TEST_F(PortalsTest, NotifySinkReceivesTagAfterApply) {
   // The sink runs in delivery context right after the bytes are applied:
-  // it must observe the payload already in target memory and the event
-  // must carry the initiator + user tag.
+  // it must observe the payload already in target memory and be handed
+  // the ME's match bits, the initiator, the user tag, the length and the
+  // offset.
   build();
   const auto src = mem0->alloc(16);
-  const auto dst = mem1->alloc(16);
+  const auto dst = mem1->alloc(32);
   const auto md = p0->md_bind(src, 16, nullptr);
-  p1->me_append(kPt, kMatch, 0, dst, 16, nullptr);
+  p1->me_append(kPt, kMatch, dst, 32);
   std::vector<std::byte> data(16, std::byte{0x4d});
   mem0->cpu_write(src, data);
-  std::vector<Event> fired;
+  std::vector<Fired> fired;
   std::vector<std::byte> at_fire(16);
-  p1->set_notify_sink(kMatch, [&](const Event& ev) {
-    fired.push_back(ev);
-    mem1->cpu_read_uncached(dst, at_fire);
+  p1->set_notify_sink([&](std::uint64_t match, int initiator,
+                          std::uint32_t tag, std::uint64_t length,
+                          std::uint64_t offset) {
+    fired.push_back(Fired{match, initiator, tag, length, offset});
+    mem1->cpu_read_uncached(dst + 8, at_fire);
   });
   eng.spawn("origin", [&](sim::Context& ctx) {
-    p0->put(ctx, md, 0, 16, 1, kPt, kMatch, 0, 0, false, true, 7);
+    p0->put(ctx, md, 0, 16, 1, kPt, kMatch, 8, 0, false, true, 7);
   });
   eng.run();
   ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].type, EventType::notify);
+  EXPECT_EQ(fired[0].match, kMatch);
   EXPECT_EQ(fired[0].initiator, 0);
   EXPECT_EQ(fired[0].tag, 7u);
   EXPECT_EQ(fired[0].length, 16u);
+  EXPECT_EQ(fired[0].offset, 8u);
   EXPECT_EQ(at_fire, data);
 }
 
@@ -469,9 +435,10 @@ TEST_F(PortalsTest, NotifiedAckEchoesFireTime) {
     const auto dst = m1.alloc(8);
     EventQueue eq(e);
     const auto md = q0.md_bind(src, 8, &eq);
-    q1.me_append(kPt, kMatch, 0, dst, 8, nullptr);
+    q1.me_append(kPt, kMatch, dst, 8);
     sim::Time fired_at = 0;
-    q1.set_notify_sink(kMatch, [&](const Event&) { fired_at = e.now(); });
+    q1.set_notify_sink([&](std::uint64_t, int, std::uint32_t, std::uint64_t,
+                           std::uint64_t) { fired_at = e.now(); });
     constexpr std::uint64_t kReq = 5;
     const std::uint64_t tag = trace::op_tag(0, kReq);
     sim::Time acked_at = 0;
@@ -487,8 +454,8 @@ TEST_F(PortalsTest, NotifiedAckEchoesFireTime) {
         q0.put(ctx, md, 0, 8, 1, kPt, kMatch, 0, kReq, /*want_ack=*/true,
                /*notify=*/true, /*ntag=*/3);
       }
-      EXPECT_EQ(eq.wait(ctx).type, EventType::send);
-      EXPECT_EQ(eq.wait(ctx).type, EventType::ack);
+      EXPECT_EQ(eq.recv(ctx).type, EventType::send);
+      EXPECT_EQ(eq.recv(ctx).type, EventType::ack);
       acked_at = ctx.now();
       tl.op_end(tag, acked_at);
     });
@@ -502,17 +469,15 @@ TEST_F(PortalsTest, NotifiedAckEchoesFireTime) {
   }
 }
 
-TEST_F(PortalsTest, UnregisteredNotifyPostsDroppedEvent) {
+TEST_F(PortalsTest, NotifyWithNoSinkIsCountedDropped) {
   // A notified op landing where nobody listens: the data applies, but the
-  // requested wakeup has no sink — that surfaces as a dropped event (the
-  // producer asked for a notification nobody will ever consume).
+  // requested wakeup has no sink — that counts as dropped (the producer
+  // asked for a notification nobody will ever consume).
   build();
   const auto src = mem0->alloc(8);
   const auto dst = mem1->alloc(8);
   const auto md = p0->md_bind(src, 8, nullptr);
-  EventQueue drop_eq(eng);
-  p1->set_drop_eq(&drop_eq);
-  p1->me_append(kPt, kMatch, 0, dst, 8, nullptr);
+  p1->me_append(kPt, kMatch, dst, 8);
   std::vector<std::byte> data(8, std::byte{0x11});
   mem0->cpu_write(src, data);
   eng.spawn("origin", [&](sim::Context& ctx) {
@@ -522,10 +487,7 @@ TEST_F(PortalsTest, UnregisteredNotifyPostsDroppedEvent) {
   std::vector<std::byte> got(8);
   mem1->cpu_read(dst, got);
   EXPECT_EQ(got, data);  // the data still landed
-  auto ev = drop_eq.poll();
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->type, EventType::dropped);
-  EXPECT_EQ(ev->match_bits, kMatch);
+  EXPECT_EQ(p1->received_data_ops(kPt, 0), 1u);
   EXPECT_EQ(p1->dropped_messages(), 1u);
 }
 
@@ -534,36 +496,16 @@ TEST_F(PortalsTest, ClearedNotifySinkStopsFiring) {
   const auto src = mem0->alloc(8);
   const auto dst = mem1->alloc(8);
   const auto md = p0->md_bind(src, 8, nullptr);
-  p1->me_append(kPt, kMatch, 0, dst, 8, nullptr);
-  int fires = 0;
-  p1->set_notify_sink(kMatch, [&](const Event&) { fires += 1; });
-  p1->clear_notify_sink(kMatch);
+  p1->me_append(kPt, kMatch, dst, 8);
+  std::vector<Fired> fired;
+  p1->set_notify_sink(record_into(fired));
+  p1->set_notify_sink(nullptr);
   eng.spawn("origin", [&](sim::Context& ctx) {
     p0->put(ctx, md, 0, 8, 1, kPt, kMatch, 0, 0, false, true, 3);
   });
   eng.run();
-  EXPECT_EQ(fires, 0);
+  EXPECT_TRUE(fired.empty());
   EXPECT_EQ(p1->dropped_messages(), 1u);
-}
-
-TEST_F(PortalsTest, KilledWaiterInEventQueueWaitUnwinds) {
-  // Fail-stop kill of a process parked in EventQueue::wait: the wait must
-  // unwind (KilledSignal through check_killed) so Engine::run terminates
-  // with no events ever arriving.
-  build();
-  EventQueue eq(eng);
-  bool returned = false;
-  const int victim = eng.spawn("waiter", [&](sim::Context& ctx) {
-    (void)eq.wait(ctx);  // nothing will ever be posted
-    returned = true;
-  });
-  eng.spawn("killer", [&](sim::Context& ctx) {
-    ctx.delay(1000);
-    ctx.engine().kill(victim);
-  });
-  eng.run();
-  EXPECT_FALSE(returned);
-  EXPECT_EQ(eq.pending(), 0u);
 }
 
 TEST_F(PortalsTest, TruncatingPutIsDropped) {
@@ -571,7 +513,7 @@ TEST_F(PortalsTest, TruncatingPutIsDropped) {
   const auto src = mem0->alloc(64);
   const auto dst = mem1->alloc(16);
   const auto md = p0->md_bind(src, 64, nullptr);
-  p1->me_append(kPt, kMatch, 0, dst, 16, nullptr);
+  p1->me_append(kPt, kMatch, dst, 16);
   eng.spawn("origin", [&](sim::Context& ctx) {
     p0->put(ctx, md, 0, 64, 1, kPt, kMatch, 0, 0, false);  // 64 > 16
   });
@@ -585,8 +527,8 @@ TEST_F(PortalsTest, MatchBitsSelectAmongEntries) {
   const auto a = mem1->alloc(8);
   const auto b = mem1->alloc(8);
   const auto md = p0->md_bind(src, 8, nullptr);
-  p1->me_append(kPt, 0x111, 0, a, 8, nullptr);
-  p1->me_append(kPt, 0x222, 0, b, 8, nullptr);
+  p1->me_append(kPt, 0x111, a, 8);
+  p1->me_append(kPt, 0x222, b, 8);
   std::vector<std::byte> data(8, std::byte{0x9});
   mem0->cpu_write(src, data);
   eng.spawn("origin", [&](sim::Context& ctx) {
@@ -600,25 +542,12 @@ TEST_F(PortalsTest, MatchBitsSelectAmongEntries) {
   EXPECT_NE(got, data);
 }
 
-TEST_F(PortalsTest, IgnoreBitsWidenMatching) {
-  build();
-  const auto src = mem0->alloc(8);
-  const auto dst = mem1->alloc(8);
-  const auto md = p0->md_bind(src, 8, nullptr);
-  p1->me_append(kPt, 0xab00, /*ignore=*/0xff, dst, 8, nullptr);
-  eng.spawn("origin", [&](sim::Context& ctx) {
-    p0->put(ctx, md, 0, 8, 1, kPt, 0xab42, 0, 0, false);  // low byte ignored
-  });
-  eng.run();
-  EXPECT_EQ(p1->dropped_messages(), 0u);
-}
-
 TEST_F(PortalsTest, MeUnlinkStopsMatching) {
   build();
   const auto src = mem0->alloc(8);
   const auto dst = mem1->alloc(8);
   const auto md = p0->md_bind(src, 8, nullptr);
-  const auto me = p1->me_append(kPt, kMatch, 0, dst, 8, nullptr);
+  const auto me = p1->me_append(kPt, kMatch, dst, 8);
   p1->me_unlink(me);
   eng.spawn("origin", [&](sim::Context& ctx) {
     p0->put(ctx, md, 0, 8, 1, kPt, kMatch, 0, 0, false);
@@ -632,7 +561,7 @@ TEST_F(PortalsTest, AtomicSumAppliesAtTarget) {
   const auto src = mem0->alloc(32);
   const auto dst = mem1->alloc(32);
   const auto md = p0->md_bind(src, 32, nullptr);
-  p1->me_append(kPt, kMatch, 0, dst, 32, nullptr);
+  p1->me_append(kPt, kMatch, dst, 32);
   std::int64_t init[2] = {100, 200};
   std::int64_t add[2] = {7, -13};
   mem1->cpu_write(dst, std::span(reinterpret_cast<std::byte*>(init), 16));
@@ -663,7 +592,7 @@ TEST_F(PortalsTest, ConcurrentAtomicsSerializeWithoutLoss) {
   const auto ctr = m2.alloc(8);
   const std::int64_t zero = 0;
   m2.cpu_write(ctr, std::span(reinterpret_cast<const std::byte*>(&zero), 8));
-  q2.me_append(kPt, kMatch, 0, ctr, 8, nullptr);
+  q2.me_append(kPt, kMatch, ctr, 8);
   for (int node = 0; node < 2; ++node) {
     Portals& q = node == 0 ? q0 : q1;
     memsim::MemoryDomain& m = node == 0 ? m0 : m1;
@@ -704,7 +633,7 @@ TEST_F(PortalsTest, FetchAddReturnsPreviousValue) {
   const auto ctr = mem1->alloc(8);
   EventQueue eq(eng);
   const auto md = p0->md_bind(buf, 24, &eq);
-  p1->me_append(kPt, kMatch, 0, ctr, 8, nullptr);
+  p1->me_append(kPt, kMatch, ctr, 8);
   const std::int64_t init = 1000;
   mem1->cpu_write(ctr, std::span(reinterpret_cast<const std::byte*>(&init), 8));
   const std::int64_t add = 5;
@@ -713,7 +642,7 @@ TEST_F(PortalsTest, FetchAddReturnsPreviousValue) {
   eng.spawn("origin", [&](sim::Context& ctx) {
     p0->fetch_atomic(ctx, RmwOp::fetch_add, NumType::i64, md, 0, 8, 1, kPt,
                      kMatch, 0, 0);
-    Event r = eq.wait(ctx);
+    Event r = eq.recv(ctx);
     EXPECT_EQ(r.type, EventType::reply);
     std::int64_t old = 0;
     mem0->cpu_read(buf + 8, std::span(reinterpret_cast<std::byte*>(&old), 8));
@@ -731,7 +660,7 @@ TEST_F(PortalsTest, CompareSwapOnlySwapsOnMatch) {
   const auto ctr = mem1->alloc(8);
   EventQueue eq(eng);
   const auto md = p0->md_bind(buf, 32, &eq);
-  p1->me_append(kPt, kMatch, 0, ctr, 8, nullptr);
+  p1->me_append(kPt, kMatch, ctr, 8);
   const std::int64_t init = 42;
   mem1->cpu_write(ctr, std::span(reinterpret_cast<const std::byte*>(&init), 8));
 
@@ -741,7 +670,7 @@ TEST_F(PortalsTest, CompareSwapOnlySwapsOnMatch) {
     mem0->cpu_write(buf, std::span(reinterpret_cast<std::byte*>(cas1), 16));
     p0->fetch_atomic(ctx, RmwOp::compare_swap, NumType::i64, md, 0, 16, 1,
                      kPt, kMatch, 0, 0);
-    (void)eq.wait(ctx);
+    (void)eq.recv(ctx);
     std::int64_t old = 0;
     mem0->cpu_read(buf + 16, std::span(reinterpret_cast<std::byte*>(&old), 8));
     EXPECT_EQ(old, 42);
@@ -750,7 +679,7 @@ TEST_F(PortalsTest, CompareSwapOnlySwapsOnMatch) {
     mem0->cpu_write(buf, std::span(reinterpret_cast<std::byte*>(cas2), 16));
     p0->fetch_atomic(ctx, RmwOp::compare_swap, NumType::i64, md, 0, 16, 1,
                      kPt, kMatch, 0, 0);
-    (void)eq.wait(ctx);
+    (void)eq.recv(ctx);
   });
   eng.run();
   std::int64_t v = 0;
@@ -790,17 +719,15 @@ TEST_F(PortalsTest, MdReleasedDuringInjectDelay) {
   // during which another process of the node runs. Here one releases the
   // MD then and binds a new one over other bytes, which may reuse the
   // released entry's storage: each op still sends the bytes of the MD it
-  // was issued on, and the fetch's reply, with no MD left to land in,
-  // surfaces as a dropped event.
+  // was issued on, and the fetch's reply, with no MD left to land in, is
+  // counted as dropped.
   fabric::CostModel costs;
   costs.inject_overhead_ns = 1'200;  // the XT5 preset's
   build({}, costs);
   const auto src = mem0->alloc(8);
   const auto other = mem0->alloc(8);
   const auto dst = mem1->alloc(16);
-  EventQueue drop_eq(eng);
-  p0->set_drop_eq(&drop_eq);
-  p1->me_append(kPt, kMatch, 0, dst, 16, nullptr);
+  p1->me_append(kPt, kMatch, dst, 16);
   const std::int64_t operand = 5;
   const std::int64_t wrong = 900;
   mem0->cpu_write(src, std::span(reinterpret_cast<const std::byte*>(&operand),
@@ -827,10 +754,7 @@ TEST_F(PortalsTest, MdReleasedDuringInjectDelay) {
   mem1->cpu_read(dst, std::span(reinterpret_cast<std::byte*>(got), 16));
   EXPECT_EQ(got[0], operand) << "put";
   EXPECT_EQ(got[1], operand) << "fetch_add onto 0";
-  auto ev = drop_eq.poll();
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->type, EventType::dropped);
-  EXPECT_EQ(ev->user_ptr, 2u);
+  EXPECT_EQ(p0->dropped_messages(), 1u);
 }
 
 TEST_F(PortalsTest, MdReleaseInvalidatesHandle) {

@@ -543,5 +543,26 @@ TEST(Channel, MultipleConsumersEachGetOneMessage) {
   EXPECT_EQ(sum, 111);
 }
 
+TEST(Channel, KilledWaiterInRecvUnwinds) {
+  // Fail-stop kill of a process parked in recv (the blocking point of every
+  // Portals EQ and notification queue): the recv must unwind (KilledSignal
+  // through check_killed) so Engine::run terminates with nothing ever
+  // pushed.
+  Engine e;
+  Channel<int> ch(e);
+  bool returned = false;
+  const int victim = e.spawn("waiter", [&](Context& ctx) {
+    (void)ch.recv(ctx);  // nothing will ever be pushed
+    returned = true;
+  });
+  e.spawn("killer", [&](Context& ctx) {
+    ctx.delay(1000);
+    ctx.engine().kill(victim);
+  });
+  e.run();
+  EXPECT_FALSE(returned);
+  EXPECT_EQ(ch.size(), 0u);
+}
+
 }  // namespace
 }  // namespace m3rma::sim

@@ -74,20 +74,6 @@ TEST(TopologyTest, RingRoutesShortestDirectionTiesForward) {
   EXPECT_EQ(t.link_dst(r[2]), 3);
 }
 
-TEST(TopologyTest, MeshRoutesDimensionOrderNoWrap) {
-  const auto t = Topology::mesh2d(3, 3);
-  EXPECT_EQ(t.diameter(), 4);
-  // 0=(0,0) -> 8=(2,2): x first (0->1->2), then y (2->5->8).
-  const auto r = t.route(0, 8);
-  ASSERT_EQ(r.size(), 4u);
-  EXPECT_EQ(t.link_dst(r[0]), 1);
-  EXPECT_EQ(t.link_dst(r[1]), 2);
-  EXPECT_EQ(t.link_dst(r[2]), 5);
-  EXPECT_EQ(t.link_dst(r[3]), 8);
-  // Corner to corner the other way has the same length (no wrap shortcut).
-  EXPECT_EQ(t.hops(8, 0), 4);
-}
-
 TEST(TopologyTest, TorusWrapsAroundShortestDirection) {
   const auto t = Topology::torus3d(4, 1, 1);
   // 0 -> 3 is one hop backward through the wrap link, not three forward.
@@ -107,7 +93,6 @@ TEST(TopologyTest, TorusWrapsAroundShortestDirection) {
 
 TEST(TopologyTest, RoutesAreContiguousChains) {
   const Topology topos[] = {Topology::crossbar(6), Topology::torus3d(7, 1, 1),
-                            Topology::mesh2d(3, 4),
                             Topology::torus3d(3, 2, 2)};
   for (const auto& t : topos) {
     for (int s = 0; s < t.nodes(); ++s) {
